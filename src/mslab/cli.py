@@ -7,15 +7,16 @@ Commands::
     mslab rates    --config cfg.json --out report.json
     mslab kernel   --n 512 --length 200 --out kernel.csv
 
-Exit codes: 0 ok, 2 config or input error, 3 slope blow-up, 4 solver
-failure, 5 verification failure.  All numbers are printed with 17
+Exit codes: 0 ok, 2 config or input error (including a triad CSV with a
+non-finite value or too few evenly spaced rows), 3 slope blow-up, 4
+solver failure, 5 verification failure.  All numbers are printed with 17
 significant digits so CSV output round-trips doubles losslessly, and
-output files are written atomically (temp file plus rename).
+output files are written atomically (temp file plus rename) with the
+mode ``open()`` would give them.
 """
 
 import argparse
 import json
-import math
 import os
 import sys
 import tempfile
@@ -26,6 +27,7 @@ from . import diagnostics
 from .config import build_initial_profile, load_config
 from .diagnostics import (
     TRIAD_FIELDS,
+    RatioReport,
     TriadSample,
     check_algebraic,
     check_decay_rates,
@@ -33,7 +35,13 @@ from .diagnostics import (
     check_lyapunov,
     triad_series,
 )
-from .errors import ConfigError, CrossCheckFailure, RegimeNeverEntered, SolverDivergence
+from .errors import (
+    ConfigError,
+    CrossCheckFailure,
+    InsufficientSamples,
+    RegimeNeverEntered,
+    SolverDivergence,
+)
 from .evolution import kernel_mask, run
 from .spectral import Grid
 
@@ -54,7 +62,10 @@ def _fmt(x):
 def _atomic_write(path, text):
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-mslab-")
+    umask = os.umask(0)
+    os.umask(umask)
     try:
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp, path)
@@ -126,31 +137,40 @@ def _parse_triad_csv(path):
             values = [float(p) for p in parts]
         except ValueError as exc:
             raise ConfigError("<traj>", f"line {i}: {exc}") from exc
+        if not np.isfinite(values).all():
+            raise ConfigError("<traj>", f"line {i}: non-finite value")
         samples.append(TriadSample(**dict(zip(TRIAD_FIELDS, values))))
     if len(samples) < 3:
         raise ConfigError("<traj>", "need at least 3 triad rows")
     return samples
 
 
-def run_named_checks(samples, checks):
-    """Evaluate the configured subset of CSV-computable checks by name."""
-    thresholds = dict(checks)
-    reports = {}
-    differential = {"energy_dissipation", "dissipation_rate", "distance_rate"}
-    if differential & set(thresholds):
-        for rep in check_differential(samples, thresholds):
-            reports[rep.name] = rep
-    if "lyapunov_e2d" in thresholds:
+def _run_family(family, names, samples, thresholds):
+    if family == "differential":
+        return check_differential(samples, thresholds)
+    if family == "algebraic":
+        return check_algebraic(samples, thresholds)
+    reports = []
+    for name in names:  # the Lyapunov family
         try:
-            rep = check_lyapunov(samples, step_tol=thresholds["lyapunov_e2d"])
+            reports.append(check_lyapunov(samples, step_tol=thresholds[name]))
         except RegimeNeverEntered:
-            rep = diagnostics.RatioReport("lyapunov_e2d", 0.0, thresholds["lyapunov_e2d"], True, 0)
-        reports[rep.name] = rep
-    algebraic = {"curvature_l2", "slope_e2d", "hhalf_h", "energy_hd", "height_interp"}
-    if algebraic & set(thresholds):
-        for rep in check_algebraic(samples, thresholds):
-            reports[rep.name] = rep
-    return [reports[name] for name, _ in checks if name in reports]
+            reports.append(RatioReport(name, 0.0, thresholds[name], None, 0))
+    return reports
+
+
+def run_named_checks(samples, checks):
+    """Evaluate the configured checks, each family of
+    :data:`mslab.diagnostics.CSV_CHECKS` once; a Lyapunov check whose
+    regime is never entered is reported with ``passed`` None."""
+    thresholds = dict(checks)
+    families = {}
+    for name in thresholds:
+        families.setdefault(diagnostics.CSV_CHECKS[name][0], []).append(name)
+    reports = {}
+    for family, names in families.items():
+        reports.update((r.name, r) for r in _run_family(family, names, samples, thresholds))
+    return [reports[name] for name, _ in checks]
 
 
 def _report_json(reports, extra=None):
@@ -165,7 +185,7 @@ def _report_json(reports, extra=None):
             }
             for r in reports
         ],
-        "overall_pass": all(r.passed for r in reports),
+        "overall_pass": all(r.passed for r in reports if r.passed is not None),
     }
     if extra:
         payload.update(extra)
@@ -179,6 +199,9 @@ def cmd_verify(args):
     payload = _report_json(reports)
     _atomic_write(args.out, json.dumps(payload, indent=2) + "\n")
     for r in reports:
+        if r.passed is None:
+            print(f"SKIP {r.name}: regime not entered")
+            continue
         print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: "
               f"sup={r.empirical_sup:.6g} threshold={r.threshold:.6g}")
     return EXIT_OK if payload["overall_pass"] else EXIT_VERIFY_FAILED
@@ -288,7 +311,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, InsufficientSamples) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_CONFIG
 

@@ -7,30 +7,19 @@ so a bad config fails fast and precisely.
 
 import json
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .diagnostics import CSV_CHECKS
 from .errors import ConfigError
 from .evolution import EvolutionConfig
 from .field import StripConfig, default_strip_config
 from .geometry import build_state, sup_slope
 from .spectral import Grid, SpectralProfile
 
-#: checks computable from the ten triad CSV columns, with default thresholds
-DEFAULT_CHECKS = (
-    ("energy_dissipation", 2e-2),
-    ("dissipation_rate", 10.0),
-    ("distance_rate", 10.0),
-    ("lyapunov_e2d", 1e-3),
-    ("curvature_l2", 10.0),
-    ("slope_e2d", 10.0),
-    ("hhalf_h", 10.0),
-    ("energy_hd", 10.0),
-    ("height_interp", 10.0),
-)
-
-KNOWN_CHECKS = frozenset(name for name, _ in DEFAULT_CHECKS)
+#: (name, threshold) of every check computable from the triad CSV, at its default
+DEFAULT_CHECKS = tuple((name, threshold) for name, (_, threshold) in CSV_CHECKS.items())
 
 PRESETS = ("gaussian_bump", "mode", "wavelet")
 
@@ -39,7 +28,7 @@ PRESETS = ("gaussian_bump", "mode", "wavelet")
 class RunConfig:
     initial_data: dict
     evolution: EvolutionConfig
-    checks: tuple = tuple(DEFAULT_CHECKS)
+    checks: tuple = DEFAULT_CHECKS
     seed: int = 0
 
 
@@ -123,7 +112,7 @@ def _parse_evolution(raw, path):
 
 def _parse_checks(raw, path):
     if raw is None:
-        return tuple(DEFAULT_CHECKS)
+        return DEFAULT_CHECKS
     if not isinstance(raw, list):
         raise ConfigError(path, "expected a list of {name, threshold} objects")
     out = []
@@ -132,9 +121,9 @@ def _parse_checks(raw, path):
         item = _want(item, ipath, dict, "an object")
         _check_keys(item, ipath, {"name", "threshold"}, {"name"})
         name = _want(item["name"], f"{ipath}.name", str, "a string")
-        if name not in KNOWN_CHECKS:
+        if name not in CSV_CHECKS:
             raise ConfigError(f"{ipath}.name", f"unknown check '{name}'")
-        threshold = item.get("threshold", dict(DEFAULT_CHECKS)[name])
+        threshold = item.get("threshold", CSV_CHECKS[name][1])
         out.append((name, _want(threshold, f"{ipath}.threshold", float, "a number")))
     return tuple(out)
 
@@ -183,11 +172,7 @@ def build_initial_profile(grid, initial_data):
         samples = a * np.cos(2.0 * np.pi * m * x / grid.length)
     else:  # pragma: no cover - presets validated at parse time
         raise ValueError(f"unknown preset {preset}")
-    samples = samples - samples.mean()
-    profile = SpectralProfile.from_samples(grid, samples)
-    coeffs = profile.coeffs.copy()
-    coeffs[0] = 0.0
-    return SpectralProfile.from_coeffs(grid, coeffs)
+    return SpectralProfile.from_samples(grid, samples - samples.mean()).without_mean()
 
 
 def parse_config(raw):

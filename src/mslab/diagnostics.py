@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientSamples, RegimeNeverEntered, ZeroModeNonzero
-from .evolution import Trajectory  # noqa: F401  (re-exported for callers)
 from .field import dissipation, normal_velocity, solve_exterior_fields
 from .geometry import energy, sup_height, sup_slope, to_arclength
 from .spectral import SpectralProfile, derivative, seminorm
@@ -21,8 +20,24 @@ from .spectral import SpectralProfile, derivative, seminorm
 RHS_FLOOR = 1e-14
 DEFAULT_THRESHOLD = 10.0
 LYAPUNOV_EPSILON = 1e-3
-LYAPUNOV_STEP_TOL = 1e-3
 LATE_TIME_FACTOR = 5.0
+_drop_mean = SpectralProfile.without_mean  # the name the field tests import
+
+#: the checks computable from the triad CSV columns, in report order:
+#: name -> (family, default threshold).  A run configuration selects from
+#: these names only; each family is one check function.  The lemma checks
+#: that need profile-level norms stay local to :func:`check_algebraic`.
+CSV_CHECKS = {
+    "energy_dissipation": ("differential", 2e-2),
+    "dissipation_rate": ("differential", DEFAULT_THRESHOLD),
+    "distance_rate": ("differential", DEFAULT_THRESHOLD),
+    "lyapunov_e2d": ("lyapunov", 1e-3),
+    "curvature_l2": ("algebraic", DEFAULT_THRESHOLD),
+    "slope_e2d": ("algebraic", DEFAULT_THRESHOLD),
+    "hhalf_h": ("algebraic", DEFAULT_THRESHOLD),
+    "energy_hd": ("algebraic", DEFAULT_THRESHOLD),
+    "height_interp": ("algebraic", DEFAULT_THRESHOLD),
+}
 
 #: columns of the triad CSV, in order
 TRIAD_FIELDS = (
@@ -68,7 +83,8 @@ class TriadSample:
 
 @dataclass(frozen=True)
 class RatioReport:
-    """Outcome of one inequality check over a trajectory."""
+    """Outcome of one inequality check over a trajectory; ``passed`` is
+    None for a check that did not run (its regime was never entered)."""
 
     name: str
     empirical_sup: float
@@ -78,21 +94,17 @@ class RatioReport:
 
     @classmethod
     def from_ratios(cls, name, ratios, threshold):
-        ratios = [r for r in ratios if r is not None]
-        sup = max(ratios) if ratios else 0.0
-        return cls(name, float(sup), float(threshold), bool(sup <= threshold), len(ratios))
+        """Supremum of the usable ratios; a NaN or Inf among them fails."""
+        ratios = np.array([r for r in ratios if r is not None], dtype=float)
+        sup = float(ratios.max()) if len(ratios) else 0.0
+        passed = bool(np.isfinite(ratios).all() and sup <= threshold)
+        return cls(name, sup, float(threshold), passed, len(ratios))
 
 
 def _ratio(lhs, rhs):
     if rhs < RHS_FLOOR:
         return None
     return lhs / rhs
-
-
-def _drop_mean(profile):
-    coeffs = profile.coeffs.copy()
-    coeffs[0] = 0.0
-    return SpectralProfile.from_coeffs(profile.grid, coeffs)
 
 
 def compute_H(state):
@@ -107,8 +119,7 @@ def compute_H(state):
     integral |Phi'|^2 dz with Phi'(z) = -integral_{-inf}^z chi_0.
     """
     h = state.h
-    if not h.is_mean_zero(rtol=1e-10):
-        raise ZeroModeNonzero("H is finite only for mean-zero height profiles")
+    h.require_mean_zero(ZeroModeNonzero, "H", rtol=1e-10)
     samples = h.samples
     n = h.grid.num_points
     if np.all(samples == 0.0):
@@ -173,13 +184,13 @@ def triad_series(traj, strip):
         h_dist = compute_H(state)
         hhalf = seminorm(state.h, -0.5) ** 2
 
-        v_arc = _drop_mean(to_arclength(state, v))
+        v_arc = to_arclength(state, v).without_mean()
         int_vs2 = seminorm(v_arc, 1.0) ** 2
         curv_l2 = float(
             state.grid.spacing
             * np.sum(state.curvature.samples**2 * state.line_element)
         )
-        kappa_arc = _drop_mean(to_arclength(state, state.curvature))
+        kappa_arc = to_arclength(state, state.curvature).without_mean()
         sample = TriadSample(
             t=t,
             E=e,
@@ -210,6 +221,17 @@ def _check_usable(samples, minimum):
         )
 
 
+def _reports(ratios, thresholds=None):
+    """One report per named ratio list, at the given threshold, else the
+    default of :data:`CSV_CHECKS`, else :data:`DEFAULT_THRESHOLD`."""
+    defaults = {name: threshold for name, (_, threshold) in CSV_CHECKS.items()}
+    thresholds = {**defaults, **(thresholds or {})}
+    return [
+        RatioReport.from_ratios(name, r, thresholds.get(name, DEFAULT_THRESHOLD))
+        for name, r in ratios.items()
+    ]
+
+
 def check_algebraic(samples, thresholds=None):
     """Lemma-level algebraic inequality checks.
 
@@ -219,66 +241,44 @@ def check_algebraic(samples, thresholds=None):
     default.
     """
     _check_usable(samples, 3)
-    thresholds = thresholds or {}
-
-    def thr(name, default=DEFAULT_THRESHOLD):
-        return thresholds.get(name, default)
-
-    has_aux = all(s.kappa_half_sq is not None for s in samples)
-    reports = []
-
-    def ratio_report(name, pairs, default=DEFAULT_THRESHOLD):
-        reports.append(
-            RatioReport.from_ratios(
-                name, [_ratio(l, r) for l, r in pairs], thr(name, default)
-            )
-        )
-
-    if has_aux:
-        ratio_report("kappa_half_d", [(s.kappa_half_sq, s.D) for s in samples])
-        ratio_report("kappa_neg1_e", [(s.kappa_neg1_sq, s.E) for s in samples])
-        ratio_report(
-            "slope_energy_hi",
-            [(s.hx_l2**2, (1.0 + np.sqrt(2.0)) * s.E) for s in samples],
-            default=1.0 + 1e-9,
-        )
-        ratio_report(
-            "slope_energy_lo",
-            [(2.0 * s.E, s.hx_l2**2) for s in samples],
-            default=1.0 + 1e-9,
-        )
-        ratio_report(
-            "height_l3",
-            [
-                (
-                    s.h_l3,
-                    s.Hhalf ** (1.0 / 3.0) * s.hx_l2 ** (1.0 / 6.0) * s.hxx_l2 ** (1.0 / 6.0),
-                )
-                for s in samples
-            ],
-        )
-    ratio_report(
-        "curvature_l2",
-        [(s.curv_L2, s.E ** (1.0 / 3.0) * s.D ** (2.0 / 3.0)) for s in samples],
-    )
-    ratio_report("slope_e2d", [(s.sup_slope, s.E2D ** (1.0 / 6.0)) for s in samples])
-    ratio_report("hhalf_h", [(s.Hhalf, s.H) for s in samples])
-    ratio_report("energy_hd", [(s.E, np.sqrt(s.H * s.D)) for s in samples])
-    ratio_report(
-        "height_interp",
-        [(s.sup_h, (s.Hhalf * s.E**2) ** (1.0 / 6.0)) for s in samples],
-    )
-    return reports
+    pairs = {}
+    if all(s.kappa_half_sq is not None for s in samples):
+        pairs["kappa_half_d"] = [(s.kappa_half_sq, s.D) for s in samples]
+        pairs["kappa_neg1_e"] = [(s.kappa_neg1_sq, s.E) for s in samples]
+        pairs["slope_energy_hi"] = [(s.hx_l2**2, (1.0 + np.sqrt(2.0)) * s.E) for s in samples]
+        pairs["slope_energy_lo"] = [(2.0 * s.E, s.hx_l2**2) for s in samples]
+        pairs["height_l3"] = [
+            (s.h_l3, s.Hhalf ** (1.0 / 3.0) * s.hx_l2 ** (1.0 / 6.0) * s.hxx_l2 ** (1.0 / 6.0))
+            for s in samples
+        ]
+    pairs["curvature_l2"] = [(s.curv_L2, s.E ** (1.0 / 3.0) * s.D ** (2.0 / 3.0)) for s in samples]
+    pairs["slope_e2d"] = [(s.sup_slope, s.E2D ** (1.0 / 6.0)) for s in samples]
+    pairs["hhalf_h"] = [(s.Hhalf, s.H) for s in samples]
+    pairs["energy_hd"] = [(s.E, np.sqrt(s.H * s.D)) for s in samples]
+    pairs["height_interp"] = [(s.sup_h, (s.Hhalf * s.E**2) ** (1.0 / 6.0)) for s in samples]
+    exact = dict.fromkeys(("slope_energy_hi", "slope_energy_lo"), 1.0 + 1e-9)
+    ratios = {name: [_ratio(lhs, rhs) for lhs, rhs in p] for name, p in pairs.items()}
+    return _reports(ratios, {**exact, **(thresholds or {})})
 
 
-def _uniform_cadence(samples):
-    times = np.array([s.t for s in samples])
-    gaps = np.diff(times)
+def _uniform_cadence(times):
+    """Common time step of the snapshots and how many samples lie on it.
+
+    The short last interval of a run whose end is off its output cadence
+    (:func:`mslab.evolution.run`) is left out; other uneven spacing raises.
+    """
+    gaps = np.diff(np.asarray(times, dtype=float))
+
+    def uneven(g):
+        return np.ptp(g) > 1e-6 * g.mean()
+
+    if len(gaps) > 2 and uneven(gaps) and not uneven(gaps[:-1]) and gaps[-1] < gaps[0]:
+        gaps = gaps[:-1]
     if len(gaps) < 2:
-        raise InsufficientSamples("differential checks need >= 3 samples")
-    if np.ptp(gaps) > 1e-6 * gaps.mean():
-        raise InsufficientSamples("differential checks need a uniform cadence")
-    return gaps.mean()
+        raise InsufficientSamples("centered differences need >= 3 evenly spaced samples")
+    if uneven(gaps):
+        raise InsufficientSamples("centered differences need a uniform cadence")
+    return gaps.mean(), len(gaps) + 1
 
 
 def check_differential(samples, thresholds=None):
@@ -291,11 +291,10 @@ def check_differential(samples, thresholds=None):
     no one-sided bias at the trajectory ends.
     """
     _check_usable(samples, 3)
-    dt = _uniform_cadence(samples)
-    thresholds = thresholds or {}
+    dt, count = _uniform_cadence([s.t for s in samples])
 
     ee, dd, dh = [], [], []
-    for i in range(1, len(samples) - 1):
+    for i in range(1, count - 1):
         mid = samples[i]
         de = (samples[i + 1].E - samples[i - 1].E) / (2.0 * dt)
         ddis = (samples[i + 1].D - samples[i - 1].D) / (2.0 * dt)
@@ -305,25 +304,17 @@ def check_differential(samples, thresholds=None):
         dh.append(
             _ratio(dhd, np.sqrt(mid.H) * mid.E ** (1.0 / 6.0) * mid.D ** (7.0 / 12.0))
         )
-    return [
-        RatioReport.from_ratios(
-            "energy_dissipation", ee, thresholds.get("energy_dissipation", 2e-2)
-        ),
-        RatioReport.from_ratios(
-            "dissipation_rate", dd, thresholds.get("dissipation_rate", DEFAULT_THRESHOLD)
-        ),
-        RatioReport.from_ratios(
-            "distance_rate", dh, thresholds.get("distance_rate", DEFAULT_THRESHOLD)
-        ),
-    ]
+    return _reports(
+        {"energy_dissipation": ee, "dissipation_rate": dd, "distance_rate": dh}, thresholds
+    )
 
 
-def check_lyapunov(samples, epsilon=LYAPUNOV_EPSILON, step_tol=LYAPUNOV_STEP_TOL):
+def check_lyapunov(samples, epsilon=LYAPUNOV_EPSILON, step_tol=CSV_CHECKS["lyapunov_e2d"][1]):
     """E^2 D must be nonincreasing once it has entered the smallness regime.
 
     Reports the largest relative step increase after the first sample with
     E^2 D <= epsilon; a flat state (identically zero) is vacuously
-    nonincreasing.
+    nonincreasing, and a NaN or Inf step fails.
     """
     _check_usable(samples, 2)
     values = np.array([s.E2D for s in samples])
@@ -332,14 +323,11 @@ def check_lyapunov(samples, epsilon=LYAPUNOV_EPSILON, step_tol=LYAPUNOV_STEP_TOL
         raise RegimeNeverEntered(
             f"E^2 D never dropped below epsilon = {epsilon:.3e}"
         )
-    start = inside[0]
-    worst = 0.0
-    count = 0
-    for i in range(start, len(values) - 1):
-        scale = max(values[i], RHS_FLOOR)
-        worst = max(worst, (values[i + 1] - values[i]) / scale)
-        count += 1
-    return RatioReport("lyapunov_e2d", float(worst), float(step_tol), worst <= step_tol, count)
+    tail = values[inside[0]:]
+    steps = np.diff(tail) / np.maximum(tail[:-1], RHS_FLOOR)
+    worst = float(np.max(steps, initial=0.0))
+    passed = bool(np.isfinite(steps).all() and worst <= step_tol)
+    return RatioReport("lyapunov_e2d", worst, float(step_tol), passed, len(steps))
 
 
 def check_decay_rates(samples, h0_norm, thresholds=None):
@@ -352,40 +340,18 @@ def check_decay_rates(samples, h0_norm, thresholds=None):
     if h0_norm <= 0:
         raise ValueError("H0 must be positive")
     _check_usable(samples, 1)
-    thresholds = thresholds or {}
-
-    def thr(name):
-        return thresholds.get(name, DEFAULT_THRESHOLD)
-
     t_late = LATE_TIME_FACTOR * h0_norm ** 0.75
     late = [s for s in samples if s.t >= t_late]
-    reports = [
-        RatioReport.from_ratios(
-            "rate_te", [_ratio(s.t * s.E, h0_norm) for s in samples], thr("rate_te")
-        ),
-        RatioReport.from_ratios(
-            "rate_h", [_ratio(s.H, h0_norm) for s in samples], thr("rate_h")
-        ),
-        RatioReport.from_ratios(
-            "rate_t2d", [_ratio(s.t**2 * s.D, h0_norm) for s in late], thr("rate_t2d")
-        ),
-        RatioReport.from_ratios(
-            "rate_slope",
-            [_ratio(s.t ** (2.0 / 3.0) * s.sup_slope, np.sqrt(h0_norm)) for s in late],
-            thr("rate_slope"),
-        ),
-        RatioReport.from_ratios(
-            "rate_height",
-            [_ratio(s.t ** (1.0 / 3.0) * s.sup_h, np.sqrt(h0_norm)) for s in late],
-            thr("rate_height"),
-        ),
-        RatioReport.from_ratios(
-            "height_he2",
-            [_ratio(s.sup_h, (s.H * s.E**2) ** (1.0 / 6.0)) for s in samples],
-            thr("height_he2"),
-        ),
-    ]
-    return reports
+    root = np.sqrt(h0_norm)
+    ratios = {
+        "rate_te": [_ratio(s.t * s.E, h0_norm) for s in samples],
+        "rate_h": [_ratio(s.H, h0_norm) for s in samples],
+        "rate_t2d": [_ratio(s.t**2 * s.D, h0_norm) for s in late],
+        "rate_slope": [_ratio(s.t ** (2.0 / 3.0) * s.sup_slope, root) for s in late],
+        "rate_height": [_ratio(s.t ** (1.0 / 3.0) * s.sup_h, root) for s in late],
+        "height_he2": [_ratio(s.sup_h, (s.H * s.E**2) ** (1.0 / 6.0)) for s in samples],
+    }
+    return _reports(ratios, thresholds)
 
 
 def _lowpass(values, grid, keep_modes):
@@ -405,18 +371,12 @@ def check_curvature_evolution(traj, strip, threshold=0.05, keep_fraction=0.125):
     Both sides are low-pass filtered to the resolved band before the
     relative L2 defect is taken.
     """
-    if len(traj) < 3:
-        raise InsufficientSamples("curvature evolution needs >= 3 snapshots")
-    times = np.asarray(traj.times)
-    gaps = np.diff(times)
-    if np.ptp(gaps) > 1e-6 * gaps.mean():
-        raise InsufficientSamples("curvature evolution needs a uniform cadence")
-    dt = gaps.mean()
+    dt, count = _uniform_cadence(traj.times)
     grid = traj.states[0].grid
     keep = max(2, int(keep_fraction * grid.num_points))
 
     defects = []
-    for i in range(1, len(traj) - 1):
+    for i in range(1, count - 1):
         state = traj.states[i]
         fields = solve_exterior_fields(state, strip)
         v = normal_velocity(fields, state).samples
@@ -440,7 +400,4 @@ def check_curvature_evolution(traj, strip, threshold=0.05, keep_fraction=0.125):
             continue
         defects.append(np.linalg.norm(lhs_f - rhs_f) / scale)
 
-    sup = max(defects) if defects else 0.0
-    return RatioReport(
-        "curvature_evolution", float(sup), float(threshold), sup <= threshold, len(defects)
-    )
+    return RatioReport.from_ratios("curvature_evolution", defects, threshold)

@@ -65,13 +65,6 @@ class Trajectory:
         return len(self.times)
 
 
-def _require_mean_zero(profile):
-    if not profile.is_mean_zero():
-        raise ZeroModeNonzero(
-            f"profile has nonzero mean, |coeff(0)| = {abs(profile.coeffs[0]):.3e}"
-        )
-
-
 def linear_solve_exact(h0, t, mobility, check_mean_zero=True):
     """Exact solution of the linearized flow: hhat(k,t) = exp(-mu |k|^3 t) hhat0.
 
@@ -80,7 +73,7 @@ def linear_solve_exact(h0, t, mobility, check_mean_zero=True):
     self-similar kernel comparison, where the zero-mode gate is disabled).
     """
     if check_mean_zero:
-        _require_mean_zero(h0)
+        h0.require_mean_zero(ZeroModeNonzero, "the linear flow")
     k = np.abs(h0.grid.wavenumbers)
     return SpectralProfile.from_coeffs(h0.grid, h0.coeffs * np.exp(-mobility * k**3 * t))
 
@@ -122,14 +115,15 @@ def nonlinear_step(state, cfg):
 
 
 def run(h0, cfg):
-    """Advance h0 to t_end, recording snapshots at the configured cadence.
+    """Advance h0 to t_end, recording snapshots every ``output_every`` steps
+    and at the last step, which may close a shorter interval.
 
     The linear engine evaluates the exact mode solution at the snapshot
     times; the nonlinear engine steps with :func:`nonlinear_step`.  A gate
     violation or solver failure halts the run with the matching status
     instead of raising.
     """
-    _require_mean_zero(h0)
+    h0.require_mean_zero(ZeroModeNonzero, "the flow")
     if h0.grid != cfg.grid:
         raise ValueError("initial profile and configuration use different grids")
     state0 = build_state(h0)
@@ -145,17 +139,14 @@ def run(h0, cfg):
     if cfg.t_end == 0.0 or n_steps == 0:
         return traj
 
-    if cfg.engine == "linear":
-        for step in range(cfg.output_every, n_steps + 1, cfg.output_every):
-            t = step * cfg.dt
-            traj.append(t, build_state(linear_solve_exact(h0, t, cfg.mobility)))
-        if (n_steps % cfg.output_every) != 0:
-            t = n_steps * cfg.dt
-            traj.append(t, build_state(linear_solve_exact(h0, t, cfg.mobility)))
-        return traj
-
     state = state0
     for step in range(1, n_steps + 1):
+        t = step * cfg.dt
+        snapshot = step % cfg.output_every == 0 or step == n_steps
+        if cfg.engine == "linear":
+            if snapshot:
+                traj.append(t, build_state(linear_solve_exact(h0, t, cfg.mobility)))
+            continue
         try:
             state = nonlinear_step(state, cfg)
         except SlopeBlowup:
@@ -164,8 +155,8 @@ def run(h0, cfg):
         except SolverDivergence:
             traj.status = "solver_failure"
             return traj
-        if step % cfg.output_every == 0 or step == n_steps:
-            traj.append(step * cfg.dt, state)
+        if snapshot:
+            traj.append(t, state)
     return traj
 
 
@@ -190,7 +181,7 @@ def exact_linear_observables(h0, t, mobility):
     integrals ``t E = int |t^{1/3}k|^3 exp(-2 mu |t^{1/3}k|^3) |h0|^2/|k|``
     (and exponent 6 for ``t^2 D``), the oracle for the decay-rate checks.
     """
-    _require_mean_zero(h0)
+    h0.require_mean_zero(ZeroModeNonzero, "the linear observables")
     k = np.abs(h0.grid.wavenumbers)
     nz = k != 0.0
     weight = h0.grid.length * np.abs(h0.coeffs[nz]) ** 2

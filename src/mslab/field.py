@@ -24,7 +24,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import CrossCheckFailure, SlopeGateViolation, SolverDivergence, ZeroModeNonzero
 from .geometry import sup_slope
-from .spectral import SpectralProfile, derivative
+from .spectral import SpectralProfile, derivative, graded_depths
 
 #: smallest eigenvalue of a = J^T J at slope 1; positivity floor of the metric
 METRIC_EIGENVALUE_FLOOR = (3.0 - np.sqrt(5.0)) / 2.0
@@ -56,10 +56,7 @@ class StripConfig:
         return np.log(self.grading)
 
     def levels(self):
-        eta = np.arange(self.num_layers + 1) / self.num_layers
-        if self.grading == 1.0:
-            return self.depth * eta
-        return self.depth * np.expm1(self.alpha * eta) / np.expm1(self.alpha)
+        return graded_depths(self.depth, self.num_layers, self.grading)
 
     def jacobian(self):
         """dz/deta at the levels of the smooth grading map."""
@@ -129,7 +126,7 @@ def solve_strip(grid, hx_samples, data, strip, side="plus", top_data=None):
     dx = grid.spacing
     deta = 1.0 / m
     jac = strip.jacobian()
-    alpha = strip.alpha if strip.grading > 1.0 else 0.0
+    alpha = strip.alpha
 
     i_idx = np.arange(1, m)
     jac_i = jac[i_idx][:, None]
@@ -272,10 +269,10 @@ def dissipation(fields, state):
         fx = _row_x_derivative(field.values, field.grid)
         fzeta = np.empty_like(field.values)
         deta = 1.0 / m
+        fzeta[0] = _eta_derivative_at_boundary(field.values, strip)
         fzeta[1:m] = (field.values[2:] - field.values[:-2]) / (2.0 * deta)
-        fzeta[0] = (-3.0 * field.values[0] + 4.0 * field.values[1] - field.values[2]) / (2.0 * deta)
         fzeta[m] = (3.0 * field.values[m] - 4.0 * field.values[m - 1] + field.values[m - 2]) / (2.0 * deta)
-        fzeta /= jac[:, None]
+        fzeta[1:] /= jac[1:, None]
         comp1 = fx - s * state.slope.samples[None, :] * fzeta
         density = (comp1**2 + fzeta**2).sum(axis=1) * field.grid.spacing
         z = strip.levels()
@@ -301,8 +298,7 @@ def dissipation(fields, state):
 
 def linear_dtn(profile, mobility):
     """Linearized evolution multiplier: -mobility*|k|^3 per mode."""
-    if not profile.is_mean_zero():
-        raise ZeroModeNonzero("linearized operator needs a mean-zero profile")
+    profile.require_mean_zero(ZeroModeNonzero, "linearized operator")
     k = profile.grid.wavenumbers
     return SpectralProfile.from_coeffs(
         profile.grid, -mobility * np.abs(k) ** 3 * profile.coeffs

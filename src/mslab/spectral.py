@@ -108,6 +108,19 @@ class SpectralProfile:
             return True
         return abs(self.coeffs[0]) <= max(rtol * scale, atol)
 
+    def require_mean_zero(self, error, what, rtol=MEAN_ZERO_RTOL):
+        """Raise ``error`` unless the profile is mean-zero to ``rtol``."""
+        if not self.is_mean_zero(rtol=rtol):
+            raise error(
+                f"{what} needs a mean-zero profile; |coeff(0)| = {abs(self.coeffs[0]):.3e}"
+            )
+
+    def without_mean(self):
+        """The profile with its zero mode set to exactly zero."""
+        coeffs = self.coeffs.copy()
+        coeffs[0] = 0.0
+        return SpectralProfile.from_coeffs(self.grid, coeffs)
+
     def max_abs(self):
         return float(np.abs(self.samples).max())
 
@@ -122,14 +135,6 @@ class SpectralProfile:
         return (phases @ self.coeffs).real
 
 
-def _require_mean_zero(p, what):
-    if not p.is_mean_zero():
-        raise NegativeOrderOnNonzeroMean(
-            f"{what} of negative order needs a mean-zero profile; "
-            f"|coeff(0)| = {abs(p.coeffs[0]):.3e}"
-        )
-
-
 def fractional_operator(p, sigma):
     """Apply ``|d/dx|**sigma``: multiply coefficient m by ``|k_m|**sigma``.
 
@@ -138,7 +143,7 @@ def fractional_operator(p, sigma):
     mean-zero.
     """
     if sigma < 0:
-        _require_mean_zero(p, "fractional operator")
+        p.require_mean_zero(NegativeOrderOnNonzeroMean, "fractional operator of negative order")
     k = p.grid.wavenumbers
     mult = np.zeros_like(k)
     nz = k != 0.0
@@ -166,7 +171,7 @@ def seminorm(p, sigma):
     with the zero mode excluded.
     """
     if sigma < 0:
-        _require_mean_zero(p, "seminorm")
+        p.require_mean_zero(NegativeOrderOnNonzeroMean, "seminorm of negative order")
     k = p.grid.wavenumbers
     nz = k != 0.0
     weights = np.abs(k[nz]) ** (2.0 * sigma)
@@ -180,7 +185,7 @@ def dual_pairing_norm(p, sigma):
     ``integral p zeta dx`` with ``|| |d/dx|**sigma zeta ||_2 = 1``, attained
     by ``zeta`` proportional to ``|d/dx|**(-2 sigma) p``.
     """
-    _require_mean_zero(p, "dual pairing norm")
+    p.require_mean_zero(NegativeOrderOnNonzeroMean, "dual pairing norm")
     return seminorm(p, -sigma)
 
 

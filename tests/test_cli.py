@@ -8,7 +8,7 @@ from scipy.integrate import quad
 
 from mslab.cli import main
 from mslab.config import load_config, parse_config
-from mslab.diagnostics import TRIAD_FIELDS, triad_series
+from mslab.diagnostics import CSV_CHECKS, TRIAD_FIELDS, triad_series
 from mslab.errors import ConfigError
 from mslab.evolution import exact_linear_observables, run
 from mslab.config import build_initial_profile
@@ -72,6 +72,25 @@ class TestConfigValidation:
         path.write_text(json.dumps(raw))
         with pytest.raises(ConfigError):
             load_config(path)
+
+    def test_default_checks_are_the_registry(self, tmp_path):
+        path, _ = small_config(tmp_path)
+        defaults = tuple((name, thr) for name, (_, thr) in CSV_CHECKS.items())
+        assert load_config(path).checks == defaults
+
+    def test_lemma_check_not_selectable(self, tmp_path):
+        path, raw = small_config(tmp_path)
+        raw["checks"] = [{"name": "kappa_half_d"}]
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError):
+            load_config(path)
+
+    def test_omitted_threshold_takes_registry_default(self, tmp_path):
+        path, raw = small_config(tmp_path)
+        raw["checks"] = [{"name": "lyapunov_e2d"}, {"name": "hhalf_h", "threshold": 3}]
+        path.write_text(json.dumps(raw))
+        checks = load_config(path).checks
+        assert checks == (("lyapunov_e2d", CSV_CHECKS["lyapunov_e2d"][1]), ("hhalf_h", 3.0))
 
     def test_cli_exit_code_on_bad_config(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -199,6 +218,93 @@ class TestVerify:
             "verify", "--traj", str(bad), "--config", str(config_path),
             "--out", str(tmp_path / "r.json"),
         ]) == 2
+
+
+    def _verify(self, tmp_path, config_path, rows):
+        csv_path = tmp_path / "edited.csv"
+        csv_path.write_text("\n".join(rows) + "\n")
+        report_path = tmp_path / "report.json"
+        code = main([
+            "verify", "--traj", str(csv_path), "--config", str(config_path),
+            "--out", str(report_path),
+        ])
+        return code, report_path
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_exit_2(self, tmp_path, triad_csv, capsys, value):
+        config_path, csv_path = triad_csv
+        rows = csv_path.read_text().strip().splitlines()
+        middle = len(rows) // 2
+        parts = rows[middle].split(",")
+        parts[TRIAD_FIELDS.index("D")] = value
+        rows[middle] = ",".join(parts)
+        code, report_path = self._verify(tmp_path, config_path, rows)
+        assert code == 2
+        assert f"line {middle + 1}" in capsys.readouterr().err
+        assert not report_path.exists()
+
+    def test_uneven_cadence_exit_2(self, tmp_path, triad_csv, capsys):
+        config_path, csv_path = triad_csv
+        rows = csv_path.read_text().strip().splitlines()
+        parts = rows[2].split(",")
+        parts[0] = f"{float(parts[0]) * 1.5:.17g}"
+        rows[2] = ",".join(parts)
+        code, _ = self._verify(tmp_path, config_path, rows)
+        assert code == 2
+        assert "cadence" in capsys.readouterr().err
+
+    def test_regime_not_entered_is_skip(self, tmp_path, triad_csv, capsys):
+        config_path, csv_path = triad_csv
+        rows = csv_path.read_text().strip().splitlines()
+        col = TRIAD_FIELDS.index("E2D")
+        for i in range(1, len(rows)):
+            parts = rows[i].split(",")
+            parts[col] = "1"  # above the smallness threshold everywhere
+            rows[i] = ",".join(parts)
+        code, report_path = self._verify(tmp_path, config_path, rows)
+        payload = json.loads(report_path.read_text())
+        lyapunov = [c for c in payload["checks"] if c["name"] == "lyapunov_e2d"]
+        assert lyapunov == [dict(lyapunov[0], **{"pass": None, "num_samples": 0})]
+        ran = [c["pass"] for c in payload["checks"] if c["pass"] is not None]
+        assert len(ran) == len(payload["checks"]) - 1
+        assert payload["overall_pass"] is all(ran)
+        assert code == (0 if all(ran) else 5)
+        assert "SKIP lyapunov_e2d" in capsys.readouterr().out
+
+    def test_off_cadence_end_verifies(self, tmp_path):
+        # t_end/dt = 21 steps with output_every = 5: the last interval is 1 step
+        path, _ = small_config(
+            tmp_path, evolution={"dt": 2e-3, "t_end": 0.042, "output_every": 5}
+        )
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        report_path = tmp_path / "report.json"
+        code = main([
+            "verify", "--traj", str(out / "triad.csv"), "--config", str(path),
+            "--out", str(report_path),
+        ])
+        assert code in (0, 5)
+        checks = json.loads(report_path.read_text())["checks"]
+        counts = {c["name"]: c["num_samples"] for c in checks}
+        assert counts["energy_dissipation"] == 3  # interior of t = 0 .. 0.04
+        assert counts["curvature_l2"] == 6  # every row, t = 0.042 included
+
+
+class TestOutputFiles:
+    def test_mode_follows_umask(self, tmp_path):
+        path, _ = small_config(tmp_path)
+        out = tmp_path / "out"
+        old = os.umask(0o022)
+        try:
+            assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+            assert main([
+                "verify", "--traj", str(out / "triad.csv"), "--config", str(path),
+                "--out", str(out / "report.json"),
+            ]) == 0
+        finally:
+            os.umask(old)
+        for name in ("trajectory.csv", "triad.csv", "report.json"):
+            assert os.stat(out / name).st_mode & 0o777 == 0o644
 
 
 class TestKernelCommand:

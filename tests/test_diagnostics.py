@@ -300,3 +300,61 @@ class TestRatioReport:
 
         assert _ratio(1.0, 1e-15) is None
         assert _ratio(1.0, 2.0) == 0.5
+
+    def test_non_finite_ratio_fails(self):
+        nan, inf = float("nan"), float("inf")
+        assert not RatioReport.from_ratios("x", [1.0, nan], 10.0).passed
+        assert not RatioReport.from_ratios("x", [nan, 1.0], 10.0).passed
+        assert not RatioReport.from_ratios("x", [1.0, inf], 10.0).passed
+        assert not RatioReport.from_ratios("x", [-inf, 1.0], 10.0).passed
+
+    def test_negative_sup_kept(self):
+        report = RatioReport.from_ratios("x", [-3.0, -2.0, None], 10.0)
+        assert report.empirical_sup == -2.0 and report.num_samples == 2 and report.passed
+
+
+class TestNonFiniteSamples:
+    def test_lyapunov_nan_step_fails(self):
+        samples = proxy_samples(
+            [0.0, 1.0, 2.0, 3.0], lambda t: float("nan") if t == 2.0 else 1e-2, lambda t: 1e-2
+        )
+        assert not check_lyapunov(samples).passed
+
+    def test_differential_nan_dissipation_fails(self):
+        # dE/dt = -D holds away from the NaN, so only the NaN can fail the checks
+        decay = lambda t: np.exp(-t)  # noqa: E731
+        samples = proxy_samples(
+            np.linspace(0.0, 1.0, 9),
+            decay,
+            lambda t: float("nan") if t == 0.5 else np.exp(-t),
+            H=decay,
+        )
+        assert check_differential(samples[:4])[0].passed
+        failed = {r.name for r in check_differential(samples) if not r.passed}
+        assert failed == {"energy_dissipation", "dissipation_rate", "distance_rate"}
+
+
+class TestCadence:
+    def test_short_final_interval_left_out(self):
+        # a run whose end is off its output cadence closes with a shorter interval
+        ts = [0.0, 0.1, 0.2, 0.3, 0.32]
+        decay = lambda t: np.exp(-t)  # noqa: E731
+        reports = check_differential(proxy_samples(ts, decay, decay, H=decay))
+        assert all(r.num_samples == 2 for r in reports)
+
+    def test_other_uneven_cadence_rejected(self):
+        for ts in ([0.0, 0.1, 0.2, 0.3, 0.45], [0.0, 0.1, 0.15, 0.25, 0.35]):
+            samples = proxy_samples(ts, lambda t: 1.0, lambda t: 1.0)
+            with pytest.raises(InsufficientSamples):
+                check_differential(samples)
+
+    def test_curvature_evolution_shares_the_rule(self, strip):
+        grid = Grid(L, 64)
+        flat = build_state(make_state(grid, np.zeros(64)))
+        traj = Trajectory()
+        for t in (0.0, 0.1, 0.2, 0.25):
+            traj.append(t, flat)
+        assert check_curvature_evolution(traj, strip).passed
+        traj.append(0.5, flat)
+        with pytest.raises(InsufficientSamples):
+            check_curvature_evolution(traj, strip)

@@ -109,6 +109,17 @@ class TestRun:
             exact = linear_solve_exact(h0, t, 2.0)
             assert np.abs(state.h.samples - exact.samples).max() <= 1e-13
 
+    @pytest.mark.parametrize("engine", ["linear", "nonlinear"])
+    def test_snapshot_rule_with_off_cadence_end(self, engine, strip):
+        # every output_every steps, and the last step even when off cadence
+        grid = Grid(L, 32)
+        h0 = mode_profile(grid, 1, amplitude=1e-3)
+        cfg = EvolutionConfig(
+            engine, dt=1e-3, t_end=7e-3, grid=grid, strip=strip, output_every=3
+        )
+        traj = run(h0, cfg)
+        assert traj.times == pytest.approx([0.0, 3e-3, 6e-3, 7e-3], rel=1e-12)
+
     def test_t_end_zero_single_snapshot(self, rng):
         grid = Grid(L, 64)
         h0 = band_limited_profile(grid, rng)

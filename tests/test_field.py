@@ -13,7 +13,7 @@ from mslab.field import (
     solve_strip,
 )
 from mslab.geometry import build_state, to_arclength
-from mslab.spectral import Grid, SpectralProfile, seminorm
+from mslab.spectral import Grid, SpectralProfile, graded_depths, seminorm
 from mslab.diagnostics import _drop_mean
 
 
@@ -50,6 +50,11 @@ class TestStripConfig:
         assert np.ptp(ratios) <= 1e-12 * ratios.mean()
         assert strip.levels()[0] == 0.0
         assert strip.levels()[-1] == pytest.approx(4.0, rel=1e-14)
+
+    def test_levels_are_the_graded_depths(self):
+        for grading in (1.0, 16.0):
+            strip = StripConfig(depth=4.0, num_layers=32, grading=grading)
+            assert np.array_equal(strip.levels(), graded_depths(4.0, 32, grading))
 
     def test_default_depth_kills_slowest_mode(self):
         grid = Grid(16.0, 64)

@@ -60,6 +60,19 @@ class TestProfile:
         q = SpectralProfile.from_samples(grid, 1.0 + np.sin(grid.nodes))
         assert not q.is_mean_zero()
 
+    def test_mean_zero_gate_raises_given_class(self, grid):
+        q = SpectralProfile.from_samples(grid, 1.0 + np.sin(grid.nodes))
+        with pytest.raises(NegativeOrderOnNonzeroMean, match="widget"):
+            q.require_mean_zero(NegativeOrderOnNonzeroMean, "widget")
+        tiny = SpectralProfile.from_samples(grid, 1e-11 + np.sin(grid.nodes))
+        tiny.require_mean_zero(NegativeOrderOnNonzeroMean, "widget", rtol=1e-10)
+
+    def test_without_mean(self, grid):
+        q = SpectralProfile.from_samples(grid, 1.0 + np.sin(grid.nodes))
+        p = q.without_mean()
+        assert p.coeffs[0] == 0.0 and p.is_mean_zero()
+        assert np.abs(p.samples - np.sin(grid.nodes)).max() <= 1e-14
+
     def test_parseval(self, grid, rng):
         for _ in range(100):
             p = band_limited_profile(grid, rng, mean_zero=False)
