@@ -43,6 +43,7 @@ from .field import (
     StripConfig,
     default_strip_config,
     dissipation,
+    exterior_response,
     linear_dtn,
     normal_velocity,
     solve_exterior_fields,

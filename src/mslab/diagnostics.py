@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientSamples, RegimeNeverEntered, ZeroModeNonzero
-from .field import dissipation, normal_velocity, solve_exterior_fields
+from .field import exterior_response
 from .geometry import energy, sup_height, sup_slope, to_arclength
 from .spectral import SpectralProfile, derivative, seminorm
 
@@ -174,18 +174,22 @@ def compute_H(state):
 
 
 def triad_series(traj, strip):
-    """Compute one :class:`TriadSample` per snapshot of a trajectory."""
+    """Compute one :class:`TriadSample` per snapshot of a trajectory.
+
+    V and D come from :func:`mslab.field.exterior_response`, so a state the
+    run already stepped from with this strip is not solved again.
+    int V_s^2 ds is evaluated on the x-grid as int V_x^2/sqrt(1+h_x^2) dx.
+    """
     out = []
     for t, state in zip(traj.times, traj.states):
         e = energy(state)
-        fields = solve_exterior_fields(state, strip)
-        d = dissipation(fields, state)
-        v = normal_velocity(fields, state)
+        response = exterior_response(state, strip)
+        d = response.dissipation
         h_dist = compute_H(state)
         hhalf = seminorm(state.h, -0.5) ** 2
 
-        v_arc = to_arclength(state, v).without_mean()
-        int_vs2 = seminorm(v_arc, 1.0) ** 2
+        v_x = derivative(response.velocity, 1).samples
+        int_vs2 = float(state.grid.spacing * np.sum(v_x**2 / state.line_element))
         curv_l2 = float(
             state.grid.spacing
             * np.sum(state.curvature.samples**2 * state.line_element)
@@ -378,8 +382,7 @@ def check_curvature_evolution(traj, strip, threshold=0.05, keep_fraction=0.125):
     defects = []
     for i in range(1, count - 1):
         state = traj.states[i]
-        fields = solve_exterior_fields(state, strip)
-        v = normal_velocity(fields, state).samples
+        v = exterior_response(state, strip).velocity.samples
         kappa = state.curvature
         kappa_t = (
             traj.states[i + 1].curvature.samples - traj.states[i - 1].curvature.samples

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .errors import SlopeBlowup, SolverDivergence, ZeroModeNonzero
-from .field import StripConfig, normal_velocity, solve_exterior_fields
+from .field import StripConfig, exterior_response
 from .geometry import build_state, sup_slope
 from .spectral import Grid, SpectralProfile, fractional_operator
 
@@ -88,7 +88,8 @@ def nonlinear_step(state, cfg):
 
     The stiff multiplier mobility*|k|^3 is treated implicitly; the
     remainder N(h) = -sqrt(1+h_x^2) V + mobility*|d/dx|^3 h is evaluated
-    explicitly from the exterior solve.  Products are dealiased with the
+    explicitly from the exterior response of ``state``, which stays on the
+    state for the diagnostics to read.  Products are dealiased with the
     2/3 rule when enabled, and the result is re-projected to mean zero.
     """
     if sup_slope(state) > cfg.slope_gate:
@@ -96,8 +97,7 @@ def nonlinear_step(state, cfg):
             f"slope {sup_slope(state):.6f} exceeds gate {cfg.slope_gate}"
         )
     grid = state.grid
-    fields = solve_exterior_fields(state, cfg.strip)
-    v = normal_velocity(fields, state)
+    v = exterior_response(state, cfg.strip).velocity
     stiff = fractional_operator(state.h, 3.0)
     remainder = -state.line_element * v.samples + cfg.mobility * stiff.samples
     nhat = np.fft.fft(remainder) / grid.num_points

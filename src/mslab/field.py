@@ -13,10 +13,13 @@ added back after the solve.
 Discretization: second-order finite differences on a tensor grid, periodic
 in x, geometrically graded toward zt = 0 through the smooth map
 zt = Z*(exp(alpha*eta)-1)/(exp(alpha)-1), solved with a sparse direct
-factorization.
+factorization.  :func:`exterior_response` is the one place that decides
+when a state is solved: at most once per strip, keeping only the normal
+velocity and the two dissipation values on the state.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sparse
@@ -250,16 +253,31 @@ def _row_x_derivative(values, grid):
     return np.fft.ifft(np.fft.fft(values, axis=1) * mult[None, :], axis=1).real
 
 
-def dissipation(fields, state):
-    """Dissipation D = -integral_Gamma kappa V ds over both phases.
+class ExteriorResponse(NamedTuple):
+    """What the flow and the diagnostics read from one exterior solve.
 
-    The boundary pairing uses the same one-sided boundary derivative as
-    :func:`normal_velocity`, so it is the rate at which the discrete energy
-    falls.  In the continuum it equals the Dirichlet energy of the field;
-    the volume quadrature of |grad f|^2 in original coordinates (trapezoid
-    in depth, rectangle in x) serves as a cross-check, and a mismatch
-    beyond 2 percent signals an under-resolved strip.
+    ``velocity`` is the normal speed V, ``boundary`` the pairing
+    D_bnd = -integral kappa V ds and ``volume`` the quadrature D_vol of
+    |grad f|^2; the field arrays themselves are not kept.
     """
+
+    velocity: SpectralProfile
+    boundary: float
+    volume: float
+
+    @property
+    def dissipation(self):
+        """D_bnd, after the 2 percent cross-check against D_vol."""
+        scale = max(abs(self.volume), abs(self.boundary))
+        if scale > 1e-14 and abs(self.volume - self.boundary) > 0.02 * scale:
+            raise CrossCheckFailure(
+                f"dissipation quadrature {self.volume:.6e} and boundary pairing "
+                f"{self.boundary:.6e} differ by more than 2 percent"
+            )
+        return self.boundary
+
+
+def _response(fields, state):
     volume = 0.0
     for field in fields:
         s = 1.0 if field.side == "plus" else -1.0
@@ -287,13 +305,33 @@ def dissipation(fields, state):
     boundary = -float(
         state.grid.spacing * np.sum(kappa * v.samples * state.line_element)
     )
-    scale = max(abs(volume), abs(boundary))
-    if scale > 1e-14 and abs(volume - boundary) > 0.02 * scale:
-        raise CrossCheckFailure(
-            f"dissipation quadrature {volume:.6e} and boundary pairing "
-            f"{boundary:.6e} differ by more than 2 percent"
-        )
-    return boundary
+    return ExteriorResponse(v, boundary, volume)
+
+
+def dissipation(fields, state):
+    """Dissipation D = -integral_Gamma kappa V ds over both phases.
+
+    The boundary pairing uses the same one-sided boundary derivative as
+    :func:`normal_velocity`, so it is the rate at which the discrete energy
+    falls.  In the continuum it equals the Dirichlet energy of the field;
+    the volume quadrature of |grad f|^2 in original coordinates (trapezoid
+    in depth, rectangle in x) serves as a cross-check, and a mismatch
+    beyond 2 percent signals an under-resolved strip.
+    """
+    return _response(fields, state).dissipation
+
+
+def exterior_response(state, strip):
+    """V, D_bnd and D_vol of a state, from at most one solve per strip.
+
+    The response is kept on the state, keyed by the strip, so the step
+    that leaves a state and the diagnostics that read it share one
+    :func:`solve_exterior_fields`.  Reading ``.dissipation`` applies the
+    cross-check; reading ``.velocity`` does not.
+    """
+    if strip not in state.exterior:
+        state.exterior[strip] = _response(solve_exterior_fields(state, strip), state)
+    return state.exterior[strip]
 
 
 def linear_dtn(profile, mobility):

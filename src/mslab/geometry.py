@@ -14,9 +14,13 @@ from .spectral import Grid, SpectralProfile, derivative
 
 
 class InterfaceState:
-    """Height profile plus cached geometric fields of the interface."""
+    """Height profile plus cached geometric fields of the interface.
 
-    __slots__ = ("h", "slope", "angle", "curvature", "line_element")
+    ``exterior`` is filled by :func:`mslab.field.exterior_response`: the
+    response of the exterior problem per strip configuration.
+    """
+
+    __slots__ = ("h", "slope", "angle", "curvature", "line_element", "exterior")
 
     def __init__(self, h, slope, angle, curvature, line_element):
         object.__setattr__(self, "h", h)
@@ -28,6 +32,7 @@ class InterfaceState:
         line_element.setflags(write=False)
         object.__setattr__(self, "angle", angle)
         object.__setattr__(self, "line_element", line_element)
+        object.__setattr__(self, "exterior", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("InterfaceState is immutable")

@@ -12,10 +12,16 @@ from mslab.diagnostics import (
     compute_H,
     triad_series,
 )
-from mslab.errors import InsufficientSamples, RegimeNeverEntered, ZeroModeNonzero
+from mslab import field
+from mslab.errors import (
+    CrossCheckFailure,
+    InsufficientSamples,
+    RegimeNeverEntered,
+    ZeroModeNonzero,
+)
 from mslab.evolution import EvolutionConfig, Trajectory, exact_linear_observables, run
-from mslab.field import StripConfig
-from mslab.geometry import build_state
+from mslab.field import StripConfig, default_strip_config, normal_velocity, solve_exterior_fields
+from mslab.geometry import build_state, sup_slope, to_arclength
 from mslab.spectral import Grid, SpectralProfile, seminorm
 from conftest import poisson_box_energy
 
@@ -124,6 +130,73 @@ class TestTriadSeries:
         assert ts == sorted(ts)
         for a, b in zip(samples, samples[1:]):
             assert b.E <= a.E * (1.0 + 1e-3)
+
+    def test_int_vs2_matches_arclength_seminorm(self):
+        # int V_s^2 ds on the x-grid against the resampled |d/ds| seminorm
+        grid = Grid(16.0, 256)
+        u = grid.nodes - 8.0
+        wavelet = make_state(grid, u * np.exp(-(u**2)))
+        h = SpectralProfile.from_samples(
+            grid, wavelet.samples * 0.9 / sup_slope(build_state(wavelet))
+        )
+        state = build_state(h)
+        assert sup_slope(state) == pytest.approx(0.9, rel=1e-12)
+        strip = default_strip_config(grid, num_layers=48)
+        traj = Trajectory()
+        traj.append(0.0, state)
+        (sample,) = triad_series(traj, strip)
+        v = normal_velocity(solve_exterior_fields(state, strip), state)
+        reference = seminorm(to_arclength(state, v).without_mean(), 1.0) ** 2
+        assert sample.intVs2 == pytest.approx(reference, rel=1e-9)
+
+
+class TestOneSolvePerState:
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        count = [0]
+        original = field.solve_exterior_fields
+
+        def counting(state, strip):
+            count[0] += 1
+            return original(state, strip)
+
+        monkeypatch.setattr(field, "solve_exterior_fields", counting)
+        return count
+
+    def test_run_and_diagnostics_share_the_solve(self, strip, solves):
+        grid = Grid(L, 64)
+        n_steps = 4
+        cfg = EvolutionConfig(
+            "nonlinear", dt=5e-4, t_end=n_steps * 5e-4, grid=grid, strip=strip, output_every=1
+        )
+        traj = run(make_state(grid, 0.2 * np.cos(grid.nodes)), cfg)
+        assert traj.status == "completed" and len(traj) == n_steps + 1
+        samples = triad_series(traj, strip)
+        check_curvature_evolution(traj, strip)
+        assert solves[0] == n_steps + 1
+
+        # another strip solves each snapshot once more, never reusing the first
+        other = StripConfig(depth=9.2, num_layers=64, grading=40.0)
+        again = triad_series(traj, other)
+        assert solves[0] == 2 * (n_steps + 1)
+        fresh = Trajectory()
+        for t, state in zip(traj.times, traj.states):
+            fresh.append(t, build_state(state.h))
+        assert again == triad_series(fresh, other)
+        assert again != samples
+        assert triad_series(traj, strip) == samples
+        assert solves[0] == 3 * (n_steps + 1)
+
+    def test_cross_check_raised_where_d_is_read(self):
+        grid = Grid(L, 64)
+        coarse = StripConfig(depth=9.2, num_layers=16, grading=1.0)
+        cfg = EvolutionConfig(
+            "nonlinear", dt=1e-4, t_end=3e-4, grid=grid, strip=coarse, output_every=1
+        )
+        traj = run(make_state(grid, 0.05 * np.cos(8.0 * grid.nodes)), cfg)
+        assert traj.status == "completed" and len(traj) == 4
+        with pytest.raises(CrossCheckFailure):
+            triad_series(traj, coarse)
 
 
 class TestCheckAlgebraic:

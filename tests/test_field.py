@@ -7,6 +7,7 @@ from mslab.field import (
     StripConfig,
     default_strip_config,
     dissipation,
+    exterior_response,
     linear_dtn,
     normal_velocity,
     solve_exterior_fields,
@@ -227,6 +228,19 @@ class TestDissipation:
         (d1, v1), (d2, v2) = results
         assert abs(d1 - d2) <= 1e-3 * abs(d2)
         assert np.linalg.norm(v1 - v2) <= 1e-3 * np.linalg.norm(v2)
+
+
+class TestExteriorResponse:
+    def test_matches_the_public_chain_and_is_kept(self):
+        grid = Grid(L, 64)
+        state = make_state(grid, 0.2 * np.sin(grid.nodes))
+        strip = StripConfig(depth=9.2, num_layers=32, grading=16.0)
+        response = exterior_response(state, strip)
+        fields = solve_exterior_fields(state, strip)
+        assert np.array_equal(response.velocity.samples, normal_velocity(fields, state).samples)
+        assert response.dissipation == dissipation(fields, state)
+        assert exterior_response(state, strip) is response
+        assert list(state.exterior) == [strip]
 
 
 class TestFieldInvariants:
