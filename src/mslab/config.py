@@ -34,9 +34,14 @@ class RunConfig:
 
 def _want(obj, path, typ, name):
     if typ is float and isinstance(obj, int) and not isinstance(obj, bool):
-        obj = float(obj)
+        try:
+            obj = float(obj)
+        except OverflowError:  # beyond the float range: rejected as non-finite below
+            obj = math.inf
     if not isinstance(obj, typ) or isinstance(obj, bool) and typ is not bool:
         raise ConfigError(path, f"expected {name}")
+    if typ is float and not math.isfinite(obj):  # json.load accepts NaN and Infinity
+        raise ConfigError(path, f"expected {name}, got {obj}")
     return obj
 
 

@@ -286,24 +286,29 @@ def _uniform_cadence(times):
 
 
 def check_differential(samples, thresholds=None):
-    """Centered-difference verification of the differential relations.
+    """Verification of the differential relations on three-sample stencils.
 
-    ``energy_dissipation`` measures |dE/dt + D|/D; ``dissipation_rate``
-    bounds (dD/dt + int V_s^2)/(D^{5/2} + E D^3) from above and
-    ``distance_rate`` does the same for dH/dt against
-    H^{1/2} E^{1/6} D^{7/12}.  Only interior samples enter, so there is
-    no one-sided bias at the trajectory ends.
+    ``energy_dissipation`` measures the integrated identity
+    E(t+dt) - E(t-dt) = -int D dt with Simpson's rule for the integral,
+    |E_{i+1} - E_{i-1} + (dt/3)(D_{i-1} + 4 D_i + D_{i+1})| / (2 dt D_i),
+    so coarse snapshots do not add the O(dt^2) error of a difference
+    quotient.  ``dissipation_rate`` bounds (dD/dt + int V_s^2)/(D^{5/2} +
+    E D^3) from above and ``distance_rate`` does the same for dH/dt against
+    H^{1/2} E^{1/6} D^{7/12}, both with centered differences.  Only
+    interior samples enter, so there is no one-sided bias at the
+    trajectory ends.
     """
     _check_usable(samples, 3)
     dt, count = _uniform_cadence([s.t for s in samples])
 
     ee, dd, dh = [], [], []
     for i in range(1, count - 1):
-        mid = samples[i]
-        de = (samples[i + 1].E - samples[i - 1].E) / (2.0 * dt)
-        ddis = (samples[i + 1].D - samples[i - 1].D) / (2.0 * dt)
-        dhd = (samples[i + 1].H - samples[i - 1].H) / (2.0 * dt)
-        ee.append(_ratio(abs(de + mid.D), mid.D))
+        prev, mid, nxt = samples[i - 1], samples[i], samples[i + 1]
+        de = (nxt.E - prev.E) / (2.0 * dt)
+        d_simpson = (prev.D + 4.0 * mid.D + nxt.D) / 6.0
+        ddis = (nxt.D - prev.D) / (2.0 * dt)
+        dhd = (nxt.H - prev.H) / (2.0 * dt)
+        ee.append(_ratio(abs(de + d_simpson), mid.D))
         dd.append(_ratio(ddis + mid.intVs2, mid.D**2.5 + mid.E * mid.D**3))
         dh.append(
             _ratio(dhd, np.sqrt(mid.H) * mid.E ** (1.0 / 6.0) * mid.D ** (7.0 / 12.0))

@@ -1,9 +1,10 @@
 """Geometric quantities of the graph interface z = h(x).
 
 An :class:`InterfaceState` caches the slope, tangent angle, curvature and
-line element of the interface.  Seminorms along the curve are obtained by
-resampling onto a uniform arclength grid (:func:`to_arclength`) and reusing
-the flat spectral calculus, which is valid as long as the slope stays
+line element of the interface.  Seminorms along the curve reuse the flat
+spectral calculus on a profile re-expressed in arclength
+(:func:`to_arclength`): its Fourier coefficients are integrals over the
+x-grid after the change of variables s = s(x), valid while the slope stays
 bounded by one.
 """
 
@@ -80,41 +81,33 @@ def total_arclength(state):
     return float(state.grid.spacing * np.sum(state.line_element))
 
 
-def arclength_coordinate(state, points):
-    """s(x) = integral_0^x sqrt(1+h_y^2) dy at arbitrary points, spectrally."""
-    le = SpectralProfile.from_samples(state.grid, state.line_element)
-    k = state.grid.wavenumbers
-    anti = np.zeros_like(le.coeffs)
-    nz = k != 0.0
-    anti[nz] = le.coeffs[nz] / (1j * k[nz])
-    anti[state.grid.num_points // 2] = 0.0
-    osc = SpectralProfile.from_coeffs(state.grid, anti)
-    points = np.asarray(points, dtype=float)
-    return le.mean * points + osc.evaluate(points) - osc.evaluate(0.0)
-
-
 def to_arclength(state, q):
-    """Resample a profile q(x) onto a uniform grid in arclength.
+    """Re-express a profile q(x) in arclength, on ``Grid(S, N)``.
 
-    The map x -> s(x) is inverted by Newton iteration (it is strictly
-    increasing since the line element is >= 1) and ``q`` is evaluated at
-    the preimages by trigonometric interpolation.  The returned profile
-    lives on a grid whose length is the total arclength of the interface.
+    With s(x) the spectral antiderivative of the line element and S the
+    total arclength, the change of variables s = s(x) gives the Fourier
+    coefficients as integrals over the x-grid,
+
+        c_j = (1/S) int_0^S q(x(s)) e^{-i k_j s} ds
+            = (1/S) int_0^L q(x) e^{-i k_j s(x)} s'(x) dx,
+
+    whose periodic integrand makes the rectangle rule spectrally accurate.
     """
     if sup_slope(state) > 1.0:
         raise SlopeGateViolation(
             "arclength resampling requires sup|h_x| <= 1, got "
             f"{sup_slope(state):.6f}"
         )
-    n = state.grid.num_points
-    le = SpectralProfile.from_samples(state.grid, state.line_element)
-    s_total = le.mean * state.grid.length
-    s_targets = (s_total / n) * np.arange(n)
-    x = s_targets / le.mean
-    for _ in range(30):
-        res = s_targets - arclength_coordinate(state, x)
-        x = x + res / np.maximum(le.evaluate(x), 1.0)
-        if np.abs(res).max() <= 1e-13 * max(s_total, 1.0):
-            break
-    values = q.evaluate(x)
-    return SpectralProfile.from_samples(Grid(s_total, n), values)
+    grid = state.grid
+    arc = Grid(total_arclength(state), grid.num_points)
+    le = SpectralProfile.from_samples(grid, state.line_element)
+    k = grid.wavenumbers
+    anti = np.zeros_like(le.coeffs)
+    nz = k != 0.0
+    anti[nz] = le.coeffs[nz] / (1j * k[nz])
+    anti[grid.num_points // 2] = 0.0
+    osc = SpectralProfile.from_coeffs(grid, anti).samples
+    s = le.mean * grid.nodes + osc - osc[0]
+    weights = (grid.spacing / arc.length) * q.samples * state.line_element
+    coeffs = np.exp(-1j * np.outer(arc.wavenumbers, s)) @ weights
+    return SpectralProfile.from_coeffs(arc, coeffs)

@@ -92,6 +92,32 @@ class TestConfigValidation:
         checks = load_config(path).checks
         assert checks == (("lyapunov_e2d", CSV_CHECKS["lyapunov_e2d"][1]), ("hhalf_h", 3.0))
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("evolution", "dt", math.nan),
+            ("evolution", "t_end", math.inf),
+            ("evolution", "mobility", math.nan),
+            ("checks", "threshold", math.nan),
+            ("evolution", "dt", 10**400),
+        ],
+        ids=["dt-nan", "t_end-inf", "mobility-nan", "threshold-nan", "dt-huge-int"],
+    )
+    def test_non_finite_number_exit_2(self, tmp_path, capsys, section, key, value):
+        # json.load accepts NaN and Infinity; the config must not
+        path, raw = small_config(tmp_path)
+        if section == "checks":
+            raw["checks"] = [{"name": "hhalf_h", key: value}]
+            where = "checks[0].threshold"
+        else:
+            raw[section][key] = value
+            where = f"{section}.{key}"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+        assert where in capsys.readouterr().err
+        assert not out.exists()
+
     def test_cli_exit_code_on_bad_config(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -288,6 +314,29 @@ class TestVerify:
         counts = {c["name"]: c["num_samples"] for c in checks}
         assert counts["energy_dissipation"] == 3  # interior of t = 0 .. 0.04
         assert counts["curvature_l2"] == 6  # every row, t = 0.042 included
+
+    def test_exact_flow_at_coarse_cadence_verifies(self, tmp_path):
+        # the linear engine is exact in time; snapshots 5 steps apart must
+        # not fail energy_dissipation on the truncation of the check itself
+        path, _ = small_config(
+            tmp_path,
+            initial_data={"preset": "gaussian_bump", "amplitude": 0.15, "width": 1.05},
+            evolution={
+                "grid": {"length": 16.0, "num_points": 256},
+                "strip": {"num_layers": 32},
+                "dt": 2e-3, "t_end": 0.042, "output_every": 5,
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        report_path = tmp_path / "report.json"
+        code = main([
+            "verify", "--traj", str(out / "triad.csv"), "--config", str(path),
+            "--out", str(report_path),
+        ])
+        checks = {c["name"]: c for c in json.loads(report_path.read_text())["checks"]}
+        assert checks["energy_dissipation"]["empirical_sup"] <= 2e-3
+        assert code == 0
 
 
 class TestOutputFiles:

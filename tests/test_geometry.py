@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from mslab.errors import SlopeGateViolation
 from mslab.geometry import (
@@ -155,3 +156,45 @@ class TestToArclength:
         state = build_state(profile(grid, 1.2 * np.sin(grid.nodes)))
         with pytest.raises(SlopeGateViolation):
             to_arclength(state, state.h)
+
+    def test_pointwise_oracle_on_curved_interface(self, grid):
+        # preimages of the uniform arclength nodes by root finding on a
+        # quadrature of the line element, independent of the spectral route
+        x = grid.nodes
+        state = build_state(profile(grid, 0.3 * np.sin(x) + 0.1 * np.cos(2 * x)))
+        q = profile(grid, np.cos(x) + 0.5 * np.sin(3 * x))
+        out = to_arclength(state, q)
+
+        def line_element(y):
+            return np.sqrt(1.0 + (0.3 * np.cos(y) - 0.2 * np.sin(2 * y)) ** 2)
+
+        def s_of(y):
+            return quad(line_element, 0.0, y, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+
+        assert out.grid.length == pytest.approx(s_of(grid.length), rel=1e-13)
+        pre = np.array(
+            [0.0]
+            + [brentq(lambda y, t=t: s_of(y) - t, 0.0, grid.length, xtol=1e-14)
+               for t in out.grid.nodes[1:]]
+        )
+        exact = np.cos(pre) + 0.5 * np.sin(3 * pre)
+        assert np.abs(out.samples - exact).max() <= 1e-11
+
+    def test_inverse_seminorm_of_curvature_is_angle_variance(self, grid):
+        # kappa = dtheta/ds, so || |d_s|^{-1} kappa ||^2 = int (theta - mean)^2 ds
+        x = grid.nodes
+        state = build_state(profile(grid, 0.3 * np.sin(x) + 0.1 * np.cos(2 * x)))
+        kappa_arc = to_arclength(state, state.curvature).without_mean()
+        theta, le = state.angle, state.line_element
+        theta_bar = np.sum(theta * le) / np.sum(le)
+        oracle = grid.spacing * np.sum((theta - theta_bar) ** 2 * le)
+        assert seminorm(kappa_arc, -1.0) ** 2 == pytest.approx(oracle, rel=1e-12)
+
+    def test_stays_on_the_grid(self, grid, monkeypatch):
+        # the change of variables needs no evaluation off the x-grid
+        def refuse(self, points):
+            raise AssertionError("off-grid evaluation")
+
+        monkeypatch.setattr(SpectralProfile, "evaluate", refuse)
+        state = build_state(profile(grid, 0.3 * np.sin(grid.nodes)))
+        to_arclength(state, state.curvature)
