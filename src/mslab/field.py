@@ -23,6 +23,7 @@ dissipation values and the solver statistics on the state.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -125,6 +126,7 @@ def _metric(hx, side_sign):
     return a
 
 
+@lru_cache(maxsize=16)
 def _flat_inverse(grid, strip):
     """Exact inverse of the h = 0 operator on the interior levels.
 
@@ -132,6 +134,8 @@ def _flat_inverse(grid, strip):
     discrete Fourier basis with symbol (2 - 2cos(k dx))/dx^2; in eta it is
     tridiagonal with a = 1/J^2, b = alpha/J^2.  Each of the N/2+1 real-FFT
     columns is one tridiagonal system, and one Thomas sweep solves them all.
+    The factors depend only on the grid and the strip, so they are built
+    once per pair and shared, read-only, by every solve.
     """
     n = grid.num_points
     m = strip.num_layers
@@ -154,6 +158,8 @@ def _flat_inverse(grid, strip):
         elim[r] = lower[r] * pivot[r - 1]
         pivot[r] = 1.0 / (diag[r] - lower[r] * ratio[r - 1])
         ratio[r] = upper[r] * pivot[r]
+    for factor in (pivot, ratio, elim):
+        factor.setflags(write=False)
 
     def apply(residual):
         y = np.fft.rfft(residual, axis=1)

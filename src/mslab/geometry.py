@@ -5,13 +5,21 @@ line element of the interface.  Seminorms along the curve reuse the flat
 spectral calculus on a profile re-expressed in arclength
 (:func:`to_arclength`): its Fourier coefficients are integrals over the
 x-grid after the change of variables s = s(x), valid while the slope stays
-bounded by one.
+bounded by one.  The x-nodes land at nonuniform points s(x_l), so the
+integrals form a type-1 nonuniform FFT, evaluated in O(N log N) by
+Gaussian gridding (Dutt & Rokhlin, SIAM J. Sci. Comput. 14, 1993; Greengard
+& Lee, SIAM Rev. 46, 2004).
 """
 
 import numpy as np
 
 from .errors import SlopeGateViolation
 from .spectral import Grid, SpectralProfile, derivative
+
+#: Gaussian gridding of the type-1 transform: oversampling ratio R and
+#: spreading half-width M_sp, fixed for about 1e-13 relative accuracy
+_OVERSAMPLING = 2
+_SPREAD_HALF_WIDTH = 14
 
 
 class InterfaceState:
@@ -92,6 +100,8 @@ def to_arclength(state, q):
             = (1/S) int_0^L q(x) e^{-i k_j s(x)} s'(x) dx,
 
     whose periodic integrand makes the rectangle rule spectrally accurate.
+    The sum over the nonuniform points s(x_l) is evaluated by
+    :func:`_type1_nufft`, in O(N log N) time and O(N) memory.
     """
     if sup_slope(state) > 1.0:
         raise SlopeGateViolation(
@@ -109,5 +119,25 @@ def to_arclength(state, q):
     osc = SpectralProfile.from_coeffs(grid, anti).samples
     s = le.mean * grid.nodes + osc - osc[0]
     weights = (grid.spacing / arc.length) * q.samples * state.line_element
-    coeffs = np.exp(-1j * np.outer(arc.wavenumbers, s)) @ weights
+    coeffs = _type1_nufft((2.0 * np.pi / arc.length) * s, weights, arc.num_points)
     return SpectralProfile.from_coeffs(arc, coeffs)
+
+
+def _type1_nufft(theta, weights, n):
+    """Sums c_m = sum_l w_l e^{-i m theta_l} over the n modes in fftfreq order.
+
+    Gaussian gridding (Greengard & Lee 2004): spread the real weights onto
+    a periodic grid of R n points with the kernel e^{-d^2/(4 tau)}, take one
+    FFT, and divide by the kernel's Fourier coefficients
+    sqrt(tau/pi) e^{-m^2 tau}.  The temporaries are 2 M_sp x n.
+    """
+    size = _OVERSAMPLING * n
+    spacing = 2.0 * np.pi / size
+    tau = np.pi * _SPREAD_HALF_WIDTH / (n**2 * _OVERSAMPLING * (_OVERSAMPLING - 0.5))
+    offsets = np.arange(1 - _SPREAD_HALF_WIDTH, _SPREAD_HALF_WIDTH + 1)[:, None]
+    cells = offsets + np.floor(theta / spacing).astype(np.int64)
+    spread = weights * np.exp(-((theta - spacing * cells) ** 2) / (4.0 * tau))
+    gridded = np.bincount((cells % size).ravel(), spread.ravel(), size)
+    modes = np.fft.fftfreq(n, 1.0 / n)
+    transform = np.fft.fft(gridded)[modes.astype(np.int64) % size]
+    return (np.sqrt(np.pi / tau) / size) * np.exp(tau * modes**2) * transform

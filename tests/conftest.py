@@ -29,6 +29,28 @@ def dft_oracle(samples, grid):
     return out
 
 
+def dense_arclength(state, q):
+    """Arclength profile of q by explicit O(N^2) sums, independent of numpy.fft.
+
+    s(x) is the antiderivative of the line element summed mode by mode, and
+    c_m = (dx/S) sum_l q(x_l) sqrt(1+h_x^2)(x_l) e^{-i k_m s(x_l)} runs over
+    every mode and node.  The coefficients get the Hermitian projection of
+    ``SpectralProfile.from_coeffs``, the unpaired -N/2 mode included.
+    """
+    grid = state.grid
+    n = grid.num_points
+    x = grid.nodes
+    le = state.line_element
+    k = grid.wavenumbers
+    c = np.exp(-1j * np.outer(k, x)) @ le / n
+    paired = (k != 0.0) & (np.arange(n) != n // 2)
+    anti = c[paired] / (1j * k[paired])
+    s = c[0].real * x + ((np.exp(1j * np.outer(x, k[paired])) - 1.0) @ anti).real
+    arc = Grid(grid.spacing * np.sum(le), n)
+    weights = (grid.spacing / arc.length) * q.samples * le
+    return SpectralProfile.from_coeffs(arc, np.exp(-1j * np.outer(arc.wavenumbers, s)) @ weights)
+
+
 def poisson_box_energy(state, n_x=128, n_z=768, z_half=None):
     """2-d finite-difference Poisson oracle for the squared distance H.
 

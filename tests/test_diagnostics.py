@@ -23,7 +23,7 @@ from mslab.evolution import EvolutionConfig, Trajectory, exact_linear_observable
 from mslab.field import StripConfig, default_strip_config, normal_velocity, solve_exterior_fields
 from mslab.geometry import build_state, sup_slope, to_arclength
 from mslab.spectral import Grid, SpectralProfile, seminorm
-from conftest import poisson_box_energy
+from conftest import dense_arclength, poisson_box_energy
 
 
 L = 2.0 * np.pi
@@ -148,6 +148,23 @@ class TestTriadSeries:
         v = normal_velocity(solve_exterior_fields(state, strip), state)
         reference = seminorm(to_arclength(state, v).without_mean(), 1.0) ** 2
         assert sample.intVs2 == pytest.approx(reference, rel=1e-9)
+
+    def test_curve_seminorms_match_dense_transform(self):
+        # the steep benchmark wavelet (N=256, sup|h_x| = 0.9) against the
+        # explicit O(N^2) arclength sum
+        grid = Grid(16.0, 256)
+        u = grid.nodes - 8.0
+        wavelet = make_state(grid, u * np.exp(-(u**2)))
+        h = SpectralProfile.from_samples(
+            grid, wavelet.samples * 0.9 / sup_slope(build_state(wavelet))
+        )
+        state = build_state(h)
+        traj = Trajectory()
+        traj.append(0.0, state)
+        (sample,) = triad_series(traj, default_strip_config(grid, num_layers=48))
+        kappa_arc = dense_arclength(state, state.curvature).without_mean()
+        assert sample.kappa_half_sq == pytest.approx(seminorm(kappa_arc, 0.5) ** 2, rel=1e-12)
+        assert sample.kappa_neg1_sq == pytest.approx(seminorm(kappa_arc, -1.0) ** 2, rel=1e-12)
 
 
 class TestOneSolvePerState:

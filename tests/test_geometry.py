@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -12,7 +14,7 @@ from mslab.geometry import (
     total_arclength,
 )
 from mslab.spectral import Grid, SpectralProfile, derivative, seminorm
-from conftest import band_limited_profile
+from conftest import band_limited_profile, dense_arclength
 
 
 @pytest.fixture
@@ -22,6 +24,23 @@ def grid():
 
 def profile(grid, values):
     return SpectralProfile.from_samples(grid, values)
+
+
+def bump_state(n, length=16.0):
+    """Gaussian bump of amplitude 0.15 and width 1, mean removed."""
+    grid = Grid(length, n)
+    h = 0.15 * np.exp(-((grid.nodes - 0.5 * length) ** 2))
+    return build_state(profile(grid, h - h.mean()))
+
+
+def wavelet_state(n, length=16.0, slope=0.9):
+    """Wavelet u e^{-u^2}, mean removed, scaled to sup|h_x| = slope."""
+    grid = Grid(length, n)
+    u = grid.nodes - 0.5 * length
+    h = u * np.exp(-(u**2))
+    h -= h.mean()
+    scale = slope / sup_slope(build_state(profile(grid, h)))
+    return build_state(profile(grid, scale * h))
 
 
 class TestBuildState:
@@ -198,3 +217,25 @@ class TestToArclength:
         monkeypatch.setattr(SpectralProfile, "evaluate", refuse)
         state = build_state(profile(grid, 0.3 * np.sin(grid.nodes)))
         to_arclength(state, state.curvature)
+
+    @pytest.mark.parametrize("make", [bump_state, wavelet_state])
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    def test_matches_direct_sum(self, make, n):
+        # every mode, Nyquist included, against the explicit O(N^2) sum
+        state = make(n)
+        out = to_arclength(state, state.curvature)
+        direct = dense_arclength(state, state.curvature)
+        assert out.grid == direct.grid
+        scale = np.abs(direct.coeffs).max()
+        assert np.abs(out.coeffs - direct.coeffs).max() <= 1e-12 * scale
+
+    def test_no_dense_phase_matrix(self):
+        # an N x N complex phase matrix alone would be 64 MiB at N = 2048
+        state = bump_state(2048)
+        tracemalloc.start()
+        try:
+            to_arclength(state, state.curvature)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
