@@ -25,23 +25,8 @@ import numpy as np
 
 from . import diagnostics
 from .config import build_initial_profile, load_config
-from .diagnostics import (
-    TRIAD_FIELDS,
-    RatioReport,
-    TriadSample,
-    check_algebraic,
-    check_decay_rates,
-    check_differential,
-    check_lyapunov,
-    triad_series,
-)
-from .errors import (
-    ConfigError,
-    CrossCheckFailure,
-    InsufficientSamples,
-    RegimeNeverEntered,
-    SolverDivergence,
-)
+from .diagnostics import TRIAD_FIELDS, TriadSample, run_named_checks, triad_series
+from .errors import ConfigError, CrossCheckFailure, InsufficientSamples, SolverDivergence
 from .evolution import kernel_mask, run
 from .spectral import Grid
 
@@ -145,34 +130,6 @@ def _parse_triad_csv(path):
     return samples
 
 
-def _run_family(family, names, samples, thresholds):
-    if family == "differential":
-        return check_differential(samples, thresholds)
-    if family == "algebraic":
-        return check_algebraic(samples, thresholds)
-    reports = []
-    for name in names:  # the Lyapunov family
-        try:
-            reports.append(check_lyapunov(samples, step_tol=thresholds[name]))
-        except RegimeNeverEntered:
-            reports.append(RatioReport(name, 0.0, thresholds[name], None, 0))
-    return reports
-
-
-def run_named_checks(samples, checks):
-    """Evaluate the configured checks, each family of
-    :data:`mslab.diagnostics.CSV_CHECKS` once; a Lyapunov check whose
-    regime is never entered is reported with ``passed`` None."""
-    thresholds = dict(checks)
-    families = {}
-    for name in thresholds:
-        families.setdefault(diagnostics.CSV_CHECKS[name][0], []).append(name)
-    reports = {}
-    for family, names in families.items():
-        reports.update((r.name, r) for r in _run_family(family, names, samples, thresholds))
-    return [reports[name] for name, _ in checks]
-
-
 def _report_json(reports, extra=None):
     payload = {
         "checks": [
@@ -237,7 +194,7 @@ def cmd_rates(args):
         print(f"run ended with status {traj.status}", file=sys.stderr)
         return _status_exit(traj.status)
     h0_norm = samples[0].Hhalf
-    reports = check_decay_rates(samples, h0_norm)
+    reports = diagnostics.check_decay_rates(samples, h0_norm)
     t_late = diagnostics.LATE_TIME_FACTOR * h0_norm**0.75
     window = [s for s in samples if s.t >= t_late]
     times = [s.t for s in window]

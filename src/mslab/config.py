@@ -88,7 +88,6 @@ def _parse_evolution(raw, path):
         "mobility",
         "grid",
         "strip",
-        "dealias",
         "output_every",
         "slope_gate",
     }
@@ -103,7 +102,6 @@ def _parse_evolution(raw, path):
             grid=grid,
             strip=strip,
             mobility=_want(raw.get("mobility", 2.0), f"{path}.mobility", float, "a number"),
-            dealias=_want(raw.get("dealias", True), f"{path}.dealias", bool, "a boolean"),
             output_every=_want(
                 raw.get("output_every", 1), f"{path}.output_every", int, "an integer"
             ),
@@ -120,7 +118,7 @@ def _parse_checks(raw, path):
         return DEFAULT_CHECKS
     if not isinstance(raw, list):
         raise ConfigError(path, "expected a list of {name, threshold} objects")
-    out = []
+    out = {}
     for i, item in enumerate(raw):
         ipath = f"{path}[{i}]"
         item = _want(item, ipath, dict, "an object")
@@ -128,9 +126,11 @@ def _parse_checks(raw, path):
         name = _want(item["name"], f"{ipath}.name", str, "a string")
         if name not in CSV_CHECKS:
             raise ConfigError(f"{ipath}.name", f"unknown check '{name}'")
+        if name in out:
+            raise ConfigError(f"{ipath}.name", f"check '{name}' is listed twice")
         threshold = item.get("threshold", CSV_CHECKS[name][1])
-        out.append((name, _want(threshold, f"{ipath}.threshold", float, "a number")))
-    return tuple(out)
+        out[name] = _want(threshold, f"{ipath}.threshold", float, "a number")
+    return tuple(out.items())
 
 
 def _parse_initial(raw, path):

@@ -8,7 +8,7 @@ right-hand side falls below 1e-14 are excluded so equilibria do not
 produce 0/0 ratios.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -21,12 +21,14 @@ RHS_FLOOR = 1e-14
 DEFAULT_THRESHOLD = 10.0
 LYAPUNOV_EPSILON = 1e-3
 LATE_TIME_FACTOR = 5.0
-_drop_mean = SpectralProfile.without_mean  # the name the field tests import
+#: the slope/energy bracket is exact algebra, so it is held to one up to round-off
+EXACT_THRESHOLD = 1.0 + 1e-9
 
-#: the checks computable from the triad CSV columns, in report order:
-#: name -> (family, default threshold).  A run configuration selects from
-#: these names only; each family is one check function.  The lemma checks
-#: that need profile-level norms stay local to :func:`check_algebraic`.
+#: every check computable from the triad CSV, in report order: name ->
+#: (family, default threshold).  A run configuration selects from these
+#: names only; the families are :func:`check_differential`,
+#: :func:`check_algebraic` and :func:`check_lyapunov`, which between them
+#: emit exactly these names.
 CSV_CHECKS = {
     "energy_dissipation": ("differential", 2e-2),
     "dissipation_rate": ("differential", DEFAULT_THRESHOLD),
@@ -37,31 +39,24 @@ CSV_CHECKS = {
     "hhalf_h": ("algebraic", DEFAULT_THRESHOLD),
     "energy_hd": ("algebraic", DEFAULT_THRESHOLD),
     "height_interp": ("algebraic", DEFAULT_THRESHOLD),
+    "kappa_half_d": ("algebraic", DEFAULT_THRESHOLD),
+    "kappa_neg1_e": ("algebraic", DEFAULT_THRESHOLD),
+    "slope_energy_hi": ("algebraic", EXACT_THRESHOLD),
+    "slope_energy_lo": ("algebraic", EXACT_THRESHOLD),
+    "height_l3": ("algebraic", DEFAULT_THRESHOLD),
 }
-
-#: columns of the triad CSV, in order
-TRIAD_FIELDS = (
-    "t",
-    "E",
-    "D",
-    "H",
-    "Hhalf",
-    "sup_slope",
-    "sup_h",
-    "E2D",
-    "intVs2",
-    "curv_L2",
-)
 
 
 @dataclass(frozen=True)
 class TriadSample:
     """One time-stamped record of the triad and auxiliary norms.
 
-    The ten core fields are what the CSV round-trips; the trailing
-    profile-level norms are populated by :func:`triad_series` and are
-    needed only by the lemma checks that go beyond the CSV columns
-    (they stay ``None`` when a sample is parsed back from disk).
+    The fields, in order, are the columns of the triad CSV
+    (:data:`TRIAD_FIELDS`): :func:`triad_series` computes every one and
+    ``mslab verify`` parses every one back, so each check of
+    :data:`CSV_CHECKS` runs from the file.  The last five are
+    profile-level norms: the squared Hdot^{1/2} and Hdot^{-1} seminorms of
+    the curvature in arclength, ||h_x||_2, ||h_xx||_2 and ||h||_{L^3}.
     """
 
     t: float
@@ -74,11 +69,15 @@ class TriadSample:
     E2D: float
     intVs2: float
     curv_L2: float
-    kappa_half_sq: float = None
-    kappa_neg1_sq: float = None
-    hx_l2: float = None
-    hxx_l2: float = None
-    h_l3: float = None
+    kappa_half_sq: float
+    kappa_neg1_sq: float
+    hx_l2: float
+    hxx_l2: float
+    h_l3: float
+
+
+#: columns of the triad CSV, in order
+TRIAD_FIELDS = tuple(f.name for f in fields(TriadSample))
 
 
 @dataclass(frozen=True)
@@ -237,32 +236,31 @@ def _reports(ratios, thresholds=None):
 
 
 def check_algebraic(samples, thresholds=None):
-    """Lemma-level algebraic inequality checks.
+    """Lemma-level algebraic inequality checks, one report per inequality.
 
-    Emits one report per inequality; the bracket between the energy and
-    the squared slope norm is exact algebra so its two sides carry a
-    threshold of one (up to round-off) rather than the universal-constant
-    default.
+    The bracket between the energy and the squared slope norm
+    (``slope_energy_hi``/``slope_energy_lo``) is exact algebra, so its
+    default threshold is :data:`EXACT_THRESHOLD` rather than the
+    universal-constant default.
     """
     _check_usable(samples, 3)
-    pairs = {}
-    if all(s.kappa_half_sq is not None for s in samples):
-        pairs["kappa_half_d"] = [(s.kappa_half_sq, s.D) for s in samples]
-        pairs["kappa_neg1_e"] = [(s.kappa_neg1_sq, s.E) for s in samples]
-        pairs["slope_energy_hi"] = [(s.hx_l2**2, (1.0 + np.sqrt(2.0)) * s.E) for s in samples]
-        pairs["slope_energy_lo"] = [(2.0 * s.E, s.hx_l2**2) for s in samples]
-        pairs["height_l3"] = [
+    pairs = {
+        "curvature_l2": [(s.curv_L2, s.E ** (1.0 / 3.0) * s.D ** (2.0 / 3.0)) for s in samples],
+        "slope_e2d": [(s.sup_slope, s.E2D ** (1.0 / 6.0)) for s in samples],
+        "hhalf_h": [(s.Hhalf, s.H) for s in samples],
+        "energy_hd": [(s.E, np.sqrt(s.H * s.D)) for s in samples],
+        "height_interp": [(s.sup_h, (s.Hhalf * s.E**2) ** (1.0 / 6.0)) for s in samples],
+        "kappa_half_d": [(s.kappa_half_sq, s.D) for s in samples],
+        "kappa_neg1_e": [(s.kappa_neg1_sq, s.E) for s in samples],
+        "slope_energy_hi": [(s.hx_l2**2, (1.0 + np.sqrt(2.0)) * s.E) for s in samples],
+        "slope_energy_lo": [(2.0 * s.E, s.hx_l2**2) for s in samples],
+        "height_l3": [
             (s.h_l3, s.Hhalf ** (1.0 / 3.0) * s.hx_l2 ** (1.0 / 6.0) * s.hxx_l2 ** (1.0 / 6.0))
             for s in samples
-        ]
-    pairs["curvature_l2"] = [(s.curv_L2, s.E ** (1.0 / 3.0) * s.D ** (2.0 / 3.0)) for s in samples]
-    pairs["slope_e2d"] = [(s.sup_slope, s.E2D ** (1.0 / 6.0)) for s in samples]
-    pairs["hhalf_h"] = [(s.Hhalf, s.H) for s in samples]
-    pairs["energy_hd"] = [(s.E, np.sqrt(s.H * s.D)) for s in samples]
-    pairs["height_interp"] = [(s.sup_h, (s.Hhalf * s.E**2) ** (1.0 / 6.0)) for s in samples]
-    exact = dict.fromkeys(("slope_energy_hi", "slope_energy_lo"), 1.0 + 1e-9)
+        ],
+    }
     ratios = {name: [_ratio(lhs, rhs) for lhs, rhs in p] for name, p in pairs.items()}
-    return _reports(ratios, {**exact, **(thresholds or {})})
+    return _reports(ratios, thresholds)
 
 
 def _uniform_cadence(times):
@@ -337,6 +335,28 @@ def check_lyapunov(samples, epsilon=LYAPUNOV_EPSILON, step_tol=CSV_CHECKS["lyapu
     worst = float(np.max(steps, initial=0.0))
     passed = bool(np.isfinite(steps).all() and worst <= step_tol)
     return RatioReport("lyapunov_e2d", worst, float(step_tol), passed, len(steps))
+
+
+def run_named_checks(samples, checks):
+    """Evaluate the configured ``(name, threshold)`` checks of
+    :data:`CSV_CHECKS`, each family once, and return the reports in the
+    order of ``checks``; a Lyapunov check whose regime is never entered is
+    reported with ``passed`` None."""
+    thresholds = dict(checks)
+    families = {CSV_CHECKS[name][0] for name in thresholds}
+    reports = []
+    if "differential" in families:
+        reports += check_differential(samples, thresholds)
+    if "algebraic" in families:
+        reports += check_algebraic(samples, thresholds)
+    if "lyapunov" in families:
+        step_tol = thresholds["lyapunov_e2d"]
+        try:
+            reports.append(check_lyapunov(samples, step_tol=step_tol))
+        except RegimeNeverEntered:
+            reports.append(RatioReport("lyapunov_e2d", 0.0, step_tol, None, 0))
+    by_name = {r.name: r for r in reports}
+    return [by_name[name] for name, _ in checks]
 
 
 def check_decay_rates(samples, h0_norm, thresholds=None):

@@ -26,7 +26,6 @@ class EvolutionConfig:
     grid: Grid
     strip: StripConfig = None
     mobility: float = 2.0
-    dealias: bool = True
     output_every: int = 1
     slope_gate: float = 1.0
 
@@ -90,7 +89,7 @@ def nonlinear_step(state, cfg):
     remainder N(h) = -sqrt(1+h_x^2) V + mobility*|d/dx|^3 h is evaluated
     explicitly from the exterior response of ``state``, which stays on the
     state for the diagnostics to read.  Products are dealiased with the
-    2/3 rule when enabled, and the result is re-projected to mean zero.
+    2/3 rule, and the result is re-projected to mean zero.
     """
     if sup_slope(state) > cfg.slope_gate:
         raise SlopeBlowup(
@@ -100,9 +99,7 @@ def nonlinear_step(state, cfg):
     v = exterior_response(state, cfg.strip).velocity
     stiff = fractional_operator(state.h, 3.0)
     remainder = -state.line_element * v.samples + cfg.mobility * stiff.samples
-    nhat = np.fft.fft(remainder) / grid.num_points
-    if cfg.dealias:
-        nhat = np.where(_dealias_mask(grid), nhat, 0.0)
+    nhat = np.where(_dealias_mask(grid), np.fft.fft(remainder) / grid.num_points, 0.0)
     k = np.abs(grid.wavenumbers)
     new_coeffs = (state.h.coeffs + cfg.dt * nhat) / (1.0 + cfg.dt * cfg.mobility * k**3)
     new_coeffs[0] = 0.0

@@ -41,6 +41,9 @@ GMRES_TOLERANCE = 1e-12
 #: GMRES iterations after which the strip solve raises SolverDivergence
 GMRES_MAX_ITERATIONS = 100
 
+#: factor by which the slowest periodic mode decays across the default strip depth
+DEPTH_DECAY = 1e-4
+
 
 @dataclass(frozen=True)
 class StripConfig:
@@ -78,10 +81,10 @@ class StripConfig:
         return self.depth * self.alpha * np.exp(self.alpha * eta) / np.expm1(self.alpha)
 
 
-def default_strip_config(grid, num_layers=64, grading=32.0, decay_target=1e-4):
-    """Depth chosen so the slowest periodic mode decays below ``decay_target``."""
+def default_strip_config(grid, num_layers=64):
+    """Depth chosen so the slowest periodic mode decays below :data:`DEPTH_DECAY`."""
     k_min = 2.0 * np.pi / grid.length
-    return StripConfig(float(np.log(1.0 / decay_target) / k_min), num_layers, grading)
+    return StripConfig(float(np.log(1.0 / DEPTH_DECAY) / k_min), num_layers)
 
 
 class HalfStripField:

@@ -1,14 +1,17 @@
+import inspect
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from mslab import cli
 from mslab.cli import main
 from mslab.config import load_config, parse_config
-from mslab.diagnostics import CSV_CHECKS, TRIAD_FIELDS, triad_series
+from mslab.diagnostics import CSV_CHECKS, TRIAD_FIELDS, check_algebraic, triad_series
 from mslab.errors import ConfigError
 from mslab.evolution import exact_linear_observables, run
 from mslab.config import build_initial_profile
@@ -78,12 +81,29 @@ class TestConfigValidation:
         defaults = tuple((name, thr) for name, (_, thr) in CSV_CHECKS.items())
         assert load_config(path).checks == defaults
 
-    def test_lemma_check_not_selectable(self, tmp_path):
+    def test_cli_holds_no_check_dispatch(self):
+        # the families of CSV_CHECKS are resolved in mslab.diagnostics only
+        assert not [name for name in vars(cli) if name.startswith("check_")]
+        source = inspect.getsource(cli)
+        assert not [family for family, _ in CSV_CHECKS.values() if f'"{family}"' in source]
+
+    def test_duplicate_check_name_rejected(self, tmp_path):
+        # a repeated name would otherwise keep only its last threshold
         path, raw = small_config(tmp_path)
-        raw["checks"] = [{"name": "kappa_half_d"}]
+        raw["checks"] = [{"name": "hhalf_h", "threshold": 0.5}, {"name": "hhalf_h", "threshold": 100}]
         path.write_text(json.dumps(raw))
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError) as err:
             load_config(path)
+        assert "checks[1].name" in str(err.value)
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+
+    def test_readme_config_parses(self):
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme) as handle:
+            (block,) = re.findall(r"```json\n(.*?)```", handle.read(), re.S)
+        config = parse_config(json.loads(block))
+        assert config.evolution.engine == "nonlinear"
+        assert config.checks == (("energy_dissipation", 0.02),)
 
     def test_omitted_threshold_takes_registry_default(self, tmp_path):
         path, raw = small_config(tmp_path)
@@ -237,13 +257,48 @@ class TestVerify:
         assert "energy_dissipation" in failed
 
     def test_malformed_csv_exit_2(self, tmp_path, triad_csv):
-        config_path, _ = triad_csv
+        config_path, csv_path = triad_csv
+        rows = csv_path.read_text().strip().splitlines()
+        # the ten-column layout written before the profile-level norms were kept
+        ten = [",".join(row.split(",")[:10]) for row in rows]
+        assert ten[0] == "t,E,D,H,Hhalf,sup_slope,sup_h,E2D,intVs2,curv_L2"
         bad = tmp_path / "bad.csv"
-        bad.write_text("t,E\n0,1\n")
+        for text in ("t,E\n0,1\n", "\n".join(ten) + "\n"):
+            bad.write_text(text)
+            assert main([
+                "verify", "--traj", str(bad), "--config", str(config_path),
+                "--out", str(tmp_path / "r.json"),
+            ]) == 2
+
+    def test_lemma_check_runs_from_the_file(self, tmp_path):
+        path, raw = small_config(tmp_path, checks=[{"name": "kappa_half_d"}])
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        report_path = tmp_path / "report.json"
         assert main([
-            "verify", "--traj", str(bad), "--config", str(config_path),
-            "--out", str(tmp_path / "r.json"),
-        ]) == 2
+            "verify", "--traj", str(out / "triad.csv"), "--config", str(path),
+            "--out", str(report_path),
+        ]) == 0
+        (check,) = json.loads(report_path.read_text())["checks"]
+        config = load_config(path)
+        h0 = build_initial_profile(config.evolution.grid, config.initial_data)
+        samples = triad_series(run(h0, config.evolution), config.evolution.strip)
+        in_memory = {r.name: r for r in check_algebraic(samples)}["kappa_half_d"]
+        assert check["name"] == "kappa_half_d" and check["pass"] is True
+        assert check["empirical_sup"] == in_memory.empirical_sup
+
+    def test_tampered_lemma_norm_fails_with_exit_5(self, tmp_path, triad_csv):
+        config_path, csv_path = triad_csv
+        rows = csv_path.read_text().strip().splitlines()
+        middle = len(rows) // 2
+        parts = rows[middle].split(",")
+        col = TRIAD_FIELDS.index("kappa_half_sq")
+        parts[col] = f"{float(parts[col]) * 100.0:.17g}"
+        rows[middle] = ",".join(parts)
+        code, report_path = self._verify(tmp_path, config_path, rows)
+        assert code == 5
+        failed = {c["name"] for c in json.loads(report_path.read_text())["checks"] if not c["pass"]}
+        assert failed == {"kappa_half_d"}
 
 
     def _verify(self, tmp_path, config_path, rows):

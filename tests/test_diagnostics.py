@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from mslab.diagnostics import (
+    CSV_CHECKS,
+    TRIAD_FIELDS,
     RatioReport,
     TriadSample,
     check_algebraic,
@@ -10,6 +12,7 @@ from mslab.diagnostics import (
     check_differential,
     check_lyapunov,
     compute_H,
+    run_named_checks,
     triad_series,
 )
 from mslab import field
@@ -42,7 +45,8 @@ def proxy_samples(ts, E, D, H=None, **extra):
         fields = dict(
             t=t, E=e, D=d, H=h, Hhalf=h, sup_slope=0.0, sup_h=0.0,
             E2D=e * e * d, intVs2=extra.get("intVs2", lambda t: 0.0)(t),
-            curv_L2=0.0,
+            curv_L2=0.0, kappa_half_sq=0.0, kappa_neg1_sq=0.0, hx_l2=0.0, hxx_l2=0.0,
+            h_l3=0.0,
         )
         out.append(TriadSample(**fields))
     return out
@@ -240,6 +244,27 @@ class TestCheckAlgebraic:
     def test_insufficient_samples(self):
         with pytest.raises(InsufficientSamples):
             check_algebraic(proxy_samples([0.0], lambda t: 1.0, lambda t: 1.0))
+
+
+class TestRegistry:
+    def test_families_emit_exactly_the_registry(self, strip):
+        grid = Grid(L, 64)
+        h0 = make_state(grid, 5e-3 * np.cos(2.0 * grid.nodes))
+        cfg = EvolutionConfig("linear", dt=5e-3, t_end=0.02, grid=grid)
+        samples = triad_series(run(h0, cfg), strip)
+        reports = check_differential(samples) + check_algebraic(samples) + [check_lyapunov(samples)]
+        assert {r.name for r in reports} == set(CSV_CHECKS)
+        assert all(r.passed for r in reports)
+        # the named runner returns the same reports, in the configured order
+        checks = tuple((name, thr) for name, (_, thr) in reversed(CSV_CHECKS.items()))
+        by_name = {r.name: r for r in reports}
+        assert run_named_checks(samples, checks) == [by_name[name] for name, _ in checks]
+
+    def test_csv_columns_are_the_sample_fields(self):
+        assert TRIAD_FIELDS == tuple(TriadSample.__dataclass_fields__)
+        assert len(TRIAD_FIELDS) == 15
+        with pytest.raises(TypeError):
+            TriadSample(*range(10))  # every field is required
 
 
 class TestCheckDifferential:
