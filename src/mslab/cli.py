@@ -214,13 +214,11 @@ def cmd_rates(args):
 
 
 def cmd_kernel(args):
-    if args.n < 8 or (args.n & (args.n - 1)) != 0:
-        print("kernel: --n must be a power of two >= 8", file=sys.stderr)
+    try:
+        grid = Grid(args.length, args.n)
+    except ValueError as exc:
+        print(f"kernel: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if args.length <= 0:
-        print("kernel: --length must be positive", file=sys.stderr)
-        return EXIT_CONFIG
-    grid = Grid(args.length, args.n)
     mask = kernel_mask(grid)
     shift = args.n // 2
     x = np.concatenate((grid.nodes[shift:] - grid.length, grid.nodes[:shift]))

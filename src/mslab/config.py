@@ -7,14 +7,14 @@ so a bad config fails fast and precisely.
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .diagnostics import CSV_CHECKS
 from .errors import ConfigError
 from .evolution import EvolutionConfig
-from .field import StripConfig, default_strip_config
+from .field import default_strip_config
 from .geometry import build_state, sup_slope
 from .spectral import Grid, SpectralProfile
 
@@ -69,46 +69,34 @@ def _parse_strip(raw, path, grid):
         return default_strip_config(grid)
     _check_keys(raw, path, {"depth", "num_layers", "grading"}, {"num_layers"})
     layers = _want(raw["num_layers"], f"{path}.num_layers", int, "an integer")
-    grading = _want(raw.get("grading", 32.0), f"{path}.grading", float, "a number")
-    if "depth" in raw:
-        depth = _want(raw["depth"], f"{path}.depth", float, "a number")
-    else:
-        depth = default_strip_config(grid).depth
+    given = {
+        key: _want(raw[key], f"{path}.{key}", float, "a number")
+        for key in ("grading", "depth")
+        if key in raw
+    }
     try:
-        return StripConfig(depth, layers, grading)
+        return replace(default_strip_config(grid, num_layers=layers), **given)
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from exc
 
 
 def _parse_evolution(raw, path):
-    allowed = {
-        "engine",
-        "dt",
-        "t_end",
-        "mobility",
-        "grid",
-        "strip",
-        "output_every",
-        "slope_gate",
+    kinds = {
+        "engine": (str, "a string"),
+        "dt": (float, "a number"),
+        "t_end": (float, "a number"),
+        "mobility": (float, "a number"),
+        "output_every": (int, "an integer"),
+        "slope_gate": (float, "a number"),
     }
-    _check_keys(raw, path, allowed, {"engine", "dt", "t_end", "grid"})
+    _check_keys(raw, path, {"grid", "strip", *kinds}, {"engine", "dt", "t_end", "grid"})
     grid = _parse_grid(_want(raw["grid"], f"{path}.grid", dict, "an object"), f"{path}.grid")
     strip = _parse_strip(raw.get("strip"), f"{path}.strip", grid)
+    given = {
+        key: _want(raw[key], f"{path}.{key}", *kind) for key, kind in kinds.items() if key in raw
+    }
     try:
-        return EvolutionConfig(
-            engine=_want(raw["engine"], f"{path}.engine", str, "a string"),
-            dt=_want(raw["dt"], f"{path}.dt", float, "a number"),
-            t_end=_want(raw["t_end"], f"{path}.t_end", float, "a number"),
-            grid=grid,
-            strip=strip,
-            mobility=_want(raw.get("mobility", 2.0), f"{path}.mobility", float, "a number"),
-            output_every=_want(
-                raw.get("output_every", 1), f"{path}.output_every", int, "an integer"
-            ),
-            slope_gate=_want(
-                raw.get("slope_gate", 1.0), f"{path}.slope_gate", float, "a number"
-            ),
-        )
+        return EvolutionConfig(grid=grid, strip=strip, **given)
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from exc
 

@@ -36,6 +36,8 @@ class EvolutionConfig:
             raise ValueError("dt must be positive")
         if self.t_end < 0:
             raise ValueError("t_end must be nonnegative")
+        if not np.isfinite(self.t_end / self.dt):
+            raise ValueError("t_end/dt is too large to count steps")
         if self.mobility <= 0:
             raise ValueError("mobility must be positive")
         if not 0.0 < self.slope_gate <= 1.0:

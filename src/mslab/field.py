@@ -5,10 +5,9 @@ computed after straightening each phase onto a half-strip with the change
 of variable zt = z - h(x).  The straightened operator is the uniformly
 elliptic -div(a grad f) with a = J^T J, J = [[1, -h_x], [0, 1]]; the lower
 phase is mirrored onto zt >= 0, which flips the sign of the off-diagonal
-coupling.  The strip is truncated at depth Z with a homogeneous Dirichlet
-condition on the decaying part of the field; the x-mean of the boundary
-data extends as a constant (its half-plane harmonic extension) and is
-added back after the solve.
+coupling.  The strip is truncated at depth Z, where the field takes the
+x-mean of the boundary data as Dirichlet data: that constant is its own
+half-plane harmonic extension, and the decaying remainder vanishes there.
 
 Discretization: second-order finite differences on a tensor grid, periodic
 in x, geometrically graded toward zt = 0 through the smooth map
@@ -30,10 +29,7 @@ import numpy as np
 
 from .errors import CrossCheckFailure, SlopeGateViolation, SolverDivergence, ZeroModeNonzero
 from .geometry import sup_slope
-from .spectral import SpectralProfile, derivative, graded_depths
-
-#: smallest eigenvalue of a = J^T J at slope 1; positivity floor of the metric
-METRIC_EIGENVALUE_FLOOR = (3.0 - np.sqrt(5.0)) / 2.0
+from .spectral import Grid, SpectralProfile, derivative, graded_depths
 
 #: GMRES stops once the 2-norm residual falls to this fraction of |b|
 GMRES_TOLERANCE = 1e-12
@@ -87,46 +83,21 @@ def default_strip_config(grid, num_layers=64):
     return StripConfig(float(np.log(1.0 / DEPTH_DECAY) / k_min), num_layers)
 
 
-class HalfStripField:
+class HalfStripField(NamedTuple):
     """Solved field on one straightened half-strip.
 
-    ``values`` has shape (num_layers+1, N); row 0 is the boundary data, the
-    last row the truncation level.  ``coefficient`` holds the straightening
-    metric a(x) = J^T J as an (N, 2, 2) array (the mirrored lower strip
-    carries the opposite off-diagonal sign).  ``iterations`` and
+    ``values`` has shape (num_layers+1, N) and is read-only; row 0 is the
+    boundary data, the last row the truncation level.  ``iterations`` and
     ``residual`` are the GMRES iteration count and the max-norm residual
     of the solve that produced the field.
     """
 
-    __slots__ = ("side", "values", "coefficient", "strip", "grid", "iterations", "residual")
-
-    def __init__(self, side, values, coefficient, strip, grid, iterations=0, residual=0.0):
-        if side not in ("plus", "minus"):
-            raise ValueError("side must be 'plus' or 'minus'")
-        values = np.ascontiguousarray(values, dtype=float)
-        coefficient = np.ascontiguousarray(coefficient, dtype=float)
-        values.setflags(write=False)
-        coefficient.setflags(write=False)
-        object.__setattr__(self, "side", side)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "coefficient", coefficient)
-        object.__setattr__(self, "strip", strip)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "iterations", int(iterations))
-        object.__setattr__(self, "residual", float(residual))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HalfStripField is immutable")
-
-
-def _metric(hx, side_sign):
-    n = hx.shape[0]
-    a = np.empty((n, 2, 2))
-    a[:, 0, 0] = 1.0
-    a[:, 0, 1] = -side_sign * hx
-    a[:, 1, 0] = -side_sign * hx
-    a[:, 1, 1] = 1.0 + hx**2
-    return a
+    side: str
+    values: np.ndarray
+    strip: StripConfig
+    grid: Grid
+    iterations: int
+    residual: float
 
 
 @lru_cache(maxsize=16)
@@ -236,6 +207,8 @@ def solve_strip(grid, hx_samples, data, strip, side="plus", top_data=None):
     its iteration count and that residual.  This is the raw kernel behind
     :func:`solve_exterior_fields`; tests drive it with synthetic data.
     """
+    if side not in ("plus", "minus"):
+        raise ValueError("side must be 'plus' or 'minus'")
     n = grid.num_points
     m = strip.num_layers
     s = 1.0 if side == "plus" else -1.0
@@ -289,35 +262,28 @@ def solve_strip(grid, hx_samples, data, strip, side="plus", top_data=None):
             f"elliptic residual {residual:.3e} exceeds tolerance after {iterations} GMRES iterations"
         )
     values[1:m] = solution
-    return HalfStripField(side, values, _metric(hx, s), strip, grid, iterations, residual)
+    values.setflags(write=False)
+    return HalfStripField(side, values, strip, grid, iterations, float(residual))
 
 
 def solve_exterior_fields(state, cfg):
     """Solve both half-strips with the curvature as Dirichlet data.
 
     The x-mean of the curvature extends harmonically as a constant, so it
-    is split off, the decaying remainder is solved with the truncation
-    condition, and the constant is added back; the boundary row of each
-    returned field equals the curvature samples exactly.
+    is the data at the truncation depth; a constant solves the discrete
+    operator exactly, and the boundary row of each field equals the
+    curvature samples exactly.
     """
     if sup_slope(state) > 1.0:
         raise SlopeGateViolation(
             f"exterior solve requires sup|h_x| <= 1, got {sup_slope(state):.6f}"
         )
     kappa = state.curvature.samples
-    mean = kappa.mean()
-    hx = state.slope.samples
-    fields = []
-    for side in ("plus", "minus"):
-        raw = solve_strip(state.grid, hx, kappa - mean, cfg, side=side)
-        values = raw.values + mean
-        values[0] = kappa
-        fields.append(
-            HalfStripField(
-                side, values, raw.coefficient, cfg, state.grid, raw.iterations, raw.residual
-            )
-        )
-    return fields[0], fields[1]
+    top = np.full(state.grid.num_points, kappa.mean())
+    return tuple(
+        solve_strip(state.grid, state.slope.samples, kappa, cfg, side, top_data=top)
+        for side in ("plus", "minus")
+    )
 
 
 def _eta_derivative_at_boundary(values, strip):

@@ -34,8 +34,8 @@ class Grid:
 
     def __post_init__(self):
         n = self.num_points
-        if self.length <= 0:
-            raise ValueError("grid length must be positive")
+        if not (np.isfinite(self.length) and self.length > 0):
+            raise ValueError("grid length must be positive and finite")
         if n < 8 or (n & (n - 1)) != 0:
             raise ValueError("num_points must be a power of two >= 8")
 

@@ -13,7 +13,9 @@ from mslab.cli import main
 from mslab.config import load_config, parse_config
 from mslab.diagnostics import CSV_CHECKS, TRIAD_FIELDS, check_algebraic, triad_series
 from mslab.errors import ConfigError
-from mslab.evolution import exact_linear_observables, run
+from mslab.evolution import EvolutionConfig, exact_linear_observables, run
+from mslab.field import StripConfig, default_strip_config
+from mslab.spectral import Grid
 from mslab.config import build_initial_profile
 
 
@@ -137,6 +139,36 @@ class TestConfigValidation:
         assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
         assert where in capsys.readouterr().err
         assert not out.exists()
+
+    def test_step_count_overflow_exit_2(self, tmp_path, capsys):
+        # t_end/dt overflows to inf, so the steps cannot be counted
+        path, raw = small_config(tmp_path, evolution={"dt": 1e-300, "t_end": 1e10})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+        assert "evolution" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_omitted_keys_take_the_dataclass_defaults(self):
+        grid = Grid(16.0, 64)
+        evolution = {
+            "engine": "nonlinear",
+            "dt": 1e-3,
+            "t_end": 2e-3,
+            "grid": {"length": 16.0, "num_points": 64},
+            "strip": {"num_layers": 24},
+        }
+        initial = {"preset": "gaussian_bump", "amplitude": 0.1, "width": 1.0}
+        parsed = parse_config({"initial_data": initial, "evolution": evolution}).evolution
+        strip = default_strip_config(grid, num_layers=24)
+        assert parsed == EvolutionConfig("nonlinear", 1e-3, 2e-3, grid, strip)
+        assert parsed.strip.grading == StripConfig.grading
+        # one strip key given: the other keeps the default of default_strip_config
+        evolution["strip"] = {"num_layers": 24, "grading": 8.0}
+        parsed = parse_config({"initial_data": initial, "evolution": evolution}).evolution
+        assert parsed.strip == StripConfig(strip.depth, 24, 8.0)
+        del evolution["strip"]
+        parsed = parse_config({"initial_data": initial, "evolution": evolution}).evolution
+        assert parsed.strip == default_strip_config(grid)
 
     def test_cli_exit_code_on_bad_config(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -435,10 +467,10 @@ class TestKernelCommand:
         assert oracle == pytest.approx(math.gamma(4.0 / 3.0) / np.pi, abs=1e-12)
 
     def test_bad_arguments_exit_2(self, tmp_path):
-        assert main(["kernel", "--n", "100", "--length", "10",
-                     "--out", str(tmp_path / "k.csv")]) == 2
-        assert main(["kernel", "--n", "64", "--length", "-1",
-                     "--out", str(tmp_path / "k.csv")]) == 2
+        out = tmp_path / "k.csv"
+        for n, length in [("100", "10"), ("64", "-1"), ("16", "nan"), ("16", "inf")]:
+            assert main(["kernel", "--n", n, "--length", length, "--out", str(out)]) == 2
+            assert not out.exists()
 
 
 class TestRates:

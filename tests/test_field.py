@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from mslab import field as field_module
 from mslab.errors import CrossCheckFailure, SlopeGateViolation, ZeroModeNonzero
 from mslab.field import (
-    METRIC_EIGENVALUE_FLOOR,
+    HalfStripField,
     StripConfig,
     default_strip_config,
     dissipation,
@@ -64,17 +65,6 @@ class TestStripConfig:
 
 
 class TestSolveStrip:
-    def test_metric_positive_definite(self, rng):
-        grid = Grid(L, 64)
-        state = make_state(grid, 0.9 * np.sin(grid.nodes))
-        strip = StripConfig(depth=9.2, num_layers=24, grading=16.0)
-        plus, minus = solve_exterior_fields(state, strip)
-        for field in (plus, minus):
-            eigs = np.linalg.eigvalsh(field.coefficient)
-            assert eigs.min() >= METRIC_EIGENVALUE_FLOOR - 1e-12
-        assert plus.coefficient[3, 0, 1] == -state.slope.samples[3]
-        assert minus.coefficient[3, 0, 1] == state.slope.samples[3]
-
     def test_flat_oracle_and_convergence(self):
         k = 2
         errs = []
@@ -129,6 +119,59 @@ class TestSolveStrip:
         strip = StripConfig(depth=9.2, num_layers=24, grading=16.0)
         with pytest.raises(SlopeGateViolation):
             solve_exterior_fields(state, strip)
+
+    def test_unknown_side_rejected_before_the_solve(self, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("GMRES ran for a side that does not exist")
+
+        monkeypatch.setattr(field_module, "_gmres", no_solve)
+        grid = Grid(L, 64)
+        strip = StripConfig(depth=9.2, num_layers=24, grading=16.0)
+        with pytest.raises(ValueError, match="side"):
+            solve_strip(grid, np.zeros(64), np.cos(grid.nodes), strip, side="lower")
+
+    def test_result_is_a_read_only_record(self):
+        grid = Grid(L, 64)
+        strip = StripConfig(depth=9.2, num_layers=24, grading=16.0)
+        field = solve_strip(grid, 0.5 * np.cos(grid.nodes), np.sin(grid.nodes), strip, "minus")
+        assert isinstance(field, HalfStripField)
+        assert field._fields == ("side", "values", "strip", "grid", "iterations", "residual")
+        assert (field.side, field.strip, field.grid) == ("minus", strip, grid)
+        assert not field.values.flags.writeable
+        with pytest.raises(AttributeError):
+            field.values = np.zeros_like(field.values)
+
+    def test_exterior_fields_match_split_mean(self):
+        # the former route solved the mean-free remainder with zero top data
+        # and added the mean back; a constant solves the stencil exactly
+        grid = Grid(L, 128)
+        state = make_state(grid, 0.9 * np.sin(grid.nodes) + 0.05 * np.cos(3 * grid.nodes))
+        strip = StripConfig(depth=9.2, num_layers=32, grading=16.0)
+        kappa = state.curvature.samples
+        mean = kappa.mean()
+        pair = solve_exterior_fields(state, strip)
+        for field, side in zip(pair, ("plus", "minus")):
+            split = solve_strip(grid, state.slope.samples, kappa - mean, strip, side).values
+            split = split + mean
+            assert field.side == side
+            assert np.abs(field.values - split).max() <= 1e-12 * np.abs(split).max()
+            assert np.all(field.values[-1] == mean)
+
+    def test_large_mean_as_top_data(self):
+        # boundary data with mean 0.7: the constant now enters the GMRES
+        # right-hand side, so the two routes agree to the solver tolerance
+        # (measured 2.2e-12 relative) rather than to round-off
+        grid = Grid(L, 128)
+        state = make_state(grid, 0.9 * np.sin(grid.nodes) + 0.05 * np.cos(3 * grid.nodes))
+        strip = StripConfig(depth=9.2, num_layers=32, grading=16.0)
+        hx = state.slope.samples
+        data = state.curvature.samples + 0.7
+        mean = data.mean()
+        for side in ("plus", "minus"):
+            field = solve_strip(grid, hx, data, strip, side, top_data=np.full(128, mean))
+            split = solve_strip(grid, hx, data - mean, strip, side).values + mean
+            assert np.abs(field.values - split).max() <= 1e-11 * np.abs(split).max()
+            assert np.array_equal(field.values[0], data)
 
 
 @pytest.fixture(scope="module")
