@@ -106,6 +106,13 @@ def _ratio(lhs, rhs):
     return lhs / rhs
 
 
+#: rows of the (panels x modes) arrays that :func:`compute_H` holds at once
+_H_BLOCK = 64
+#: largest k*(z - z_b) inside one block of :func:`compute_H`: e^600 < 1e261,
+#: so the scaled carry stays finite
+_H_SPAN = 600.0
+
+
 def compute_H(state):
     """Squared gradient-flow distance to the flat interface.
 
@@ -116,6 +123,15 @@ def compute_H(state):
     panels cut by the node heights, so the z-integrals are carried out in
     closed form panel by panel.  The zero mode contributes
     integral |Phi'|^2 dz with Phi'(z) = -integral_{-inf}^z chi_0.
+
+    The cross-panel sum needs, for each panel p, the carry
+    sum_{q<p} conj(c_q) (1 - e^{-k w_q}) e^{-k (z_p - z_{q+1})}.  The
+    z-sorted panels are swept in blocks of at most :data:`_H_BLOCK` rows;
+    inside a block starting at z_b the carry is a cumulative sum of the
+    terms scaled by e^{k (z_{q+1} - z_b)}, divided by e^{k (z_p - z_b)},
+    and the block's last carry passes on to the next block.  A block also
+    ends before k_max (z_p - z_b) exceeds :data:`_H_SPAN`, so no scale
+    overflows.  Time is O(N^2) and memory O(block N).
     """
     h = state.h
     h.require_mean_zero(ZeroModeNonzero, "H", rtol=1e-10)
@@ -124,44 +140,49 @@ def compute_H(state):
     if np.all(samples == 0.0):
         return 0.0
 
-    lo = np.minimum(samples, 0.0)
-    hi = np.maximum(samples, 0.0)
     breaks = np.unique(np.concatenate(([0.0], samples)))
+    z_lo = breaks[:-1]
     widths = np.diff(breaks)
-    keep = widths > 0.0
-    z_lo = breaks[:-1][keep]
-    widths = widths[keep]
     centers = z_lo + 0.5 * widths
-
-    # chi = -sign(h) on the interval between 0 and h(x), sampled per column
-    active = (centers[:, None] > lo[None, :]) & (centers[:, None] < hi[None, :])
-    strength = np.where(active, -np.sign(samples)[None, :], 0.0)
-    chat = np.fft.rfft(strength, axis=1) / n  # (panels, n//2+1)
-
+    chi = -np.sign(centers)  # chi on a panel's active columns; no centre is 0
     k_pos = 2.0 * np.pi * np.arange(1, n // 2 + 1) / h.grid.length
-    decay = np.exp(-np.outer(widths, k_pos))  # exp(-k * panel width)
 
-    # same-panel double integral of exp(-k|z-z'|): 2*(w/k - (1-e^{-kw})/k^2)
-    same = 2.0 * (widths[:, None] / k_pos[None, :] - (1.0 - decay) / k_pos[None, :] ** 2)
-    modal = np.sum(np.abs(chat[:, 1:]) ** 2 * same, axis=0)
-
-    # cross panels via a cumulative sweep: panels are sorted, so the gap
-    # factors accumulate as products of per-panel decays
+    modal = np.zeros(n // 2)
     carry = np.zeros(n // 2, dtype=complex)
-    cross = np.zeros(n // 2)
-    for p in range(len(widths)):
-        c_p = chat[p, 1:]
-        one_minus = 1.0 - decay[p]
-        cross += 2.0 * (c_p * carry).real * one_minus / k_pos**2
-        carry = decay[p] * carry + np.conj(c_p) * one_minus
+    chi0 = np.empty(len(widths))
+    start = 0
+    while start < len(widths):
+        stop = min(
+            start + _H_BLOCK,
+            np.searchsorted(z_lo, z_lo[start] + _H_SPAN / k_pos[-1], side="right"),
+        )
+        rows = slice(start, stop)
+        # a column is active where the panel lies between 0 and h(x)
+        active = (samples[None, :] - centers[rows, None]) * chi[rows, None] < 0.0
+        chat = np.fft.rfft(active, axis=1) * (chi[rows, None] / n)
+        chi0[rows] = chat[:, 0].real
+        c = chat[:, 1:]
+        kw = np.outer(widths[rows], k_pos)
+        one_minus = 1.0 - np.exp(-kw)
+        term = np.conj(c) * one_minus
+        scale = np.exp(np.outer(z_lo[rows] - z_lo[start], k_pos))  # e^{k (z_p - z_b)}
+        prefix = np.zeros_like(term)
+        np.cumsum(term[:-1] * scale[1:], axis=0, out=prefix[1:])
+        carry_p = (carry + prefix) / scale
+        # in units of 2/k^2: the same-panel integral k w - (1 - e^{-k w})
+        # and the cross-panel term Re(c carry)(1 - e^{-k w})
+        modal += np.sum(
+            np.abs(c) ** 2 * (kw - one_minus) + (c * carry_p).real * one_minus, axis=0
+        )
+        carry = carry_p[-1] * np.exp(-kw[-1]) + term[-1]
+        start = stop
 
-    per_mode = (modal + cross) / (2.0 * k_pos)
+    per_mode = modal / k_pos**3
     pair_weight = np.full(n // 2, 2.0)
     pair_weight[-1] = 1.0  # the unpaired -N/2 mode counts once
     total = float(np.sum(pair_weight * per_mode))
 
     # zero mode: Phi' is piecewise linear with slope -chi_0 per panel
-    chi0 = strength.mean(axis=1)
     phi_prime = np.concatenate(([0.0], np.cumsum(-chi0 * widths)))
     a = phi_prime[:-1]
     b = phi_prime[1:]

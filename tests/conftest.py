@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mslab.geometry import build_state, sup_slope
 from mslab.spectral import Grid, SpectralProfile
 
 
@@ -17,6 +18,23 @@ def band_limited_profile(grid, rng, max_mode=None, decay=2.0, mean_zero=True):
     if not mean_zero:
         coeffs[0] = rng.standard_normal()
     return SpectralProfile.from_coeffs(grid, coeffs)
+
+
+def bump_state(n, length=16.0):
+    """Gaussian bump of amplitude 0.15 and width 1, mean removed."""
+    grid = Grid(length, n)
+    h = 0.15 * np.exp(-((grid.nodes - 0.5 * length) ** 2))
+    return build_state(SpectralProfile.from_samples(grid, h - h.mean()))
+
+
+def wavelet_state(n, length=16.0, slope=0.9):
+    """Wavelet u e^{-u^2}, mean removed, scaled to sup|h_x| = slope."""
+    grid = Grid(length, n)
+    u = grid.nodes - 0.5 * length
+    h = u * np.exp(-(u**2))
+    h -= h.mean()
+    scale = slope / sup_slope(build_state(SpectralProfile.from_samples(grid, h)))
+    return build_state(SpectralProfile.from_samples(grid, scale * h))
 
 
 def dft_oracle(samples, grid):
@@ -49,6 +67,66 @@ def dense_arclength(state, q):
     arc = Grid(grid.spacing * np.sum(le), n)
     weights = (grid.spacing / arc.length) * q.samples * le
     return SpectralProfile.from_coeffs(arc, np.exp(-1j * np.outer(arc.wavenumbers, s)) @ weights)
+
+
+def panel_sweep_H(state):
+    """Squared distance H by the per-panel carry loop, the reference for
+    the blocked sweep of ``mslab.diagnostics.compute_H``.
+
+    Same closed-form panel integrals, but the whole (panels x modes) arrays
+    are built at once and the carry runs through a Python loop over the
+    panels, one product of decays at a time, with no scaled exponentials.
+    """
+    h = state.h
+    samples = h.samples
+    n = h.grid.num_points
+    if np.all(samples == 0.0):
+        return 0.0
+
+    lo = np.minimum(samples, 0.0)
+    hi = np.maximum(samples, 0.0)
+    breaks = np.unique(np.concatenate(([0.0], samples)))
+    widths = np.diff(breaks)
+    keep = widths > 0.0
+    z_lo = breaks[:-1][keep]
+    widths = widths[keep]
+    centers = z_lo + 0.5 * widths
+
+    # chi = -sign(h) on the interval between 0 and h(x), sampled per column
+    active = (centers[:, None] > lo[None, :]) & (centers[:, None] < hi[None, :])
+    strength = np.where(active, -np.sign(samples)[None, :], 0.0)
+    chat = np.fft.rfft(strength, axis=1) / n  # (panels, n//2+1)
+
+    k_pos = 2.0 * np.pi * np.arange(1, n // 2 + 1) / h.grid.length
+    decay = np.exp(-np.outer(widths, k_pos))  # exp(-k * panel width)
+
+    # same-panel double integral of exp(-k|z-z'|): 2*(w/k - (1-e^{-kw})/k^2)
+    same = 2.0 * (widths[:, None] / k_pos[None, :] - (1.0 - decay) / k_pos[None, :] ** 2)
+    modal = np.sum(np.abs(chat[:, 1:]) ** 2 * same, axis=0)
+
+    # cross panels via a cumulative sweep: panels are sorted, so the gap
+    # factors accumulate as products of per-panel decays
+    carry = np.zeros(n // 2, dtype=complex)
+    cross = np.zeros(n // 2)
+    for p in range(len(widths)):
+        c_p = chat[p, 1:]
+        one_minus = 1.0 - decay[p]
+        cross += 2.0 * (c_p * carry).real * one_minus / k_pos**2
+        carry = decay[p] * carry + np.conj(c_p) * one_minus
+
+    per_mode = (modal + cross) / (2.0 * k_pos)
+    pair_weight = np.full(n // 2, 2.0)
+    pair_weight[-1] = 1.0  # the unpaired -N/2 mode counts once
+    total = float(np.sum(pair_weight * per_mode))
+
+    # zero mode: Phi' is piecewise linear with slope -chi_0 per panel
+    chi0 = strength.mean(axis=1)
+    phi_prime = np.concatenate(([0.0], np.cumsum(-chi0 * widths)))
+    a = phi_prime[:-1]
+    b = phi_prime[1:]
+    total += float(np.sum(widths * (a * a + a * b + b * b) / 3.0))
+
+    return max(h.grid.length * total, 0.0)
 
 
 def poisson_box_energy(state, n_x=128, n_z=768, z_half=None):

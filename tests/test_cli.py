@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import time
 
 import numpy as np
 import pytest
@@ -145,6 +146,16 @@ class TestConfigValidation:
         path, raw = small_config(tmp_path, evolution={"dt": 1e-300, "t_end": 1e10})
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+        assert "evolution" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_step_count_above_limit_exit_2(self, tmp_path, capsys):
+        # t_end/dt = 1e290 is finite, but far beyond MAX_STEPS
+        path, _ = small_config(tmp_path, evolution={"dt": 1e-300, "t_end": 1e-10})
+        out = tmp_path / "out"
+        start = time.perf_counter()
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+        assert time.perf_counter() - start < 1.0
         assert "evolution" in capsys.readouterr().err
         assert not out.exists()
 

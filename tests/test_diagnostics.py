@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -26,7 +29,13 @@ from mslab.evolution import EvolutionConfig, Trajectory, exact_linear_observable
 from mslab.field import StripConfig, default_strip_config, normal_velocity, solve_exterior_fields
 from mslab.geometry import build_state, sup_slope, to_arclength
 from mslab.spectral import Grid, SpectralProfile, seminorm
-from conftest import dense_arclength, poisson_box_energy
+from conftest import (
+    bump_state,
+    dense_arclength,
+    panel_sweep_H,
+    poisson_box_energy,
+    wavelet_state,
+)
 
 
 L = 2.0 * np.pi
@@ -34,6 +43,10 @@ L = 2.0 * np.pi
 
 def make_state(grid, samples):
     return SpectralProfile.from_samples(grid, samples - samples.mean())
+
+
+def mode_state(grid, amplitude, k=2.0):
+    return build_state(make_state(grid, amplitude * np.cos(k * grid.nodes)))
 
 
 def proxy_samples(ts, E, D, H=None, **extra):
@@ -81,6 +94,37 @@ class TestComputeH:
         h = SpectralProfile.from_samples(grid, 0.1 + 0.1 * np.cos(grid.nodes))
         with pytest.raises(ZeroModeNonzero):
             compute_H(build_state(h))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: bump_state(512),
+            lambda: bump_state(1024),
+            lambda: wavelet_state(256),
+            lambda: mode_state(Grid(L, 256), 1e-3),
+            # on a unit cell 64 sorted heights span more than 600/k_max, so
+            # most blocks end at the exponent span, not at the row count
+            lambda: mode_state(Grid(1.0, 2048), 2.0, k=2.0 * np.pi),
+        ],
+        ids=["bump-512", "bump-1024", "wavelet-0.9", "small-mode", "amplitude-2"],
+    )
+    def test_matches_panel_sweep(self, make):
+        state = make()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = compute_H(state)
+        assert value == pytest.approx(panel_sweep_H(state), rel=1e-12, abs=0.0)
+
+    def test_bounded_memory(self):
+        # the per-panel sweep holds whole (panels x modes) arrays: 50 MiB at N = 2048
+        state = bump_state(2048)
+        tracemalloc.start()
+        try:
+            compute_H(state)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
 
     def test_poisson_box_oracle(self):
         grid = Grid(16.0, 256)

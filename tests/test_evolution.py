@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 from mslab.errors import SlopeBlowup, ZeroModeNonzero
 from mslab.evolution import (
+    MAX_STEPS,
     EvolutionConfig,
     exact_linear_observables,
     kernel_mask,
@@ -119,6 +120,12 @@ class TestRun:
         )
         traj = run(h0, cfg)
         assert traj.times == pytest.approx([0.0, 3e-3, 6e-3, 7e-3], rel=1e-12)
+
+    def test_step_limit(self):
+        grid = Grid(L, 32)
+        EvolutionConfig("linear", dt=1e-6, t_end=MAX_STEPS * 1e-6, grid=grid)
+        with pytest.raises(ValueError, match="limit"):
+            EvolutionConfig("linear", dt=1e-6, t_end=2 * MAX_STEPS * 1e-6, grid=grid)
 
     def test_t_end_zero_single_snapshot(self, rng):
         grid = Grid(L, 64)

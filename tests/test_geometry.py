@@ -14,7 +14,7 @@ from mslab.geometry import (
     total_arclength,
 )
 from mslab.spectral import Grid, SpectralProfile, derivative, seminorm
-from conftest import band_limited_profile, dense_arclength
+from conftest import band_limited_profile, bump_state, dense_arclength, wavelet_state
 
 
 @pytest.fixture
@@ -24,23 +24,6 @@ def grid():
 
 def profile(grid, values):
     return SpectralProfile.from_samples(grid, values)
-
-
-def bump_state(n, length=16.0):
-    """Gaussian bump of amplitude 0.15 and width 1, mean removed."""
-    grid = Grid(length, n)
-    h = 0.15 * np.exp(-((grid.nodes - 0.5 * length) ** 2))
-    return build_state(profile(grid, h - h.mean()))
-
-
-def wavelet_state(n, length=16.0, slope=0.9):
-    """Wavelet u e^{-u^2}, mean removed, scaled to sup|h_x| = slope."""
-    grid = Grid(length, n)
-    u = grid.nodes - 0.5 * length
-    h = u * np.exp(-(u**2))
-    h -= h.mean()
-    scale = slope / sup_slope(build_state(profile(grid, h)))
-    return build_state(profile(grid, scale * h))
 
 
 class TestBuildState:
