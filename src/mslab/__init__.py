@@ -11,7 +11,6 @@ from .errors import (
     CrossCheckFailure,
     InsufficientSamples,
     MSLabError,
-    NegativeOrderOnNonzeroMean,
     RegimeNeverEntered,
     SlopeBlowup,
     SlopeGateViolation,
@@ -24,7 +23,6 @@ from .spectral import (
     derivative,
     dual_pairing_norm,
     fractional_operator,
-    graded_depths,
     harmonic_extension,
     interpolation_gap,
     seminorm,

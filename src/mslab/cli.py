@@ -92,12 +92,7 @@ def _simulate(config):
 
 
 def cmd_simulate(args):
-    config = load_config(args.config)
-    try:
-        traj, samples = _simulate(config)
-    except (SolverDivergence, CrossCheckFailure) as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER_FAILURE
+    traj, samples = _simulate(load_config(args.config))
     os.makedirs(args.out, exist_ok=True)
     _atomic_write(os.path.join(args.out, "trajectory.csv"), _trajectory_csv(traj))
     _atomic_write(os.path.join(args.out, "triad.csv"), _triad_csv(samples))
@@ -184,12 +179,7 @@ def fit_loglog_slope(times, values, residual_max=SLOPE_FIT_RESIDUAL_MAX):
 
 
 def cmd_rates(args):
-    config = load_config(args.config)
-    try:
-        traj, samples = _simulate(config)
-    except (SolverDivergence, CrossCheckFailure) as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER_FAILURE
+    traj, samples = _simulate(load_config(args.config))
     if traj.status != "completed":
         print(f"run ended with status {traj.status}", file=sys.stderr)
         return _status_exit(traj.status)
@@ -269,6 +259,9 @@ def main(argv=None):
     except (ConfigError, InsufficientSamples) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_CONFIG
+    except (SolverDivergence, CrossCheckFailure) as exc:
+        print(f"solver failure: {exc}", file=sys.stderr)
+        return EXIT_SOLVER_FAILURE
 
 
 if __name__ == "__main__":

@@ -165,7 +165,7 @@ def build_initial_profile(grid, initial_data):
         samples = a * np.cos(2.0 * np.pi * m * x / grid.length)
     else:  # pragma: no cover - presets validated at parse time
         raise ValueError(f"unknown preset {preset}")
-    return SpectralProfile.from_samples(grid, samples - samples.mean()).without_mean()
+    return SpectralProfile.from_samples(grid, samples).without_mean()
 
 
 def parse_config(raw):

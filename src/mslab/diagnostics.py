@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import InsufficientSamples, RegimeNeverEntered, ZeroModeNonzero
+from .errors import InsufficientSamples, RegimeNeverEntered
 from .field import exterior_response
 from .geometry import energy, sup_height, sup_slope, to_arclength
 from .spectral import SpectralProfile, derivative, seminorm
@@ -134,7 +134,7 @@ def compute_H(state):
     overflows.  Time is O(N^2) and memory O(block N).
     """
     h = state.h
-    h.require_mean_zero(ZeroModeNonzero, "H", rtol=1e-10)
+    h.require_mean_zero("H")
     samples = h.samples
     n = h.grid.num_points
     if np.all(samples == 0.0):

@@ -5,10 +5,6 @@ class MSLabError(Exception):
     """Base class for all package-specific errors."""
 
 
-class NegativeOrderOnNonzeroMean(MSLabError):
-    """Fractional operator of negative order applied to a profile with mean."""
-
-
 class ZeroModeNonzero(MSLabError):
     """An operation requiring a mean-zero profile received one with mass."""
 

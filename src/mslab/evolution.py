@@ -3,16 +3,17 @@
 Two engines share one driver: the linearized flow is solved exactly per
 Fourier mode (multiplier exp(-mobility*|k|^3 t)), and the full nonlinear
 flow h_t = -sqrt(1+h_x^2) V is advanced with a first-order IMEX step that
-treats the stiff linear part implicitly.  The module also provides the
-self-similar kernel mask of the linear flow and its closed-form Fourier
-observables.
+treats the stiff linear part implicitly.  :func:`run` is the flow's one
+mean-zero gate, and both engines then hold c_0 = 0 exactly.  The module
+also provides the self-similar kernel mask of the linear flow and its
+closed-form Fourier observables.
 """
 
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .errors import SlopeBlowup, SolverDivergence, ZeroModeNonzero
+from .errors import SlopeBlowup, SolverDivergence
 from .field import StripConfig, exterior_response
 from .geometry import build_state, sup_slope
 from .spectral import Grid, SpectralProfile, fractional_operator
@@ -71,15 +72,13 @@ class Trajectory:
         return len(self.times)
 
 
-def linear_solve_exact(h0, t, mobility, check_mean_zero=True):
+def linear_solve_exact(h0, t, mobility):
     """Exact solution of the linearized flow: hhat(k,t) = exp(-mu |k|^3 t) hhat0.
 
     No time stepping is involved; the semigroup property holds to round-off.
-    ``check_mean_zero=False`` admits data with mass (used for the
-    self-similar kernel comparison, where the zero-mode gate is disabled).
+    The multiplier is defined for every mode and keeps the zero mode, so
+    data with mass keep their mass (the self-similar kernel comparison).
     """
-    if check_mean_zero:
-        h0.require_mean_zero(ZeroModeNonzero, "the linear flow")
     k = np.abs(h0.grid.wavenumbers)
     return SpectralProfile.from_coeffs(h0.grid, h0.coeffs * np.exp(-mobility * k**3 * t))
 
@@ -125,9 +124,11 @@ def run(h0, cfg):
     The linear engine evaluates the exact mode solution at the snapshot
     times; the nonlinear engine steps with :func:`nonlinear_step`.  A gate
     violation or solver failure halts the run with the matching status
-    instead of raising.
+    instead of raising.  A profile that passes the mean-zero gate is
+    projected to an exact zero mode before the first state is built.
     """
-    h0.require_mean_zero(ZeroModeNonzero, "the flow")
+    h0.require_mean_zero("the flow")
+    h0 = h0.without_mean()
     if h0.grid != cfg.grid:
         raise ValueError("initial profile and configuration use different grids")
     state0 = build_state(h0)
@@ -187,7 +188,7 @@ def exact_linear_observables(h0, t, mobility):
     integrals ``t E = int |t^{1/3}k|^3 exp(-2 mu |t^{1/3}k|^3) |h0|^2/|k|``
     (and exponent 6 for ``t^2 D``), the oracle for the decay-rate checks.
     """
-    h0.require_mean_zero(ZeroModeNonzero, "the linear observables")
+    h0.require_mean_zero("the linear observables")
     k = np.abs(h0.grid.wavenumbers)
     nz = k != 0.0
     weight = h0.grid.length * np.abs(h0.coeffs[nz]) ** 2

@@ -11,7 +11,9 @@ half-plane harmonic extension, and the decaying remainder vanishes there.
 
 Discretization: second-order finite differences on a tensor grid, periodic
 in x, geometrically graded toward zt = 0 through the smooth map
-zt = Z*(exp(alpha*eta)-1)/(exp(alpha)-1).  The 9-point operator is applied
+zt = Z*(exp(alpha*eta)-1)/(exp(alpha)-1) of :class:`StripConfig`, whose
+Jacobian gives the one set of eta-coefficients (:func:`_eta_coefficients`)
+that the operator and its preconditioner share.  The 9-point operator is applied
 as a stencil, never assembled, and inverted by matrix-free GMRES
 right-preconditioned with the exact inverse of the flat (h = 0) operator:
 an FFT in x leaves one tridiagonal system in eta per mode (Concus & Golub,
@@ -27,9 +29,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CrossCheckFailure, SlopeGateViolation, SolverDivergence, ZeroModeNonzero
+from .errors import CrossCheckFailure, SlopeGateViolation, SolverDivergence
 from .geometry import sup_slope
-from .spectral import Grid, SpectralProfile, derivative, graded_depths
+from .spectral import Grid, SpectralProfile, derivative
 
 #: GMRES stops once the 2-norm residual falls to this fraction of |b|
 GMRES_TOLERANCE = 1e-12
@@ -45,9 +47,10 @@ DEPTH_DECAY = 1e-4
 class StripConfig:
     """Truncated half-strip: depth, number of layers, geometric grading.
 
-    ``grading`` is the total growth factor of the layer thicknesses across
-    the strip (1 = uniform); successive thicknesses form an exact geometric
-    progression.
+    The levels are zt = Z*(exp(alpha*eta)-1)/(exp(alpha)-1) at eta = i/m
+    with alpha = log(grading), so successive layer thicknesses form an exact
+    geometric progression and ``grading`` is the growth of the Jacobian
+    dzt/deta across the strip (1 = uniform).
     """
 
     depth: float
@@ -66,15 +69,22 @@ class StripConfig:
     def alpha(self):
         return np.log(self.grading)
 
-    def levels(self):
-        return graded_depths(self.depth, self.num_layers, self.grading)
-
-    def jacobian(self):
-        """dz/deta at the levels of the smooth grading map."""
+    def _graded_map(self):
+        """(zt, dzt/deta) at the levels; grading 1 is the uniform limit."""
         eta = np.arange(self.num_layers + 1) / self.num_layers
         if self.grading == 1.0:
-            return np.full(self.num_layers + 1, self.depth)
-        return self.depth * self.alpha * np.exp(self.alpha * eta) / np.expm1(self.alpha)
+            return self.depth * eta, np.full(self.num_layers + 1, self.depth)
+        growth = np.expm1(self.alpha)
+        return (
+            self.depth * np.expm1(self.alpha * eta) / growth,
+            self.depth * self.alpha * np.exp(self.alpha * eta) / growth,
+        )
+
+    def levels(self):
+        return self._graded_map()[0]
+
+    def jacobian(self):
+        return self._graded_map()[1]
 
 
 def default_strip_config(grid, num_layers=64):
@@ -100,24 +110,33 @@ class HalfStripField(NamedTuple):
     residual: float
 
 
+def _eta_coefficients(strip):
+    """1/J, a = 1/J^2 and b = alpha/J^2 on the interior levels, as columns.
+
+    With J = dzt/deta and J' = alpha J, d/dzt = (1/J) d/deta and
+    -d2/dzt2 = -a d2/deta2 + b d/deta: the eta-part of the flat operator.
+    """
+    jac = strip.jacobian()[1:-1, None]
+    return 1.0 / jac, 1.0 / jac**2, strip.alpha / jac**2
+
+
 @lru_cache(maxsize=16)
 def _flat_inverse(grid, strip):
     """Exact inverse of the h = 0 operator on the interior levels.
 
     In x the operator is the periodic second difference, diagonal in the
     discrete Fourier basis with symbol (2 - 2cos(k dx))/dx^2; in eta it is
-    tridiagonal with a = 1/J^2, b = alpha/J^2.  Each of the N/2+1 real-FFT
-    columns is one tridiagonal system, and one Thomas sweep solves them all.
-    The factors depend only on the grid and the strip, so they are built
-    once per pair and shared, read-only, by every solve.
+    tridiagonal with the coefficients of :func:`_eta_coefficients`.  Each
+    of the N/2+1 real-FFT columns is one tridiagonal system, and one Thomas
+    sweep solves them all.  The factors depend only on the grid and the
+    strip, so they are built once per pair and shared, read-only, by every
+    solve.
     """
     n = grid.num_points
     m = strip.num_layers
     dx = grid.spacing
     deta = 1.0 / m
-    jac = strip.jacobian()[1:m, None]
-    a = 1.0 / jac**2
-    b = strip.alpha / jac**2
+    _, a, b = _eta_coefficients(strip)
     k = 2.0 * np.pi * np.fft.rfftfreq(n, d=dx)
     diag = 2.0 * a / deta**2 + (2.0 - 2.0 * np.cos(k * dx))[None, :] / dx**2
     upper = -a / deta**2 + b / (2.0 * deta)
@@ -217,14 +236,12 @@ def solve_strip(grid, hx_samples, data, strip, side="plus", top_data=None):
     hxx = derivative(SpectralProfile.from_samples(grid, hx), 1).samples
     dx = grid.spacing
     deta = 1.0 / m
-    jac = strip.jacobian()
-    alpha = strip.alpha
-
-    jac_i = jac[1:m, None]
+    # the flat coefficients scaled by 1 + h_x^2, plus the h_xx d/dzt term
+    inv_jac, a, b = _eta_coefficients(strip)
     one_hx2 = (1.0 + hx**2)[None, :]
-    coef_a = one_hx2 / jac_i**2
-    coef_b = s * hxx[None, :] / jac_i + one_hx2 * alpha / jac_i**2
-    cross = s * hx[None, :] / (2.0 * jac_i * dx * deta)
+    coef_a = one_hx2 * a
+    coef_b = s * hxx[None, :] * inv_jac + one_hx2 * b
+    cross = s * hx[None, :] * inv_jac / (2.0 * dx * deta)
 
     c_center = 2.0 / dx**2 + 2.0 * coef_a / deta**2
     c_ew = -1.0 / dx**2
@@ -427,7 +444,7 @@ def exterior_response(state, strip):
 
 def linear_dtn(profile, mobility):
     """Linearized evolution multiplier: -mobility*|k|^3 per mode."""
-    profile.require_mean_zero(ZeroModeNonzero, "linearized operator")
+    profile.require_mean_zero("linearized operator")
     k = profile.grid.wavenumbers
     return SpectralProfile.from_coeffs(
         profile.grid, -mobility * np.abs(k) ** 3 * profile.coeffs

@@ -1,14 +1,13 @@
 """Geometric quantities of the graph interface z = h(x).
 
-An :class:`InterfaceState` caches the slope, tangent angle, curvature and
-line element of the interface.  Seminorms along the curve reuse the flat
-spectral calculus on a profile re-expressed in arclength
-(:func:`to_arclength`): its Fourier coefficients are integrals over the
-x-grid after the change of variables s = s(x), valid while the slope stays
-bounded by one.  The x-nodes land at nonuniform points s(x_l), so the
-integrals form a type-1 nonuniform FFT, evaluated in O(N log N) by
-Gaussian gridding (Dutt & Rokhlin, SIAM J. Sci. Comput. 14, 1993; Greengard
-& Lee, SIAM Rev. 46, 2004).
+An :class:`InterfaceState` caches the slope, curvature and line element of
+the interface.  Seminorms along the curve reuse the flat spectral calculus
+on a profile re-expressed in arclength (:func:`to_arclength`): its Fourier
+coefficients are integrals over the x-grid after the change of variables
+s = s(x), valid while the slope stays bounded by one.  The x-nodes land at
+nonuniform points s(x_l), so the integrals form a type-1 nonuniform FFT,
+evaluated in O(N log N) by Gaussian gridding (Dutt & Rokhlin, SIAM J. Sci.
+Comput. 14, 1993; Greengard & Lee, SIAM Rev. 46, 2004).
 """
 
 import numpy as np
@@ -29,17 +28,14 @@ class InterfaceState:
     response of the exterior problem per strip configuration.
     """
 
-    __slots__ = ("h", "slope", "angle", "curvature", "line_element", "exterior")
+    __slots__ = ("h", "slope", "curvature", "line_element", "exterior")
 
-    def __init__(self, h, slope, angle, curvature, line_element):
+    def __init__(self, h, slope, curvature, line_element):
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "slope", slope)
         object.__setattr__(self, "curvature", curvature)
-        angle = np.ascontiguousarray(angle, dtype=float)
         line_element = np.ascontiguousarray(line_element, dtype=float)
-        angle.setflags(write=False)
         line_element.setflags(write=False)
-        object.__setattr__(self, "angle", angle)
         object.__setattr__(self, "line_element", line_element)
         object.__setattr__(self, "exterior", {})
 
@@ -60,9 +56,8 @@ def build_state(h):
     slope = derivative(h, 1)
     hxx = derivative(h, 2)
     line_element = np.sqrt(1.0 + slope.samples**2)
-    angle = np.arctan(slope.samples)
     curvature = SpectralProfile.from_samples(h.grid, hxx.samples / line_element**3)
-    return InterfaceState(h, slope, angle, curvature, line_element)
+    return InterfaceState(h, slope, curvature, line_element)
 
 
 def energy(state):

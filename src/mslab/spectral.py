@@ -12,7 +12,9 @@ coefficients.  Conventions used everywhere in this package:
   ``integral f**2 dx = L * sum_m |c_m|**2``.
 
 The zero mode of every fractional operator ``|d/dx|**sigma`` is mapped to
-zero; negative orders additionally require a mean-zero profile.
+zero; negative orders additionally require a mean-zero profile.  Every
+mean-zero gate of the package is :meth:`SpectralProfile.require_mean_zero`,
+which raises :class:`~mslab.errors.ZeroModeNonzero`.
 """
 
 from dataclasses import dataclass
@@ -20,9 +22,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NegativeOrderOnNonzeroMean
+from .errors import ZeroModeNonzero
 
+#: a profile is mean-zero when |c_0| <= max(MEAN_ZERO_RTOL max|c_m|, MEAN_ZERO_ATOL);
+#: the floor keeps decayed profiles (every mode at round-off) from tripping the test
 MEAN_ZERO_RTOL = 1e-12
+MEAN_ZERO_ATOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -100,18 +105,14 @@ class SpectralProfile:
     def mean(self):
         return self.coeffs[0].real
 
-    def is_mean_zero(self, rtol=MEAN_ZERO_RTOL, atol=1e-15):
-        # the absolute floor keeps deeply decayed profiles (every mode at
-        # round-off level) from tripping the relative test
+    def is_mean_zero(self):
         scale = np.abs(self.coeffs).max()
-        if scale == 0.0:
-            return True
-        return abs(self.coeffs[0]) <= max(rtol * scale, atol)
+        return abs(self.coeffs[0]) <= max(MEAN_ZERO_RTOL * scale, MEAN_ZERO_ATOL)
 
-    def require_mean_zero(self, error, what, rtol=MEAN_ZERO_RTOL):
-        """Raise ``error`` unless the profile is mean-zero to ``rtol``."""
-        if not self.is_mean_zero(rtol=rtol):
-            raise error(
+    def require_mean_zero(self, what):
+        """Raise :class:`ZeroModeNonzero` unless the profile is mean-zero."""
+        if not self.is_mean_zero():
+            raise ZeroModeNonzero(
                 f"{what} needs a mean-zero profile; |coeff(0)| = {abs(self.coeffs[0]):.3e}"
             )
 
@@ -139,11 +140,11 @@ def fractional_operator(p, sigma):
     """Apply ``|d/dx|**sigma``: multiply coefficient m by ``|k_m|**sigma``.
 
     The zero mode is mapped to zero for every ``sigma``.  Negative orders
-    raise :class:`NegativeOrderOnNonzeroMean` unless the profile is
+    raise :class:`~mslab.errors.ZeroModeNonzero` unless the profile is
     mean-zero.
     """
     if sigma < 0:
-        p.require_mean_zero(NegativeOrderOnNonzeroMean, "fractional operator of negative order")
+        p.require_mean_zero("fractional operator of negative order")
     k = p.grid.wavenumbers
     mult = np.zeros_like(k)
     nz = k != 0.0
@@ -171,7 +172,7 @@ def seminorm(p, sigma):
     with the zero mode excluded.
     """
     if sigma < 0:
-        p.require_mean_zero(NegativeOrderOnNonzeroMean, "seminorm of negative order")
+        p.require_mean_zero("seminorm of negative order")
     k = p.grid.wavenumbers
     nz = k != 0.0
     weights = np.abs(k[nz]) ** (2.0 * sigma)
@@ -185,7 +186,7 @@ def dual_pairing_norm(p, sigma):
     ``integral p zeta dx`` with ``|| |d/dx|**sigma zeta ||_2 = 1``, attained
     by ``zeta`` proportional to ``|d/dx|**(-2 sigma) p``.
     """
-    p.require_mean_zero(NegativeOrderOnNonzeroMean, "dual pairing norm")
+    p.require_mean_zero("dual pairing norm")
     return seminorm(p, -sigma)
 
 
@@ -227,20 +228,3 @@ def harmonic_extension(g, depths):
     n = g.grid.num_points
     return np.fft.ifft(damp * g.coeffs[None, :] * n, axis=1).real
 
-
-def graded_depths(depth, num, grading):
-    """Depth levels on [0, depth], geometrically graded toward 0.
-
-    ``grading`` is the ratio of the last layer thickness to the first; 1
-    gives a uniform grid.  Successive layer thicknesses form an exact
-    geometric progression.
-    """
-    if depth <= 0 or num < 1:
-        raise ValueError("need positive depth and at least one layer")
-    if grading < 1.0:
-        raise ValueError("grading must be >= 1")
-    eta = np.arange(num + 1) / num
-    if grading == 1.0:
-        return depth * eta
-    alpha = np.log(grading)
-    return depth * np.expm1(alpha * eta) / np.expm1(alpha)

@@ -42,7 +42,6 @@ from mslab.spectral import (
     Grid,
     SpectralProfile,
     fractional_operator,
-    graded_depths,
     harmonic_extension,
     interpolation_gap,
     seminorm,
@@ -95,7 +94,7 @@ def test_criterion_1_spectral_identities(rng):
     g = SpectralProfile.from_samples(
         grid, np.cos(2.0 * grid.nodes) + np.cos(5.0 * grid.nodes)
     )
-    depths = graded_depths(6.0, 400, 50.0)
+    depths = StripConfig(6.0, 400, 50.0).levels()
     field = harmonic_extension(g, depths)
     k = grid.wavenumbers
     fx = np.fft.ifft(np.fft.fft(field, axis=1) * (1j * k)[None, :], axis=1).real
@@ -286,7 +285,7 @@ def test_criterion_8_self_similar_kernel():
         return phases @ (np.exp(-(k_qd**3)) * w_qd) / np.pi
 
     def selfsim_error(t):
-        ht = linear_solve_exact(h0, t, 1.0, check_mean_zero=False)
+        ht = linear_solve_exact(h0, t, 1.0)
         sel = np.abs(u) <= 100.0
         xhat = u[sel][::4] / t ** (1.0 / 3.0)
         values = t ** (1.0 / 3.0) * ht.samples[sel][::4]

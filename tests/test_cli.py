@@ -3,13 +3,16 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from mslab import cli
+import mslab
+from mslab import cli, field
 from mslab.cli import main
 from mslab.config import load_config, parse_config
 from mslab.diagnostics import CSV_CHECKS, TRIAD_FIELDS, check_algebraic, triad_series
@@ -483,6 +486,23 @@ class TestKernelCommand:
             assert main(["kernel", "--n", n, "--length", length, "--out", str(out)]) == 2
             assert not out.exists()
 
+    def test_module_entry_point(self, tmp_path):
+        # python -m mslab runs __main__.py, which passes main's code to the shell
+        src = os.path.dirname(os.path.dirname(mslab.__file__))
+        paths = [src, os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        out = tmp_path / "kernel.csv"
+
+        def kernel(length):
+            argv = ["kernel", "--n", "16", "--length", length, "--out", str(out)]
+            command = [sys.executable, "-m", "mslab", *argv]
+            return subprocess.run(command, env=env, capture_output=True, text=True).returncode
+
+        assert kernel("nan") == 2
+        assert not out.exists()
+        assert kernel("10") == 0
+        assert out.read_text().splitlines()[0] == "x,G"
+
 
 class TestRates:
     def test_single_mode_reports_exponential_sentinel(self, tmp_path):
@@ -497,6 +517,15 @@ class TestRates:
         assert payload["slopes"]["E"] == "exponential"
         assert payload["slopes"]["D"] == "exponential"
         assert code in (0, 5)
+
+    def test_solver_failure_exit_4(self, tmp_path, monkeypatch, capsys):
+        # the linear engine solves only for the triad, so the failure reaches main
+        monkeypatch.setattr(field, "GMRES_MAX_ITERATIONS", 2)
+        path, _ = small_config(tmp_path)
+        report_path = tmp_path / "rates.json"
+        assert main(["rates", "--config", str(path), "--out", str(report_path)]) == 4
+        assert "solver failure" in capsys.readouterr().err
+        assert not report_path.exists()
 
     def test_atomic_outputs_leave_no_temp_files(self, tmp_path):
         path, _ = small_config(tmp_path)

@@ -14,7 +14,8 @@ from mslab.evolution import (
     nonlinear_step,
     run,
 )
-from mslab.field import StripConfig
+from mslab.diagnostics import triad_series
+from mslab.field import StripConfig, default_strip_config
 from mslab.geometry import build_state, sup_slope
 from mslab.spectral import Grid, SpectralProfile, seminorm
 from conftest import band_limited_profile
@@ -47,13 +48,16 @@ class TestLinearSolveExact:
         two = linear_solve_exact(h0, 0.8, 2.0)
         assert np.abs(one.samples - two.samples).max() <= 1e-12 * h0.max_abs()
 
-    def test_rejects_mass(self):
+    def test_rejects_mass(self, strip):
+        # run is the flow's one mean-zero gate, on both engines; the exact
+        # multiplier is defined for every mode and keeps the mass
         grid = Grid(L, 64)
         h0 = SpectralProfile.from_samples(grid, 1.0 + np.cos(grid.nodes))
-        with pytest.raises(ZeroModeNonzero):
-            linear_solve_exact(h0, 1.0, 2.0)
-        # the zero-mode gate can be disabled for the self-similar comparison
-        out = linear_solve_exact(h0, 1.0, 2.0, check_mean_zero=False)
+        for engine in ("linear", "nonlinear"):
+            cfg = EvolutionConfig(engine, dt=1e-3, t_end=1e-3, grid=grid, strip=strip)
+            with pytest.raises(ZeroModeNonzero):
+                run(h0, cfg)
+        out = linear_solve_exact(h0, 1.0, 2.0)
         assert out.mean == pytest.approx(h0.mean, rel=1e-14)
 
 
@@ -120,6 +124,25 @@ class TestRun:
         )
         traj = run(h0, cfg)
         assert traj.times == pytest.approx([0.0, 3e-3, 6e-3, 7e-3], rel=1e-12)
+
+    def test_residual_mean_is_projected_out(self):
+        # a zero mode inside the gate would outlive the decay of the other
+        # modes, until the triad's negative-order seminorms reject the state
+        grid = Grid(16.0, 128)
+        u = grid.nodes - 8.0
+        bump = SpectralProfile.from_samples(grid, 0.05 * np.exp(-(u**2))).without_mean()
+        coeffs = bump.coeffs.copy()
+        coeffs[0] = 5e-13 * np.abs(coeffs).max()
+        h0 = SpectralProfile.from_coeffs(grid, coeffs)
+        strip = default_strip_config(grid, num_layers=32)
+        for engine, dt, t_end in [("nonlinear", 1e-3, 2e-3), ("linear", 0.5, 40.0)]:
+            cfg = EvolutionConfig(
+                engine, dt=dt, t_end=t_end, grid=grid, strip=strip, output_every=10
+            )
+            traj = run(h0, cfg)
+            assert all(state.h.coeffs[0] == 0.0 for state in traj.states)
+        # the last loop ran the linear engine, whose late states have decayed
+        assert len(triad_series(traj, strip)) == len(traj)
 
     def test_step_limit(self):
         grid = Grid(L, 32)

@@ -15,7 +15,7 @@ from mslab.field import (
     solve_strip,
 )
 from mslab.geometry import build_state, to_arclength
-from mslab.spectral import Grid, SpectralProfile, graded_depths, seminorm
+from mslab.spectral import Grid, SpectralProfile, seminorm
 
 
 L = 2.0 * np.pi
@@ -52,10 +52,17 @@ class TestStripConfig:
         assert strip.levels()[0] == 0.0
         assert strip.levels()[-1] == pytest.approx(4.0, rel=1e-14)
 
-    def test_levels_are_the_graded_depths(self):
-        for grading in (1.0, 16.0):
-            strip = StripConfig(depth=4.0, num_layers=32, grading=grading)
-            assert np.array_equal(strip.levels(), graded_depths(4.0, 32, grading))
+    def test_jacobian_is_the_levels_derivative(self):
+        # second-order differences of two finer level sets, Richardson-extrapolated
+        for grading in (1.0, 32.0):
+            jac = StripConfig(depth=4.0, num_layers=32, grading=grading).jacobian()
+            slopes = []
+            for refine in (64, 128):
+                fine = StripConfig(depth=4.0, num_layers=32 * refine, grading=grading)
+                slope = np.gradient(fine.levels(), 1.0 / (32 * refine), edge_order=2)
+                slopes.append(slope[::refine])
+            extrapolated = (4.0 * slopes[1] - slopes[0]) / 3.0
+            assert np.abs(extrapolated - jac).max() <= 1e-8 * jac.max()
 
     def test_default_depth_kills_slowest_mode(self):
         grid = Grid(16.0, 64)
