@@ -37,6 +37,7 @@ from .geometry import (
     total_arclength,
 )
 from .field import (
+    FieldHistory,
     HalfStripField,
     StripConfig,
     default_strip_config,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .errors import SlopeBlowup, SolverDivergence
-from .field import StripConfig, exterior_response
+from .field import FieldHistory, StripConfig, exterior_response
 from .geometry import build_state, sup_slope
 from .spectral import Grid, SpectralProfile, fractional_operator
 
@@ -56,11 +56,16 @@ class EvolutionConfig:
 
 @dataclass
 class Trajectory:
-    """Time-ordered snapshots plus the reason the run ended."""
+    """Time-ordered snapshots plus the reason the run ended.
+
+    ``iterations`` holds the (plus, minus) GMRES iteration counts of the
+    exterior solve behind every nonlinear step, snapshot or not.
+    """
 
     times: list = dataclass_field(default_factory=list)
     states: list = dataclass_field(default_factory=list)
     status: str = "completed"
+    iterations: list = dataclass_field(default_factory=list)
 
     def append(self, t, state):
         if self.times and t <= self.times[-1]:
@@ -122,7 +127,10 @@ def run(h0, cfg):
     and at the last step, which may close a shorter interval.
 
     The linear engine evaluates the exact mode solution at the snapshot
-    times; the nonlinear engine steps with :func:`nonlinear_step`.  A gate
+    times; the nonlinear engine steps with :func:`nonlinear_step`.  Its
+    loop owns a :class:`~mslab.field.FieldHistory`, so each exterior solve
+    after the first starts GMRES from the fields of the last two states;
+    the iteration counts of every step go to ``Trajectory.iterations``.  A gate
     violation or solver failure halts the run with the matching status
     instead of raising.  A profile that passes the mean-zero gate is
     projected to an exact zero mode before the first state is built.
@@ -151,10 +159,12 @@ def run(h0, cfg):
         return traj
 
     state = state0
+    history = FieldHistory()
     for step in range(1, n_steps + 1):
         t = step * cfg.dt
         snapshot = step % cfg.output_every == 0 or step == n_steps
         try:
+            response = exterior_response(state, cfg.strip, history)
             state = nonlinear_step(state, cfg)
         except SlopeBlowup:
             traj.status = "slope_blowup"
@@ -162,6 +172,7 @@ def run(h0, cfg):
         except SolverDivergence:
             traj.status = "solver_failure"
             return traj
+        traj.iterations.append(response.iterations)
         if snapshot:
             traj.append(t, state)
     return traj

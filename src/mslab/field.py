@@ -20,7 +20,11 @@ an FFT in x leaves one tridiagonal system in eta per mode (Concus & Golub,
 SIAM J. Numer. Anal. 10, 1973).  There is no direct factorization.
 :func:`exterior_response` is the one place that decides when a state is
 solved: at most once per strip, keeping only the normal velocity, the two
-dissipation values and the solver statistics on the state.
+dissipation values and the solver statistics on the state.  A stepping
+loop may pass it a :class:`FieldHistory`; GMRES then starts from the
+linear extrapolation of the fields of the last two solved states (Fischer,
+Comput. Methods Appl. Mech. Engrg. 163, 1998) and stops at the same
+absolute residual as from zero.
 """
 
 from dataclasses import dataclass
@@ -166,25 +170,39 @@ def _flat_inverse(grid, strip):
     return apply
 
 
-def _gmres(operator, precondition, rhs):
-    """Right-preconditioned GMRES from zero (Saad & Schultz 1986).
+def _gmres(operator, precondition, rhs, guess=None):
+    """Right-preconditioned GMRES (Saad & Schultz 1986), started from ``guess``.
 
     Modified Gram-Schmidt Arnoldi with Givens rotations on the
-    preconditioned operator; stops at a 2-norm residual of
-    GMRES_TOLERANCE * |rhs| and returns (solution, iterations).  Zero data
-    give exact zeros.
+    preconditioned operator, applied to the residual of the guess; returns
+    (guess + P(sum y_i v_i), iterations).  It stops at the absolute target
+    |r| <= GMRES_TOLERANCE * |rhs|, so the accuracy does not depend on the
+    guess.  A guess whose residual is not below |rhs| is dropped and the
+    solve starts from zero; zero data give exact zeros in 0 iterations
+    whatever the guess.
     """
-    beta = np.linalg.norm(rhs)
-    if beta == 0.0:
+    rhs_norm = np.linalg.norm(rhs)
+    if rhs_norm == 0.0:
         return np.zeros_like(rhs), 0
+    target = GMRES_TOLERANCE * rhs_norm
     cap = GMRES_MAX_ITERATIONS
     basis = np.empty((cap + 1,) + rhs.shape)
+    basis[0] = rhs
+    if guess is not None:
+        np.subtract(rhs, operator(guess), out=basis[1])
+        if np.linalg.norm(basis[1]) < rhs_norm:
+            basis[0] = basis[1]
+        else:
+            guess = None
+    beta = np.linalg.norm(basis[0])
+    if beta <= target:  # only a guess can start at the target
+        return guess.astype(rhs.dtype), 0
+    basis[0] /= beta
     hess = np.zeros((cap + 1, cap))
     cos = np.zeros(cap)
     sin = np.zeros(cap)
     g = np.zeros(cap + 1)
     g[0] = beta
-    basis[0] = rhs / beta
     for j in range(cap):
         w = operator(precondition(basis[j]))
         for i in range(j + 1):
@@ -201,27 +219,32 @@ def _gmres(operator, precondition, rhs):
         hess[j, j] = rho
         g[j + 1] = -sin[j] * g[j]
         g[j] *= cos[j]
-        if abs(g[j + 1]) <= GMRES_TOLERANCE * beta:
+        if abs(g[j + 1]) <= target:
             break
         basis[j + 1] = w / norm
     else:
         raise SolverDivergence(
             f"GMRES did not converge in {cap} iterations: "
-            f"relative residual {abs(g[cap]) / beta:.3e}"
+            f"relative residual {abs(g[cap]) / rhs_norm:.3e}"
         )
     k = j + 1
     y = np.linalg.solve(hess[:k, :k], g[:k])
-    return precondition(np.tensordot(y, basis[:k], axes=1)), k
+    solution = precondition(np.tensordot(y, basis[:k], axes=1))
+    if guess is not None:
+        solution += guess
+    return solution, k
 
 
-def solve_strip(grid, hx_samples, data, strip, side="plus", top_data=None):
+def solve_strip(grid, hx_samples, data, strip, side="plus", top_data=None, guess=None):
     """Matrix-free solve of the straightened problem with prescribed boundary data.
 
     ``data`` is imposed at zt = 0 and ``top_data`` (default zero) at the
     truncation depth.  The 9-point operator acts as a stencil on the
     interior levels and is inverted by GMRES, right-preconditioned with the
     exact flat-interface inverse (FFT in x, Thomas in eta); no matrix is
-    assembled or factorized.  The solve must meet the residual gate
+    assembled or factorized.  ``guess``, an (num_layers-1, N) array of
+    interior values, is where GMRES starts; it changes the iteration count,
+    not the target.  The solve must meet the residual gate
     max|A u - b| <= 1e-8 * max(1, max|b|), and the returned field records
     its iteration count and that residual.  This is the raw kernel behind
     :func:`solve_exterior_fields`; tests drive it with synthetic data.
@@ -272,7 +295,7 @@ def solve_strip(grid, hx_samples, data, strip, side="plus", top_data=None):
         interior[1:m] = u
         return stencil(interior)
 
-    solution, iterations = _gmres(operator, _flat_inverse(grid, strip), rhs)
+    solution, iterations = _gmres(operator, _flat_inverse(grid, strip), rhs, guess)
     residual = np.abs(operator(solution) - rhs).max()
     if residual > 1e-8 * max(1.0, np.abs(rhs).max()):
         raise SolverDivergence(
@@ -283,13 +306,14 @@ def solve_strip(grid, hx_samples, data, strip, side="plus", top_data=None):
     return HalfStripField(side, values, strip, grid, iterations, float(residual))
 
 
-def solve_exterior_fields(state, cfg):
+def solve_exterior_fields(state, cfg, guesses=(None, None)):
     """Solve both half-strips with the curvature as Dirichlet data.
 
     The x-mean of the curvature extends harmonically as a constant, so it
     is the data at the truncation depth; a constant solves the discrete
     operator exactly, and the boundary row of each field equals the
-    curvature samples exactly.
+    curvature samples exactly.  ``guesses`` holds the (plus, minus) GMRES
+    starts of :func:`solve_strip`.
     """
     if sup_slope(state) > 1.0:
         raise SlopeGateViolation(
@@ -298,8 +322,8 @@ def solve_exterior_fields(state, cfg):
     kappa = state.curvature.samples
     top = np.full(state.grid.num_points, kappa.mean())
     return tuple(
-        solve_strip(state.grid, state.slope.samples, kappa, cfg, side, top_data=top)
-        for side in ("plus", "minus")
+        solve_strip(state.grid, state.slope.samples, kappa, cfg, side, top, guess)
+        for side, guess in zip(("plus", "minus"), guesses)
     )
 
 
@@ -429,16 +453,66 @@ def dissipation(fields, state):
     return _response(fields, state).dissipation
 
 
-def exterior_response(state, strip):
+class FieldHistory:
+    """The interior fields of the last two solved states, per side.
+
+    A stepping loop owns one history and hands it to
+    :func:`exterior_response`, which starts each solve from
+    :meth:`guesses` and then :meth:`record`s the new fields.  Two buffers
+    per side are rotated in place: the extrapolation 2 u_n - u_{n-1} is
+    written over u_{n-1}, and the next record copies the new field into
+    that same buffer, so after the second step nothing is allocated.  The
+    buffers are single precision: a start needs no more, since the
+    extrapolation error lies far above their rounding and GMRES corrects
+    to the same absolute target, and they halve what the history adds to
+    the peak memory of a run.
+    """
+
+    def __init__(self):
+        self._pairs = []  # (plus, minus) interior fields, oldest first
+        self._spare = None  # the buffers that hold the current extrapolation
+
+    def guesses(self):
+        """(plus, minus) GMRES starts: none, the last fields, or their
+        linear extrapolation from the last two."""
+        if not self._pairs:
+            return (None, None)
+        if len(self._pairs) == 1:
+            return self._pairs[0]
+        older, newest = self._pairs
+        for old, new in zip(older, newest):
+            old -= new
+            np.subtract(new, old, out=old)
+        self._pairs, self._spare = [newest], older
+        return older
+
+    def record(self, fields):
+        """Keep the interior values of the (plus, minus) fields just solved."""
+        pair = self._spare or tuple(np.empty_like(f.values[1:-1], np.float32) for f in fields)
+        self._spare = None
+        for buffer, field in zip(pair, fields):
+            np.copyto(buffer, field.values[1:-1])
+        self._pairs = self._pairs[-1:] + [pair]
+
+
+def exterior_response(state, strip, history=None):
     """V, D_bnd and D_vol of a state, from at most one solve per strip.
 
     The response is kept on the state, keyed by the strip, so the step
     that leaves a state and the diagnostics that read it share one
-    :func:`solve_exterior_fields`.  Reading ``.dissipation`` applies the
+    :func:`solve_exterior_fields`.  When it solves and a
+    :class:`FieldHistory` is given, GMRES starts from the history's
+    guesses and the new fields are recorded in it; the response and the
+    state keep no field arrays.  Reading ``.dissipation`` applies the
     cross-check; reading ``.velocity`` does not.
     """
     if strip not in state.exterior:
-        state.exterior[strip] = _response(solve_exterior_fields(state, strip), state)
+        if history is None:
+            fields = solve_exterior_fields(state, strip)
+        else:
+            fields = solve_exterior_fields(state, strip, history.guesses())
+            history.record(fields)
+        state.exterior[strip] = _response(fields, state)
     return state.exterior[strip]
 
 

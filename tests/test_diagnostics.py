@@ -221,9 +221,9 @@ class TestOneSolvePerState:
         count = [0]
         original = field.solve_exterior_fields
 
-        def counting(state, strip):
+        def counting(state, strip, *rest):
             count[0] += 1
-            return original(state, strip)
+            return original(state, strip, *rest)
 
         monkeypatch.setattr(field, "solve_exterior_fields", counting)
         return count

@@ -15,10 +15,10 @@ from mslab.evolution import (
     run,
 )
 from mslab.diagnostics import triad_series
-from mslab.field import StripConfig, default_strip_config
+from mslab.field import StripConfig, default_strip_config, solve_exterior_fields
 from mslab.geometry import build_state, sup_slope
 from mslab.spectral import Grid, SpectralProfile, seminorm
-from conftest import band_limited_profile
+from conftest import band_limited_profile, wavelet_state
 
 
 L = 2.0 * np.pi
@@ -113,6 +113,7 @@ class TestRun:
         for t, state in zip(traj.times, traj.states):
             exact = linear_solve_exact(h0, t, 2.0)
             assert np.abs(state.h.samples - exact.samples).max() <= 1e-13
+        assert traj.iterations == []
 
     @pytest.mark.parametrize("engine", ["linear", "nonlinear"])
     def test_snapshot_rule_with_off_cadence_end(self, engine, strip):
@@ -234,6 +235,38 @@ class TestRun:
         d_big = np.linalg.norm(normalized[1e-1] - normalized[1e-3]) / scale
         assert d_mid <= 1e-4  # engines agree at small amplitude
         assert 30.0 <= d_big / d_mid <= 300.0  # quadratic amplitude law
+
+
+class TestWarmStartedRun:
+    """The nonlinear loop starts each exterior solve from the last two fields."""
+
+    def test_iterations_fall_below_cold_solves(self):
+        state0 = wavelet_state(256, slope=0.9)
+        grid = state0.grid
+        strip = default_strip_config(grid, num_layers=48)
+        n_steps = 10
+        cfg = EvolutionConfig("nonlinear", dt=1e-4, t_end=n_steps * 1e-4, grid=grid, strip=strip)
+        traj = run(state0.h, cfg)
+        assert traj.status == "completed" and len(traj.iterations) == n_steps
+        warm = np.array(traj.iterations)
+        cold = np.array(
+            [[f.iterations for f in solve_exterior_fields(s, strip)] for s in traj.states[:-1]]
+        )
+        # measured: 178 warm against 230 cold iterations per side
+        assert np.array_equal(warm[0], cold[0])
+        assert warm.sum() <= 0.8 * cold.sum()
+        assert np.all(warm[2:] < cold[2:])
+
+    def test_runs_are_bit_identical(self):
+        state0 = wavelet_state(128, slope=0.9)
+        grid = state0.grid
+        strip = default_strip_config(grid, num_layers=32)
+        cfg = EvolutionConfig("nonlinear", dt=2e-4, t_end=1.2e-3, grid=grid, strip=strip)
+        first, second = run(state0.h, cfg), run(state0.h, cfg)
+        assert first.times == second.times and first.iterations == second.iterations
+        for a, b in zip(first.states, second.states):
+            assert np.array_equal(a.h.samples, b.h.samples)
+        assert triad_series(first, strip) == triad_series(second, strip)
 
 
 class TestKernelMask:

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from mslab import field as field_module
-from mslab.errors import CrossCheckFailure, SlopeGateViolation, ZeroModeNonzero
+from mslab.errors import CrossCheckFailure, SlopeGateViolation, SolverDivergence, ZeroModeNonzero
 from mslab.field import (
+    ExteriorResponse,
+    FieldHistory,
     HalfStripField,
     StripConfig,
     default_strip_config,
@@ -16,6 +18,7 @@ from mslab.field import (
 )
 from mslab.geometry import build_state, to_arclength
 from mslab.spectral import Grid, SpectralProfile, seminorm
+from conftest import wavelet_state
 
 
 L = 2.0 * np.pi
@@ -191,6 +194,111 @@ def mode3_setup():
     return grid, state, strip, fields, eps, k
 
 
+class TestGmresGuess:
+    """The start contract of ``_gmres`` on a small nonsymmetric system."""
+
+    @pytest.fixture
+    def system(self, rng):
+        n = 30
+        a = np.eye(n) * 4.0 + rng.standard_normal((n, n)) / np.sqrt(n)
+        exact = rng.standard_normal(n)
+        return (lambda u: a @ u), (lambda r: r.copy()), a @ exact, exact
+
+    def test_zero_data_give_zeros_whatever_the_guess(self, system, rng):
+        operator, precondition, rhs, _ = system
+        solution, iterations = field_module._gmres(
+            operator, precondition, np.zeros_like(rhs), rng.standard_normal(rhs.size)
+        )
+        assert iterations == 0
+        assert np.array_equal(solution, np.zeros_like(rhs))
+
+    def test_guess_no_better_than_zero_is_dropped(self, system, rng):
+        operator, precondition, rhs, _ = system
+        cold, cold_iterations = field_module._gmres(operator, precondition, rhs)
+        guess = 1e3 * rng.standard_normal(rhs.size)
+        assert np.linalg.norm(rhs - operator(guess)) >= np.linalg.norm(rhs)
+        warm, warm_iterations = field_module._gmres(operator, precondition, rhs, guess)
+        assert warm_iterations == cold_iterations
+        assert np.array_equal(warm, cold)
+
+    def test_good_guess_meets_the_same_absolute_target(self, system, rng):
+        operator, precondition, rhs, exact = system
+        _, cold_iterations = field_module._gmres(operator, precondition, rhs)
+        guess = exact + 1e-6 * rng.standard_normal(rhs.size)
+        kept = guess.copy()
+        warm, warm_iterations = field_module._gmres(operator, precondition, rhs, guess)
+        assert warm_iterations < cold_iterations
+        assert np.array_equal(guess, kept)
+        # the Arnoldi residual estimate is the stopping test; the true
+        # residual agrees with it to round-off of |rhs|
+        limit = (field_module.GMRES_TOLERANCE + 1e-14) * np.linalg.norm(rhs)
+        assert np.linalg.norm(rhs - operator(warm)) <= limit
+
+    def test_exact_guess_is_returned_without_iterating(self, system):
+        operator, precondition, rhs, exact = system
+        assert np.array_equal(rhs - operator(exact), np.zeros_like(rhs))
+        solution, iterations = field_module._gmres(operator, precondition, rhs, exact)
+        assert iterations == 0
+        assert np.array_equal(solution, exact) and solution is not exact
+
+    def test_divergence_reports_residual_relative_to_rhs(self, system, rng, monkeypatch):
+        operator, precondition, rhs, exact = system
+        monkeypatch.setattr(field_module, "GMRES_MAX_ITERATIONS", 1)
+        guess = exact + 1e-3 * rng.standard_normal(rhs.size)
+        r0 = rhs - operator(guess)
+        ar0 = operator(r0)
+        # one GMRES step minimizes |r0 - t A r0| over t
+        r1 = np.sqrt(np.linalg.norm(r0) ** 2 - np.vdot(r0, ar0) ** 2 / np.linalg.norm(ar0) ** 2)
+        with pytest.raises(SolverDivergence) as info:
+            field_module._gmres(operator, precondition, rhs, guess)
+        reported = float(str(info.value).rsplit(" ", 1)[-1])
+        assert reported == pytest.approx(r1 / np.linalg.norm(rhs), rel=1e-3)
+        assert abs(reported - r1 / np.linalg.norm(r0)) > 0.5 * r1 / np.linalg.norm(r0)
+
+
+class TestWarmStart:
+    @pytest.fixture(scope="class")
+    def pair(self):
+        """A steep wavelet and its neighbour at 98 percent of the slope."""
+        return wavelet_state(256, slope=0.9), wavelet_state(256, slope=0.882)
+
+    def test_neighbour_guess_matches_the_cold_solve(self, pair):
+        state, neighbour = pair
+        strip = default_strip_config(state.grid, num_layers=48)
+        kappa = state.curvature.samples
+        top = np.full(kappa.size, kappa.mean())
+        for side, near in zip(("plus", "minus"), solve_exterior_fields(neighbour, strip)):
+            args = (state.grid, state.slope.samples, kappa, strip, side, top)
+            cold = solve_strip(*args)
+            warm = solve_strip(*args, guess=near.values[1:-1])
+            scale = np.abs(cold.values).max()
+            assert np.abs(warm.values - cold.values).max() <= 1e-11 * scale
+            assert warm.iterations < cold.iterations
+
+    def test_history_rotates_two_buffers_per_side(self, pair):
+        strip = default_strip_config(pair[0].grid, num_layers=48)
+        slopes = (0.9, 0.89, 0.88, 0.87)
+        solved = [solve_exterior_fields(wavelet_state(256, slope=s), strip) for s in slopes]
+        interiors = [[f.values[1:-1] for f in fields] for fields in solved]
+        history = FieldHistory()
+        assert history.guesses() == (None, None)
+        history.record(solved[0])
+        for g, u in zip(history.guesses(), interiors[0]):
+            assert g.dtype == np.float32 and np.array_equal(g, u.astype(np.float32))
+        history.record(solved[1])
+        buffers = set()
+        for step in (2, 3):
+            guesses = history.guesses()
+            for g, new, old in zip(guesses, interiors[step - 1], interiors[step - 2]):
+                # single-precision buffers: a few float32 ulps of max|u|
+                assert np.allclose(g, 2.0 * new - old, rtol=0.0, atol=1e-6 * np.abs(new).max())
+            buffers.update(id(g) for g in guesses)
+            history.record(solved[step])
+        assert len(buffers) == 4
+        for g in history.guesses():
+            assert id(g) in buffers
+
+
 class TestNormalVelocity:
     def test_linearized_dtn(self, mode3_setup):
         grid, state, strip, fields, eps, k = mode3_setup
@@ -290,6 +398,18 @@ class TestExteriorResponse:
         assert response.dissipation == dissipation(fields, state)
         assert exterior_response(state, strip) is response
         assert list(state.exterior) == [strip]
+
+    def test_keeps_no_field_array(self):
+        grid = Grid(L, 64)
+        state = make_state(grid, 0.2 * np.sin(grid.nodes))
+        strip = StripConfig(depth=9.2, num_layers=32, grading=16.0)
+        response = exterior_response(state, strip, FieldHistory())
+        assert isinstance(response, ExteriorResponse)
+        arrays = [response.velocity.samples, response.velocity.coeffs]
+        arrays += [v for v in response if isinstance(v, np.ndarray)]
+        assert max(np.size(a) for a in arrays) <= grid.num_points
+        scalars = (response.boundary, response.volume, *response.iterations, *response.residuals)
+        assert all(np.ndim(v) == 0 for v in scalars)
 
 
 class TestFieldInvariants:
