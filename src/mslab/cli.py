@@ -159,7 +159,7 @@ def cmd_verify(args):
     return EXIT_OK if payload["overall_pass"] else EXIT_VERIFY_FAILED
 
 
-def fit_loglog_slope(times, values, residual_max=SLOPE_FIT_RESIDUAL_MAX):
+def fit_loglog_slope(times, values):
     """Least-squares slope of log(value) against log(t).
 
     Returns the sentinel string 'exponential' when the fit residual says
@@ -173,7 +173,7 @@ def fit_loglog_slope(times, values, residual_max=SLOPE_FIT_RESIDUAL_MAX):
         return "insufficient"
     coeffs = np.polyfit(t, v, 1)
     residual = float(np.sqrt(np.mean((np.polyval(coeffs, t) - v) ** 2)))
-    if residual > residual_max:
+    if residual > SLOPE_FIT_RESIDUAL_MAX:
         return "exponential"
     return float(coeffs[0])
 

@@ -106,6 +106,8 @@ def _parse_checks(raw, path):
         return DEFAULT_CHECKS
     if not isinstance(raw, list):
         raise ConfigError(path, "expected a list of {name, threshold} objects")
+    if not raw:
+        raise ConfigError(path, "the check list is empty; omit it to run every check")
     out = {}
     for i, item in enumerate(raw):
         ipath = f"{path}[{i}]"

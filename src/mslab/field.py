@@ -3,11 +3,12 @@
 The harmonic field f (Laplace off the interface, f = curvature on it) is
 computed after straightening each phase onto a half-strip with the change
 of variable zt = z - h(x).  The straightened operator is the uniformly
-elliptic -div(a grad f) with a = J^T J, J = [[1, -h_x], [0, 1]]; the lower
-phase is mirrored onto zt >= 0, which flips the sign of the off-diagonal
-coupling.  The strip is truncated at depth Z, where the field takes the
-x-mean of the boundary data as Dirichlet data: that constant is its own
-half-plane harmonic extension, and the decaying remainder vanishes there.
+elliptic -div(a grad f) with a = J^T J, J = [[1, -h_x], [0, 1]].  The
+lower phase is the upper phase of the mirrored interface -h, so one
+half-strip problem, solved with the slopes h_x and -h_x, serves both.  The
+strip is truncated at depth Z, where the field takes the x-mean of the
+boundary data as Dirichlet data: that constant is its own half-plane
+harmonic extension, and the decaying remainder vanishes there.
 
 Discretization: second-order finite differences on a tensor grid, periodic
 in x, geometrically graded toward zt = 0 through the smooth map
@@ -35,7 +36,7 @@ import numpy as np
 
 from .errors import CrossCheckFailure, SlopeGateViolation, SolverDivergence
 from .geometry import sup_slope
-from .spectral import Grid, SpectralProfile, derivative
+from .spectral import SpectralProfile, derivative
 
 #: GMRES stops once the 2-norm residual falls to this fraction of |b|
 GMRES_TOLERANCE = 1e-12
@@ -98,7 +99,7 @@ def default_strip_config(grid, num_layers=64):
 
 
 class HalfStripField(NamedTuple):
-    """Solved field on one straightened half-strip.
+    """Solved field on one straightened upper half-strip.
 
     ``values`` has shape (num_layers+1, N) and is read-only; row 0 is the
     boundary data, the last row the truncation level.  ``iterations`` and
@@ -106,10 +107,8 @@ class HalfStripField(NamedTuple):
     of the solve that produced the field.
     """
 
-    side: str
     values: np.ndarray
     strip: StripConfig
-    grid: Grid
     iterations: int
     residual: float
 
@@ -235,25 +234,24 @@ def _gmres(operator, precondition, rhs, guess=None):
     return solution, k
 
 
-def solve_strip(grid, hx_samples, data, strip, side="plus", top_data=None, guess=None):
+def solve_strip(grid, hx_samples, data, strip, top_data=None, guess=None):
     """Matrix-free solve of the straightened problem with prescribed boundary data.
 
-    ``data`` is imposed at zt = 0 and ``top_data`` (default zero) at the
-    truncation depth.  The 9-point operator acts as a stencil on the
-    interior levels and is inverted by GMRES, right-preconditioned with the
-    exact flat-interface inverse (FFT in x, Thomas in eta); no matrix is
-    assembled or factorized.  ``guess``, an (num_layers-1, N) array of
-    interior values, is where GMRES starts; it changes the iteration count,
-    not the target.  The solve must meet the residual gate
-    max|A u - b| <= 1e-8 * max(1, max|b|), and the returned field records
-    its iteration count and that residual.  This is the raw kernel behind
-    :func:`solve_exterior_fields`; tests drive it with synthetic data.
+    The field lives above the interface of slope ``hx_samples``; the phase
+    below is the same problem for the slope -h_x.  ``data`` is imposed at
+    zt = 0 and ``top_data`` (default zero) at the truncation depth.  The
+    9-point operator acts as a stencil on the interior levels and is
+    inverted by GMRES, right-preconditioned with the exact flat-interface
+    inverse (FFT in x, Thomas in eta); no matrix is assembled or
+    factorized.  ``guess``, an (num_layers-1, N) array of interior values,
+    is where GMRES starts; it changes the iteration count, not the target.
+    The solve must meet the residual gate max|A u - b| <= 1e-8 * max(1,
+    max|b|), and the returned field records its iteration count and that
+    residual.  This is the raw kernel behind :func:`solve_exterior_fields`;
+    tests drive it with synthetic data.
     """
-    if side not in ("plus", "minus"):
-        raise ValueError("side must be 'plus' or 'minus'")
     n = grid.num_points
     m = strip.num_layers
-    s = 1.0 if side == "plus" else -1.0
     hx = np.asarray(hx_samples, dtype=float)
     data = np.asarray(data, dtype=float)
     hxx = derivative(SpectralProfile.from_samples(grid, hx), 1).samples
@@ -263,8 +261,8 @@ def solve_strip(grid, hx_samples, data, strip, side="plus", top_data=None, guess
     inv_jac, a, b = _eta_coefficients(strip)
     one_hx2 = (1.0 + hx**2)[None, :]
     coef_a = one_hx2 * a
-    coef_b = s * hxx[None, :] * inv_jac + one_hx2 * b
-    cross = s * hx[None, :] * inv_jac / (2.0 * dx * deta)
+    coef_b = hxx[None, :] * inv_jac + one_hx2 * b
+    cross = hx[None, :] * inv_jac / (2.0 * dx * deta)
 
     c_center = 2.0 / dx**2 + 2.0 * coef_a / deta**2
     c_ew = -1.0 / dx**2
@@ -303,11 +301,12 @@ def solve_strip(grid, hx_samples, data, strip, side="plus", top_data=None, guess
         )
     values[1:m] = solution
     values.setflags(write=False)
-    return HalfStripField(side, values, strip, grid, iterations, float(residual))
+    return HalfStripField(values, strip, iterations, float(residual))
 
 
-def solve_exterior_fields(state, cfg, guesses=(None, None)):
-    """Solve both half-strips with the curvature as Dirichlet data.
+def solve_exterior_fields(state, strip, guesses=(None, None)):
+    """Solve the (upper, lower) phases, :func:`solve_strip` with the
+    slopes (h_x, -h_x), with the curvature as Dirichlet data.
 
     The x-mean of the curvature extends harmonically as a constant, so it
     is the data at the truncation depth; a constant solves the discrete
@@ -319,11 +318,12 @@ def solve_exterior_fields(state, cfg, guesses=(None, None)):
         raise SlopeGateViolation(
             f"exterior solve requires sup|h_x| <= 1, got {sup_slope(state):.6f}"
         )
+    hx = state.slope.samples
     kappa = state.curvature.samples
     top = np.full(state.grid.num_points, kappa.mean())
     return tuple(
-        solve_strip(state.grid, state.slope.samples, kappa, cfg, side, top, guess)
-        for side, guess in zip(("plus", "minus"), guesses)
+        solve_strip(state.grid, slope, kappa, strip, top, guess)
+        for slope, guess in zip((hx, -hx), guesses)
     )
 
 
@@ -413,15 +413,15 @@ def _simpson_weights(m):
 
 def _response(fields, state):
     volume = 0.0
-    for field in fields:
-        s = 1.0 if field.side == "plus" else -1.0
+    # the (plus, minus) fields were solved with the slopes (h_x, -h_x)
+    for s, field in zip((1.0, -1.0), fields):
         strip = field.strip
         m = strip.num_layers
         jac = strip.jacobian()
-        fx = _row_x_derivative(field.values, field.grid)
+        fx = _row_x_derivative(field.values, state.grid)
         fzeta = _eta_derivative(field.values, 1.0 / m) / jac[:, None]
         comp1 = fx - s * state.slope.samples[None, :] * fzeta
-        density = (comp1**2 + fzeta**2).sum(axis=1) * field.grid.spacing
+        density = (comp1**2 + fzeta**2).sum(axis=1) * state.grid.spacing
         # Simpson in eta: dz = J deta with the exact Jacobian of the grading map
         volume += float((_simpson_weights(m) * jac / m) @ density)
 

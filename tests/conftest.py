@@ -73,9 +73,11 @@ def panel_sweep_H(state):
     """Squared distance H by the per-panel carry loop, the reference for
     the blocked sweep of ``mslab.diagnostics.compute_H``.
 
-    Same closed-form panel integrals, but the whole (panels x modes) arrays
-    are built at once and the carry runs through a Python loop over the
-    panels, one product of decays at a time, with no scaled exponentials.
+    Same closed-form panel integrals and the same decay recursion for the
+    carry, but written out independently: the whole (panels x modes)
+    arrays are built at once, the active columns come from the interval
+    between min(h, 0) and max(h, 0), and the same-panel and cross-panel
+    sums are kept apart in their own units.
     """
     h = state.h
     samples = h.samples

@@ -151,7 +151,7 @@ def test_criterion_4_gradient_flow_identity(standard_run):
 
 
 def test_criterion_5_lyapunov(standard_run):
-    rep = check_lyapunov(standard_run, epsilon=1e-3, step_tol=1e-3)
+    rep = check_lyapunov(standard_run, step_tol=1e-3)
     entered = min(s.E2D for s in standard_run) <= 1e-3
     report(5, "Lyapunov E^2 D nonincreasing", entered and rep.passed)
 

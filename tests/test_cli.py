@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -183,6 +184,19 @@ class TestConfigValidation:
         del evolution["strip"]
         parsed = parse_config({"initial_data": initial, "evolution": evolution}).evolution
         assert parsed.strip == default_strip_config(grid)
+
+    def test_empty_check_list_exit_2(self, tmp_path, capsys):
+        # an empty list would verify nothing and report a pass
+        path, _ = small_config(tmp_path, checks=[])
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert err.value.path == "checks"
+        assert main([
+            "verify", "--traj", str(tmp_path / "triad.csv"), "--config", str(path),
+            "--out", str(tmp_path / "report.json"),
+        ]) == 2
+        assert "config error at checks" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
 
     def test_cli_exit_code_on_bad_config(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -379,6 +393,19 @@ class TestVerify:
         code, _ = self._verify(tmp_path, config_path, rows)
         assert code == 2
         assert "cadence" in capsys.readouterr().err
+
+    def test_shared_time_exit_2(self, tmp_path, triad_csv, capsys):
+        # rows that all carry one t leave no time step to difference over
+        config_path, csv_path = triad_csv
+        rows = csv_path.read_text().strip().splitlines()
+        for i in range(1, len(rows)):
+            rows[i] = ",".join(["0.5"] + rows[i].split(",")[1:])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, report_path = self._verify(tmp_path, config_path, rows)
+        assert code == 2
+        assert "equal or decreasing t" in capsys.readouterr().err
+        assert not report_path.exists()
 
     def test_regime_not_entered_is_skip(self, tmp_path, triad_csv, capsys):
         config_path, csv_path = triad_csv

@@ -130,23 +130,13 @@ class TestSolveStrip:
         with pytest.raises(SlopeGateViolation):
             solve_exterior_fields(state, strip)
 
-    def test_unknown_side_rejected_before_the_solve(self, monkeypatch):
-        def no_solve(*args):
-            raise AssertionError("GMRES ran for a side that does not exist")
-
-        monkeypatch.setattr(field_module, "_gmres", no_solve)
-        grid = Grid(L, 64)
-        strip = StripConfig(depth=9.2, num_layers=24, grading=16.0)
-        with pytest.raises(ValueError, match="side"):
-            solve_strip(grid, np.zeros(64), np.cos(grid.nodes), strip, side="lower")
-
     def test_result_is_a_read_only_record(self):
         grid = Grid(L, 64)
         strip = StripConfig(depth=9.2, num_layers=24, grading=16.0)
-        field = solve_strip(grid, 0.5 * np.cos(grid.nodes), np.sin(grid.nodes), strip, "minus")
+        field = solve_strip(grid, -0.5 * np.cos(grid.nodes), np.sin(grid.nodes), strip)
         assert isinstance(field, HalfStripField)
-        assert field._fields == ("side", "values", "strip", "grid", "iterations", "residual")
-        assert (field.side, field.strip, field.grid) == ("minus", strip, grid)
+        assert field._fields == ("values", "strip", "iterations", "residual")
+        assert field.strip == strip
         assert not field.values.flags.writeable
         with pytest.raises(AttributeError):
             field.values = np.zeros_like(field.values)
@@ -157,13 +147,12 @@ class TestSolveStrip:
         grid = Grid(L, 128)
         state = make_state(grid, 0.9 * np.sin(grid.nodes) + 0.05 * np.cos(3 * grid.nodes))
         strip = StripConfig(depth=9.2, num_layers=32, grading=16.0)
+        hx = state.slope.samples
         kappa = state.curvature.samples
         mean = kappa.mean()
         pair = solve_exterior_fields(state, strip)
-        for field, side in zip(pair, ("plus", "minus")):
-            split = solve_strip(grid, state.slope.samples, kappa - mean, strip, side).values
-            split = split + mean
-            assert field.side == side
+        for field, slope in zip(pair, (hx, -hx)):
+            split = solve_strip(grid, slope, kappa - mean, strip).values + mean
             assert np.abs(field.values - split).max() <= 1e-12 * np.abs(split).max()
             assert np.all(field.values[-1] == mean)
 
@@ -177,9 +166,9 @@ class TestSolveStrip:
         hx = state.slope.samples
         data = state.curvature.samples + 0.7
         mean = data.mean()
-        for side in ("plus", "minus"):
-            field = solve_strip(grid, hx, data, strip, side, top_data=np.full(128, mean))
-            split = solve_strip(grid, hx, data - mean, strip, side).values + mean
+        for slope in (hx, -hx):
+            field = solve_strip(grid, slope, data, strip, top_data=np.full(128, mean))
+            split = solve_strip(grid, slope, data - mean, strip).values + mean
             assert np.abs(field.values - split).max() <= 1e-11 * np.abs(split).max()
             assert np.array_equal(field.values[0], data)
 
@@ -265,10 +254,11 @@ class TestWarmStart:
     def test_neighbour_guess_matches_the_cold_solve(self, pair):
         state, neighbour = pair
         strip = default_strip_config(state.grid, num_layers=48)
+        hx = state.slope.samples
         kappa = state.curvature.samples
         top = np.full(kappa.size, kappa.mean())
-        for side, near in zip(("plus", "minus"), solve_exterior_fields(neighbour, strip)):
-            args = (state.grid, state.slope.samples, kappa, strip, side, top)
+        for slope, near in zip((hx, -hx), solve_exterior_fields(neighbour, strip)):
+            args = (state.grid, slope, kappa, strip, top)
             cold = solve_strip(*args)
             warm = solve_strip(*args, guess=near.values[1:-1])
             scale = np.abs(cold.values).max()
@@ -335,6 +325,18 @@ class TestNormalVelocity:
             assert np.abs(v - reflected).max() <= 1e-8 * max(np.abs(v).max(), 1e-30)
         else:
             assert np.abs(v + reflected).max() <= 1e-8 * max(np.abs(v).max(), 1e-30)
+
+    def test_mirror_symmetry(self):
+        # the lower phase of h is the upper phase of -h, so mirroring the
+        # interface flips V bit for bit and swaps the two strip solves
+        state = wavelet_state(256, slope=0.9)
+        mirror = make_state(state.grid, -state.h.samples)
+        strip = default_strip_config(state.grid, num_layers=48)
+        up, down = exterior_response(state, strip), exterior_response(mirror, strip)
+        assert np.array_equal(down.velocity.samples, -up.velocity.samples)
+        assert (down.boundary, down.volume) == (up.boundary, up.volume)
+        assert down.iterations == up.iterations[::-1]
+        assert down.residuals == up.residuals[::-1]
 
 
 class TestDissipation:
