@@ -58,14 +58,16 @@ class EvolutionConfig:
 class Trajectory:
     """Time-ordered snapshots plus the reason the run ended.
 
-    ``iterations`` holds the (plus, minus) GMRES iteration counts of the
-    exterior solve behind every nonlinear step, snapshot or not.
+    ``iterations`` and ``residuals`` hold the (plus, minus) GMRES
+    iteration counts and max-norm residuals of the exterior solve behind
+    every nonlinear step, snapshot or not.
     """
 
     times: list = dataclass_field(default_factory=list)
     states: list = dataclass_field(default_factory=list)
     status: str = "completed"
     iterations: list = dataclass_field(default_factory=list)
+    residuals: list = dataclass_field(default_factory=list)
 
     def append(self, t, state):
         if self.times and t <= self.times[-1]:
@@ -130,7 +132,8 @@ def run(h0, cfg):
     times; the nonlinear engine steps with :func:`nonlinear_step`.  Its
     loop owns a :class:`~mslab.field.FieldHistory`, so each exterior solve
     after the first starts GMRES from the fields of the last two states;
-    the iteration counts of every step go to ``Trajectory.iterations``.  A gate
+    the iteration counts and residuals of every step go to
+    ``Trajectory.iterations`` and ``Trajectory.residuals``.  A gate
     violation or solver failure halts the run with the matching status
     instead of raising.  A profile that passes the mean-zero gate is
     projected to an exact zero mode before the first state is built.
@@ -173,6 +176,7 @@ def run(h0, cfg):
             traj.status = "solver_failure"
             return traj
         traj.iterations.append(response.iterations)
+        traj.residuals.append(response.residuals)
         if snapshot:
             traj.append(t, state)
     return traj

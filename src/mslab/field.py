@@ -17,8 +17,9 @@ Jacobian gives the one set of eta-coefficients (:func:`_eta_coefficients`)
 that the operator and its preconditioner share.  The 9-point operator is applied
 as a stencil, never assembled, and inverted by matrix-free GMRES
 right-preconditioned with the exact inverse of the flat (h = 0) operator:
-an FFT in x leaves one tridiagonal system in eta per mode (Concus & Golub,
-SIAM J. Numer. Anal. 10, 1973).  There is no direct factorization.
+an FFT in x and the eigenvectors of the tridiagonal eta-operator
+diagonalise it (fast diagonalisation; Lynch, Rice & Thomas, Numer. Math.
+6, 1964).  There is no direct factorization.
 :func:`exterior_response` is the one place that decides when a state is
 solved: at most once per strip, keeping only the normal velocity, the two
 dissipation values and the solver statistics on the state.  A stepping
@@ -69,6 +70,9 @@ class StripConfig:
             raise ValueError("need at least 16 layers")
         if self.grading < 1.0:
             raise ValueError("grading must be >= 1")
+        if np.log(self.grading) >= 2 * self.num_layers:
+            # the eta-stencil's coefficient of the level above would turn nonnegative
+            raise ValueError("grading must satisfy log(grading) < 2*num_layers")
 
     @property
     def alpha(self):
@@ -129,42 +133,39 @@ def _flat_inverse(grid, strip):
 
     In x the operator is the periodic second difference, diagonal in the
     discrete Fourier basis with symbol (2 - 2cos(k dx))/dx^2; in eta it is
-    tridiagonal with the coefficients of :func:`_eta_coefficients`.  Each
-    of the N/2+1 real-FFT columns is one tridiagonal system, and one Thomas
-    sweep solves them all.  The factors depend only on the grid and the
-    strip, so they are built once per pair and shared, read-only, by every
-    solve.
+    the tridiagonal T of :func:`_eta_coefficients`.  Each pair of
+    off-diagonals of T has a positive product (:class:`StripConfig` keeps
+    log(grading) < 2 num_layers), so T = D Q diag(lam) Q^T D^-1 with D
+    diagonal and Q, lam the eigenvectors and eigenvalues of the symmetric
+    tridiagonal D^-1 T D (fast diagonalisation; Lynch, Rice & Thomas,
+    Numer. Math. 6, 1964).  An apply is one real matmul by Q^T D^-1, an
+    FFT in x, a division by lam + symbol, the inverse FFT and a matmul by
+    D Q.  The factors depend only on the grid and the strip, so they are
+    built once per pair and shared, read-only, by every solve.
     """
     n = grid.num_points
     m = strip.num_layers
     dx = grid.spacing
     deta = 1.0 / m
     _, a, b = _eta_coefficients(strip)
+    a, b = a[:, 0], b[:, 0]
+    upper = -a / deta**2 + b / (2.0 * deta)  # coefficient of the level above
+    lower = -a / deta**2 - b / (2.0 * deta)  # coefficient of the level below
+    # D^-1 T D is symmetric when (d_{i+1}/d_i)^2 = lower_{i+1}/upper_i
+    d = np.concatenate(([1.0], np.cumprod(np.sqrt(lower[1:] / upper[:-1]))))
+    off = -np.sqrt(upper[:-1] * lower[1:])
+    lam, q = np.linalg.eigh(np.diag(2.0 * a / deta**2) + np.diag(off, 1) + np.diag(off, -1))
+    to_modes = q.T / d[None, :]
+    from_modes = d[:, None] * q
     k = 2.0 * np.pi * np.fft.rfftfreq(n, d=dx)
-    diag = 2.0 * a / deta**2 + (2.0 - 2.0 * np.cos(k * dx))[None, :] / dx**2
-    upper = -a / deta**2 + b / (2.0 * deta)
-    lower = -a / deta**2 - b / (2.0 * deta)
-
-    pivot = np.empty_like(diag)  # reciprocal Thomas pivots
-    ratio = np.empty_like(diag)  # eliminated upper diagonal, divided by the pivot
-    elim = np.zeros_like(diag)  # forward elimination multipliers
-    pivot[0] = 1.0 / diag[0]
-    ratio[0] = upper[0] * pivot[0]
-    for r in range(1, m - 1):
-        elim[r] = lower[r] * pivot[r - 1]
-        pivot[r] = 1.0 / (diag[r] - lower[r] * ratio[r - 1])
-        ratio[r] = upper[r] * pivot[r]
-    for factor in (pivot, ratio, elim):
+    inv_symbol = 1.0 / (lam[:, None] + (2.0 - 2.0 * np.cos(k * dx))[None, :] / dx**2)
+    for factor in (to_modes, from_modes, inv_symbol):
         factor.setflags(write=False)
 
     def apply(residual):
-        y = np.fft.rfft(residual, axis=1)
-        for r in range(1, m - 1):
-            y[r] -= elim[r] * y[r - 1]
-        y *= pivot
-        for r in range(m - 3, -1, -1):
-            y[r] -= ratio[r] * y[r + 1]
-        return np.fft.irfft(y, n, axis=1)
+        y = np.fft.rfft(to_modes @ residual, axis=1)
+        y *= inv_symbol
+        return from_modes @ np.fft.irfft(y, n, axis=1)
 
     return apply
 
@@ -242,7 +243,7 @@ def solve_strip(grid, hx_samples, data, strip, top_data=None, guess=None):
     zt = 0 and ``top_data`` (default zero) at the truncation depth.  The
     9-point operator acts as a stencil on the interior levels and is
     inverted by GMRES, right-preconditioned with the exact flat-interface
-    inverse (FFT in x, Thomas in eta); no matrix is assembled or
+    inverse (FFT in x, eigenvectors in eta); no matrix is assembled or
     factorized.  ``guess``, an (num_layers-1, N) array of interior values,
     is where GMRES starts; it changes the iteration count, not the target.
     The solve must meet the residual gate max|A u - b| <= 1e-8 * max(1,
@@ -270,15 +271,15 @@ def solve_strip(grid, hx_samples, data, strip, top_data=None, guess=None):
     c_s = -coef_a / deta**2 - coef_b / (2.0 * deta)
 
     def stencil(full):
-        """The operator on the interior rows of an (m+1, N) level array."""
-        mid, up, down = full[1:m], full[2:], full[: m - 1]
-        across = up - down  # the four corners share one coefficient up to sign
+        """The operator on the interior rows of an (m+1, N+2) level array
+        whose first and last columns repeat the periodic neighbours."""
+        across = full[2:] - full[: m - 1]  # the four corners share one coefficient up to sign
         return (
-            c_center * mid
-            + c_ew * (np.roll(mid, -1, axis=1) + np.roll(mid, 1, axis=1))
-            + c_n * up
-            + c_s * down
-            + cross * (np.roll(across, -1, axis=1) - np.roll(across, 1, axis=1))
+            c_center * full[1:m, 1:-1]
+            + c_ew * (full[1:m, 2:] + full[1:m, :-2])
+            + c_n * full[2:, 1:-1]
+            + c_s * full[: m - 1, 1:-1]
+            + cross * (across[:, 2:] - across[:, :-2])
         )
 
     values = np.zeros((m + 1, n))
@@ -286,11 +287,13 @@ def solve_strip(grid, hx_samples, data, strip, top_data=None, guess=None):
     if top_data is not None:
         values[m] = top_data
     # Dirichlet neighbours move to the right-hand side
-    rhs = -stencil(values)
-    interior = np.zeros((m + 1, n))
+    rhs = -stencil(np.pad(values, ((0, 0), (1, 1)), mode="wrap"))
+    interior = np.zeros((m + 1, n + 2))
 
     def operator(u):
-        interior[1:m] = u
+        interior[1:m, 1:-1] = u
+        interior[1:m, 0] = u[:, -1]
+        interior[1:m, -1] = u[:, 0]
         return stencil(interior)
 
     solution, iterations = _gmres(operator, _flat_inverse(grid, strip), rhs, guess)

@@ -163,6 +163,14 @@ class TestConfigValidation:
         assert "evolution" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_grading_beyond_the_layers_exit_2(self, tmp_path, capsys):
+        # log(1e15) = 34.5 >= 2*16: the eta-stencil would lose its signs
+        path, _ = small_config(tmp_path, evolution={"strip": {"num_layers": 16, "grading": 1e15}})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+        assert "evolution.strip" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_omitted_keys_take_the_dataclass_defaults(self):
         grid = Grid(16.0, 64)
         evolution = {

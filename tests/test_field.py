@@ -46,6 +46,12 @@ class TestStripConfig:
             StripConfig(depth=1.0, num_layers=8)
         with pytest.raises(ValueError):
             StripConfig(depth=1.0, num_layers=32, grading=0.5)
+        # at log(grading) = 2*num_layers the eta-stencil's upper coefficient is zero
+        with pytest.raises(ValueError):
+            StripConfig(depth=4.0, num_layers=16, grading=float(np.exp(32.0)))
+        with pytest.raises(ValueError):
+            StripConfig(depth=4.0, num_layers=16, grading=1e15)
+        StripConfig(depth=4.0, num_layers=16, grading=float(np.exp(31.9)))
 
     def test_levels_are_geometric(self):
         strip = StripConfig(depth=4.0, num_layers=32, grading=16.0)
