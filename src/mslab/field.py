@@ -14,20 +14,24 @@ Discretization: second-order finite differences on a tensor grid, periodic
 in x, geometrically graded toward zt = 0 through the smooth map
 zt = Z*(exp(alpha*eta)-1)/(exp(alpha)-1) of :class:`StripConfig`, whose
 Jacobian gives the one set of eta-coefficients (:func:`_eta_coefficients`)
-that the operator and its preconditioner share.  The 9-point operator is applied
-as a stencil, never assembled, and inverted by matrix-free GMRES
+that the operator and its preconditioner share.  The 9-point operator is
+applied as a stencil, never assembled, summed into buffers made once per
+system; the Dirichlet data enter the right-hand side through the two rows
+next to the boundary levels alone.  It is inverted by matrix-free GMRES
 right-preconditioned with the exact inverse of the flat (h = 0) operator:
 an FFT in x and the eigenvectors of the tridiagonal eta-operator
 diagonalise it (fast diagonalisation; Lynch, Rice & Thomas, Numer. Math.
 6, 1964).  There is no direct factorization.
 :func:`exterior_response` is the one place that decides when a state is
 solved: at most once per strip, keeping only the normal velocity, the two
-dissipation values and the solver statistics on the state.  A stepping
-loop may pass it a :class:`FieldHistory`; GMRES then starts from the
-combination of the fields of the last :data:`START_FIELDS` solved states
-whose residual under the current operator is least (Fischer, Comput.
-Methods Appl. Mech. Engrg. 163, 1998; Parks et al., SIAM J. Sci. Comput.
-28, 2006) and stops at the same absolute residual as from zero.
+dissipation values and the solver statistics on the state.  The volume
+quadrature behind the dissipation's cross-check is made only for states
+that the caller keeps.  A stepping loop may pass it a
+:class:`FieldHistory`; GMRES then starts from the combination of the
+fields of the last :data:`START_FIELDS` solved states whose residual under
+the current operator is least (Fischer, Comput. Methods Appl. Mech.
+Engrg. 163, 1998; Parks et al., SIAM J. Sci. Comput. 28, 2006) and stops
+at the same absolute residual as from zero.
 """
 
 from dataclasses import dataclass
@@ -283,11 +287,52 @@ def _gmres(operator, precondition, rhs, guess=None):
     return plus_start(precondition(np.tensordot(y, basis[:k], axes=1))), k
 
 
+class _StripOperator:
+    """The 9-point operator on an (num_layers-1, N) array of interior values.
+
+    An apply copies u into a level array whose boundary rows stay zero and
+    whose first and last columns repeat the periodic neighbours, then sums
+    the stencil term by term into a new output array.  The level array and
+    the two work buffers are allocated once per system, so the output is
+    the only array an apply allocates.
+    """
+
+    def __init__(self, center, ew, north, south, cross):
+        m1, n = center.shape
+        self._coefficients = (center, ew, north, south, cross)
+        self._levels = np.zeros((m1 + 2, n + 2))
+        self._across = np.empty((m1, n + 2))
+        self._term = np.empty((m1, n))
+
+    def __call__(self, u):
+        center, ew, north, south, cross = self._coefficients
+        full, across, term = self._levels, self._across, self._term
+        full[1:-1, 1:-1] = u
+        full[1:-1, 0] = u[:, -1]
+        full[1:-1, -1] = u[:, 0]
+        out = np.multiply(center, full[1:-1, 1:-1])
+        np.add(full[1:-1, 2:], full[1:-1, :-2], out=term)
+        term *= ew
+        out += term
+        np.multiply(north, full[2:, 1:-1], out=term)
+        out += term
+        np.multiply(south, full[:-2, 1:-1], out=term)
+        out += term
+        # the four corners share one coefficient up to sign
+        np.subtract(full[2:], full[:-2], out=across)
+        np.subtract(across[:, 2:], across[:, :-2], out=term)
+        term *= cross
+        out += term
+        return out
+
+
 def _strip_system(grid, hx_samples, data, strip, top_data=None):
     """(operator, rhs, values) of the straightened problem.
 
-    ``operator`` applies the 9-point stencil to an (num_layers-1, N) array
-    of interior values, ``rhs`` carries the Dirichlet neighbours, and
+    ``operator`` is the :class:`_StripOperator` of the 9-point stencil on
+    an (num_layers-1, N) array of interior values.  ``rhs`` carries the
+    Dirichlet neighbours: only the two rows next to the boundary levels
+    see them, so it is formed from those rows alone, without an apply.
     ``values`` is the (num_layers+1, N) level array with the boundary rows
     set and zero interior.
     """
@@ -310,33 +355,17 @@ def _strip_system(grid, hx_samples, data, strip, top_data=None):
     c_n = -coef_a / deta**2 + coef_b / (2.0 * deta)
     c_s = -coef_a / deta**2 - coef_b / (2.0 * deta)
 
-    def stencil(full):
-        """The operator on the interior rows of an (m+1, N+2) level array
-        whose first and last columns repeat the periodic neighbours."""
-        across = full[2:] - full[: m - 1]  # the four corners share one coefficient up to sign
-        return (
-            c_center * full[1:m, 1:-1]
-            + c_ew * (full[1:m, 2:] + full[1:m, :-2])
-            + c_n * full[2:, 1:-1]
-            + c_s * full[: m - 1, 1:-1]
-            + cross * (across[:, 2:] - across[:, :-2])
-        )
-
     values = np.zeros((m + 1, n))
     values[0] = data
+    rhs = np.zeros((m - 1, n))
+    # a Dirichlet level reaches the interior row next to it through that
+    # row's coefficient for it and the two corners on the level
+    rhs[0] = -(c_s[0] * data + cross[0] * (np.roll(data, 1) - np.roll(data, -1)))
     if top_data is not None:
         values[m] = top_data
-    # Dirichlet neighbours move to the right-hand side
-    rhs = -stencil(np.pad(values, ((0, 0), (1, 1)), mode="wrap"))
-    interior = np.zeros((m + 1, n + 2))
-
-    def operator(u):
-        interior[1:m, 1:-1] = u
-        interior[1:m, 0] = u[:, -1]
-        interior[1:m, -1] = u[:, 0]
-        return stencil(interior)
-
-    return operator, rhs, values
+        top = values[m]
+        rhs[-1] = -(c_n[-1] * top + cross[-1] * (np.roll(top, -1) - np.roll(top, 1)))
+    return _StripOperator(c_center, c_ew, c_n, c_s, cross), rhs, values
 
 
 def solve_strip(grid, hx_samples, data, strip, top_data=None, guess=None):
@@ -427,20 +456,30 @@ class ExteriorResponse(NamedTuple):
 
     ``velocity`` is the normal speed V, ``boundary`` the pairing
     D_bnd = -integral kappa V ds and ``volume`` the quadrature D_vol of
-    |grad f|^2; ``iterations`` and ``residuals`` hold the GMRES iteration
-    count and max-norm residual of the (plus, minus) solves.  The field
-    arrays themselves are not kept.
+    |grad f|^2, or None for a state its caller does not keep (see
+    :func:`exterior_response`); ``iterations`` and ``residuals`` hold the
+    GMRES iteration count and max-norm residual of the (plus, minus)
+    solves.  The field arrays themselves are not kept.
     """
 
     velocity: SpectralProfile
     boundary: float
-    volume: float
+    volume: float | None
     iterations: tuple
     residuals: tuple
 
     @property
     def dissipation(self):
-        """D_bnd, after the 2 percent cross-check against D_vol."""
+        """D_bnd, after the 2 percent cross-check against D_vol.
+
+        A response built without D_vol raises instead: the check cannot
+        run, and it must not pass unseen.
+        """
+        if self.volume is None:
+            raise RuntimeError(
+                "this exterior response was built without the volume quadrature "
+                "(its state was not kept), so its dissipation cannot be cross-checked"
+            )
         scale = max(abs(self.volume), abs(self.boundary))
         if scale > 1e-14 and abs(self.volume - self.boundary) > 0.02 * scale:
             raise CrossCheckFailure(
@@ -476,7 +515,9 @@ def _simpson_weights(m):
     return w
 
 
-def _response(fields, state):
+def _volume_quadrature(fields, state):
+    """D_vol, the volume quadrature of |grad f|^2 over both phases (see
+    :func:`dissipation`)."""
     volume = 0.0
     # the (plus, minus) fields were solved with the slopes (h_x, -h_x)
     for s, field in zip((1.0, -1.0), fields):
@@ -489,7 +530,11 @@ def _response(fields, state):
         density = (comp1**2 + fzeta**2).sum(axis=1) * state.grid.spacing
         # Simpson in eta: dz = J deta with the exact Jacobian of the grading map
         volume += float((_simpson_weights(m) * jac / m) @ density)
+    return volume
 
+
+def _response(fields, state, kept=True):
+    """The :class:`ExteriorResponse` of solved fields; D_vol only if ``kept``."""
     v = normal_velocity(fields, state)
     kappa = state.curvature.samples
     boundary = -float(
@@ -498,7 +543,7 @@ def _response(fields, state):
     return ExteriorResponse(
         v,
         boundary,
-        volume,
+        _volume_quadrature(fields, state) if kept else None,
         tuple(field.iterations for field in fields),
         tuple(field.residual for field in fields),
     )
@@ -560,7 +605,7 @@ class FieldHistory:
             newest[...] = field.values[1:-1]
 
 
-def exterior_response(state, strip, history=None):
+def exterior_response(state, strip, history=None, kept=True):
     """V, D_bnd and D_vol of a state, from at most one solve per strip.
 
     The response is kept on the state, keyed by the strip, so the step
@@ -569,8 +614,13 @@ def exterior_response(state, strip, history=None):
     :class:`FieldHistory` is given, GMRES starts from the combination of
     the history's last fields with the least residual under this state's
     operator, and the new fields are recorded in it; the response and the
-    state keep no field arrays.  Reading ``.dissipation`` applies the
-    cross-check; reading ``.velocity`` does not.
+    state keep no field arrays.  The volume quadrature D_vol is read only
+    through ``.dissipation`` of a state that someone keeps, so a caller
+    that drops the state after stepping from it passes ``kept=False`` and
+    the solve skips the quadrature; that response's ``.dissipation``
+    raises, and a later call finds it cached as it is.  Reading
+    ``.dissipation`` applies the cross-check; reading ``.velocity`` does
+    not.
     """
     if strip not in state.exterior:
         if history is None:
@@ -578,7 +628,7 @@ def exterior_response(state, strip, history=None):
         else:
             fields = solve_exterior_fields(state, strip, history.guesses())
             history.record(fields)
-        state.exterior[strip] = _response(fields, state)
+        state.exterior[strip] = _response(fields, state, kept)
     return state.exterior[strip]
 
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from mslab.errors import SlopeBlowup, ZeroModeNonzero
+from mslab import field
+from mslab.errors import SlopeBlowup, SolverDivergence, ZeroModeNonzero
 from mslab.evolution import (
     MAX_STEPS,
     EvolutionConfig,
@@ -16,7 +17,7 @@ from mslab.evolution import (
     run,
 )
 from mslab.diagnostics import triad_series
-from mslab.field import StripConfig, default_strip_config, solve_exterior_fields
+from mslab.field import StripConfig, default_strip_config, dissipation, solve_exterior_fields
 from mslab.geometry import build_state, sup_slope
 from mslab.spectral import Grid, SpectralProfile, seminorm
 from conftest import band_limited_profile, wavelet_state
@@ -292,6 +293,85 @@ class TestWarmStartedRun:
         for a, b in zip(first.states, second.states):
             assert np.array_equal(a.h.samples, b.h.samples)
         assert triad_series(first, strip) == triad_series(second, strip)
+
+
+class TestRunSolvesOnlyWhatIsRead:
+    """The loop makes the volume quadrature only for the states the
+    trajectory keeps, and ends by solving its final state warm."""
+
+    N_STEPS = 12
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        state0 = wavelet_state(128, slope=0.9)
+        strip = default_strip_config(state0.grid, num_layers=32)
+        return state0, strip
+
+    def config(self, setup, output_every, engine="nonlinear"):
+        state0, strip = setup
+        return EvolutionConfig(
+            engine, dt=1e-4, t_end=self.N_STEPS * 1e-4, grid=state0.grid, strip=strip,
+            output_every=output_every,
+        )
+
+    def test_quadrature_only_for_kept_states(self, setup, monkeypatch):
+        state0, strip = setup
+        quadratures = []
+        original = field._volume_quadrature
+
+        def counting(fields, state):
+            quadratures.append(state)
+            return original(fields, state)
+
+        monkeypatch.setattr(field, "_volume_quadrature", counting)
+        kept = run(state0.h, self.config(setup, 5))
+        assert kept.status == "completed" and len(kept.iterations) == self.N_STEPS
+        # the states of steps 0, 5 and 10 inside the loop, then the final state
+        assert kept.times == pytest.approx([0.0, 5e-4, 1e-3, 1.2e-3], rel=1e-12)
+        assert len(quadratures) == 4
+        assert all(a is b for a, b in zip(quadratures, kept.states))
+
+        quadratures.clear()
+        every = run(state0.h, self.config(setup, 1))
+        assert len(quadratures) == self.N_STEPS + 1
+        assert kept.iterations == every.iterations
+        for t, state in zip(kept.times, kept.states):
+            reference = every.states[every.times.index(t)].exterior[strip].volume
+            assert abs(state.exterior[strip].volume - reference) <= 1e-13 * abs(reference)
+        samples = triad_series(kept, strip)
+        assert [sample.D for sample in samples] == [state.exterior[strip].boundary for state in kept.states]
+
+    def test_final_state_is_solved_warm(self, setup):
+        state0, strip = setup
+        traj = run(state0.h, self.config(setup, 5))
+        final = traj.states[-1]
+        response = final.exterior[strip]
+        cold = solve_exterior_fields(final, strip)
+        assert all(w < c for w, c in zip(response.iterations, (f.iterations for f in cold)))
+        assert response.dissipation == pytest.approx(dissipation(cold, final), rel=1e-11, abs=0.0)
+
+    def test_final_solve_failure_is_a_solver_failure(self, setup, monkeypatch):
+        state0, _ = setup
+        calls = [0]
+        original = field.solve_exterior_fields
+
+        def failing_last(state, strip, *rest):
+            calls[0] += 1
+            if calls[0] > self.N_STEPS:
+                raise SolverDivergence("the final solve fails")
+            return original(state, strip, *rest)
+
+        monkeypatch.setattr(field, "solve_exterior_fields", failing_last)
+        traj = run(state0.h, self.config(setup, 5))
+        assert traj.status == "solver_failure"
+        assert len(traj) == 4 and len(traj.iterations) == self.N_STEPS
+        assert not traj.states[-1].exterior
+
+    def test_linear_engine_solves_nothing(self, setup):
+        state0, _ = setup
+        traj = run(state0.h, self.config(setup, 5, engine="linear"))
+        assert len(traj) == 4
+        assert not any(state.exterior for state in traj.states)
 
 
 class TestKernelMask:

@@ -17,7 +17,7 @@ from mslab.field import (
     solve_strip,
 )
 from mslab.geometry import build_state, to_arclength
-from mslab.spectral import Grid, SpectralProfile, seminorm
+from mslab.spectral import Grid, SpectralProfile, derivative, seminorm
 from conftest import wavelet_state
 
 
@@ -36,6 +36,33 @@ def flat_mode_solution(grid, strip, k):
         1.0 - np.exp(-2.0 * k * depth)
     )
     return profile[:, None] * np.cos(k * grid.nodes)[None, :]
+
+
+def padded_stencil(grid, hx, strip, levels):
+    """The 9-point operator on the interior rows of a whole (num_layers+1, N)
+    level array, applied after wrap-padding it periodically in x; the
+    right-hand side of the strip system is minus this on the boundary rows
+    with zero interior."""
+    m = strip.num_layers
+    dx, deta = grid.spacing, 1.0 / m
+    hxx = derivative(SpectralProfile.from_samples(grid, hx), 1).samples
+    inv_jac, a, b = field_module._eta_coefficients(strip)
+    one_hx2 = (1.0 + hx**2)[None, :]
+    coef_a = one_hx2 * a
+    coef_b = hxx[None, :] * inv_jac + one_hx2 * b
+    cross = hx[None, :] * inv_jac / (2.0 * dx * deta)
+    c_center = 2.0 / dx**2 + 2.0 * coef_a / deta**2
+    c_n = -coef_a / deta**2 + coef_b / (2.0 * deta)
+    c_s = -coef_a / deta**2 - coef_b / (2.0 * deta)
+    full = np.pad(levels, ((0, 0), (1, 1)), mode="wrap")
+    across = full[2:] - full[: m - 1]
+    return (
+        c_center * full[1:m, 1:-1]
+        - (full[1:m, 2:] + full[1:m, :-2]) / dx**2
+        + c_n * full[2:, 1:-1]
+        + c_s * full[: m - 1, 1:-1]
+        + cross * (across[:, 2:] - across[:, :-2])
+    )
 
 
 class TestStripConfig:
@@ -187,6 +214,58 @@ def mode3_setup():
     strip = StripConfig(depth=9.2, num_layers=96, grading=50.0)
     fields = solve_exterior_fields(state, strip)
     return grid, state, strip, fields, eps, k
+
+
+class TestStripSystem:
+    """The stencil operator and right-hand side against the padded stencil."""
+
+    @pytest.fixture(scope="class")
+    def steep(self):
+        state = wavelet_state(256, slope=0.9)
+        strip = default_strip_config(state.grid, num_layers=48)
+        rng = np.random.default_rng(7)
+        top = rng.standard_normal(state.grid.num_points)  # not constant, so the corners see it
+        return state, strip, top
+
+    def test_two_row_rhs_matches_the_padded_stencil(self, steep):
+        state, strip, top = steep
+        kappa = state.curvature.samples
+        for hx in (state.slope.samples, -state.slope.samples):
+            assert np.abs(hx).max() == pytest.approx(0.9, rel=1e-12)
+            _, rhs, values = field_module._strip_system(state.grid, hx, kappa, strip, top)
+            oracle = -padded_stencil(state.grid, hx, strip, values)
+            assert np.abs(rhs - oracle).max() <= 1e-14 * np.abs(oracle).max()
+            assert not rhs[1:-1].any()
+
+    def test_buffered_operator_matches_the_padded_stencil(self, steep):
+        state, strip, top = steep
+        hx = state.slope.samples
+        operator, _, _ = field_module._strip_system(state.grid, hx, state.curvature.samples, strip, top)
+        rng = np.random.default_rng(8)
+        for _ in range(2):  # the buffers carry nothing from one apply to the next
+            levels = np.zeros((strip.num_layers + 1, state.grid.num_points))
+            levels[1:-1] = rng.standard_normal(levels[1:-1].shape)
+            oracle = padded_stencil(state.grid, hx, strip, levels)
+            image = operator(levels[1:-1])
+            assert np.abs(image - oracle).max() <= 1e-14 * np.abs(oracle).max()
+
+    def test_cold_solve_applies_the_operator_once_per_iteration_and_once_for_the_gate(
+        self, steep, monkeypatch
+    ):
+        state, strip, top = steep
+        applies = [0]
+        original = field_module._StripOperator.__call__
+
+        def counting(operator, u):
+            applies[0] += 1
+            return original(operator, u)
+
+        monkeypatch.setattr(field_module._StripOperator, "__call__", counting)
+        kappa = state.curvature.samples
+        result = solve_strip(state.grid, state.slope.samples, kappa, strip, top)
+        assert result.iterations > 0
+        # no apply forms the right-hand side
+        assert applies[0] == result.iterations + 1
 
 
 class TestGmresGuess:
@@ -437,6 +516,24 @@ class TestExteriorResponse:
         assert max(np.size(a) for a in arrays) <= grid.num_points
         scalars = (response.boundary, response.volume, *response.iterations, *response.residuals)
         assert all(np.ndim(v) == 0 for v in scalars)
+
+    def test_response_without_quadrature_refuses_the_cross_check(self):
+        grid = Grid(L, 64)
+        samples = 0.2 * np.sin(grid.nodes)
+        strip = StripConfig(depth=9.2, num_layers=32, grading=16.0)
+        state = make_state(grid, samples)
+        dropped = exterior_response(state, strip, kept=False)
+        assert dropped.volume is None
+        with pytest.raises(RuntimeError, match="volume quadrature"):
+            dropped.dissipation
+        # a later caller finds it cached as it is, and the check still refuses
+        assert exterior_response(state, strip) is dropped
+        with pytest.raises(RuntimeError, match="volume quadrature"):
+            exterior_response(state, strip).dissipation
+        kept = exterior_response(make_state(grid, samples), strip)
+        assert np.array_equal(dropped.velocity.samples, kept.velocity.samples)
+        assert (dropped.boundary, dropped.iterations) == (kept.boundary, kept.iterations)
+        assert kept.dissipation == kept.boundary
 
 
 class TestFieldInvariants:
