@@ -7,7 +7,7 @@ so a bad config fails fast and precisely.
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,15 +67,10 @@ def _parse_grid(raw, path):
 def _parse_strip(raw, path, grid):
     if raw is None:
         return default_strip_config(grid)
-    _check_keys(raw, path, {"depth", "num_layers", "grading"}, {"num_layers"})
+    _check_keys(raw, path, {"num_layers"}, {"num_layers"})
     layers = _want(raw["num_layers"], f"{path}.num_layers", int, "an integer")
-    given = {
-        key: _want(raw[key], f"{path}.{key}", float, "a number")
-        for key in ("grading", "depth")
-        if key in raw
-    }
     try:
-        return replace(default_strip_config(grid, num_layers=layers), **given)
+        return default_strip_config(grid, num_layers=layers)
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from exc
 

@@ -8,7 +8,7 @@ right-hand side falls below 1e-14 are excluded so equilibria do not
 produce 0/0 ratios.
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -378,7 +378,8 @@ def check_decay_rates(samples, h0_norm):
 
     All-samples sups of t*E/H0 and H/H0; on the late-time window
     t >= 5*H0^{3/4} also t^2*D/H0 plus the slope and height rates; and the
-    height interpolation sup|h|/(H E^2)^{1/6}.
+    height interpolation sup|h|/(H E^2)^{1/6}.  When no sample reaches the
+    late window, its three checks did not run and report ``passed=None``.
     """
     if h0_norm <= 0:
         raise ValueError("H0 must be positive")
@@ -394,7 +395,13 @@ def check_decay_rates(samples, h0_norm):
         "rate_height": [_ratio(s.t ** (1.0 / 3.0) * s.sup_h, root) for s in late],
         "height_he2": [_ratio(s.sup_h, (s.H * s.E**2) ** (1.0 / 6.0)) for s in samples],
     }
-    return _reports(ratios)
+    reports = _reports(ratios)
+    if late:
+        return reports
+    return [
+        replace(r, passed=None) if r.name in ("rate_t2d", "rate_slope", "rate_height") else r
+        for r in reports
+    ]
 
 
 def _lowpass(values, grid, keep_modes):

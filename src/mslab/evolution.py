@@ -44,6 +44,8 @@ class EvolutionConfig:
             raise ValueError("t_end must be nonnegative")
         if not self.t_end / self.dt <= MAX_STEPS:
             raise ValueError(f"t_end/dt exceeds the limit of {MAX_STEPS} steps")
+        if abs(round(self.t_end / self.dt) * self.dt - self.t_end) > 1e-9 * max(self.t_end, self.dt):
+            raise ValueError("t_end must be a whole number of steps dt")
         if self.mobility <= 0:
             raise ValueError("mobility must be positive")
         if not 0.0 < self.slope_gate <= 1.0:
@@ -153,10 +155,8 @@ def run(h0, cfg):
         )
     traj = Trajectory()
     traj.append(0.0, state0)
-    n_steps = int(round(cfg.t_end / cfg.dt))
-    if abs(n_steps * cfg.dt - cfg.t_end) > 1e-9 * max(cfg.t_end, cfg.dt):
-        n_steps = int(np.ceil(cfg.t_end / cfg.dt))
-    if cfg.t_end == 0.0 or n_steps == 0:
+    n_steps = round(cfg.t_end / cfg.dt)
+    if n_steps == 0:
         return traj
 
     if cfg.engine == "linear":

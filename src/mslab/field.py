@@ -12,9 +12,10 @@ harmonic extension, and the decaying remainder vanishes there.
 
 Discretization: second-order finite differences on a tensor grid, periodic
 in x, geometrically graded toward zt = 0 through the smooth map
-zt = Z*(exp(alpha*eta)-1)/(exp(alpha)-1) of :class:`StripConfig`, whose
-Jacobian gives the one set of eta-coefficients (:func:`_eta_coefficients`)
-that the operator and its preconditioner share.  The 9-point operator is
+zt = Z*(exp(alpha*eta)-1)/(exp(alpha)-1) of :class:`StripConfig`, with
+alpha = log(:data:`GRADING`) the same for every strip.  The map's Jacobian
+gives the one set of eta-coefficients (:func:`_eta_coefficients`) that
+the operator and its preconditioner share.  The 9-point operator is
 applied as a stencil, never assembled, summed into buffers made once per
 system; the Dirichlet data enter the right-hand side through the two rows
 next to the boundary levels alone.  It is inverted by matrix-free GMRES
@@ -56,45 +57,38 @@ START_FIELDS = 5
 #: factor by which the slowest periodic mode decays across the default strip depth
 DEPTH_DECAY = 1e-4
 
+#: growth of the Jacobian dzt/deta of the depth map across every strip
+GRADING = 32.0
+
+_ALPHA = np.log(GRADING)
+
 
 @dataclass(frozen=True)
 class StripConfig:
-    """Truncated half-strip: depth, number of layers, geometric grading.
+    """Truncated half-strip: depth and number of layers.
 
     The levels are zt = Z*(exp(alpha*eta)-1)/(exp(alpha)-1) at eta = i/m
-    with alpha = log(grading), so successive layer thicknesses form an exact
-    geometric progression and ``grading`` is the growth of the Jacobian
-    dzt/deta across the strip (1 = uniform).
+    with alpha = log(:data:`GRADING`), so successive layer thicknesses form
+    an exact geometric progression and the Jacobian dzt/deta grows by
+    GRADING across the strip.
     """
 
     depth: float
     num_layers: int
-    grading: float = 32.0
 
     def __post_init__(self):
         if self.depth <= 0:
             raise ValueError("strip depth must be positive")
         if self.num_layers < 16:
             raise ValueError("need at least 16 layers")
-        if self.grading < 1.0:
-            raise ValueError("grading must be >= 1")
-        if np.log(self.grading) >= 2 * self.num_layers:
-            # the eta-stencil's coefficient of the level above would turn nonnegative
-            raise ValueError("grading must satisfy log(grading) < 2*num_layers")
-
-    @property
-    def alpha(self):
-        return np.log(self.grading)
 
     def _graded_map(self):
-        """(zt, dzt/deta) at the levels; grading 1 is the uniform limit."""
+        """(zt, dzt/deta) at the levels."""
         eta = np.arange(self.num_layers + 1) / self.num_layers
-        if self.grading == 1.0:
-            return self.depth * eta, np.full(self.num_layers + 1, self.depth)
-        growth = np.expm1(self.alpha)
+        growth = np.expm1(_ALPHA)
         return (
-            self.depth * np.expm1(self.alpha * eta) / growth,
-            self.depth * self.alpha * np.exp(self.alpha * eta) / growth,
+            self.depth * np.expm1(_ALPHA * eta) / growth,
+            self.depth * _ALPHA * np.exp(_ALPHA * eta) / growth,
         )
 
     def levels(self):
@@ -132,7 +126,7 @@ def _eta_coefficients(strip):
     -d2/dzt2 = -a d2/deta2 + b d/deta: the eta-part of the flat operator.
     """
     jac = strip.jacobian()[1:-1, None]
-    return 1.0 / jac, 1.0 / jac**2, strip.alpha / jac**2
+    return 1.0 / jac, 1.0 / jac**2, _ALPHA / jac**2
 
 
 @lru_cache(maxsize=16)
@@ -141,15 +135,16 @@ def _flat_inverse(grid, strip):
 
     In x the operator is the periodic second difference, diagonal in the
     discrete Fourier basis with symbol (2 - 2cos(k dx))/dx^2; in eta it is
-    the tridiagonal T of :func:`_eta_coefficients`.  Each pair of
-    off-diagonals of T has a positive product (:class:`StripConfig` keeps
-    log(grading) < 2 num_layers), so T = D Q diag(lam) Q^T D^-1 with D
-    diagonal and Q, lam the eigenvectors and eigenvalues of the symmetric
-    tridiagonal D^-1 T D (fast diagonalisation; Lynch, Rice & Thomas,
-    Numer. Math. 6, 1964).  An apply is one real matmul by Q^T D^-1, an
-    FFT in x, a division by lam + symbol, the inverse FFT and a matmul by
-    D Q.  The factors depend only on the grid and the strip, so they are
-    built once per pair and shared, read-only, by every solve.
+    the tridiagonal T of :func:`_eta_coefficients`.  Both off-diagonals
+    of T are negative while alpha < 2 num_layers, which always holds
+    (alpha = log 32 < 16 <= num_layers), so each pair has a positive
+    product and T = D Q diag(lam) Q^T D^-1 with D diagonal and Q, lam the
+    eigenvectors and eigenvalues of the symmetric tridiagonal D^-1 T D
+    (fast diagonalisation; Lynch, Rice & Thomas, Numer. Math. 6, 1964).
+    An apply is one real matmul by Q^T D^-1, an FFT in x, a division by
+    lam + symbol, the inverse FFT and a matmul by D Q.  The factors depend
+    only on the grid and the strip, so they are built once per pair and
+    shared, read-only, by every solve.
     """
     n = grid.num_points
     m = strip.num_layers
@@ -214,35 +209,25 @@ def _projected_start(operator, span, basis):
     return tuple(zip(np.linalg.solve(r[:k, :k], qtb), kept))
 
 
-def _gmres(operator, precondition, rhs, guess=None):
-    """Right-preconditioned GMRES (Saad & Schultz 1986), started from ``guess``.
+def _gmres(operator, precondition, rhs, span=()):
+    """Right-preconditioned GMRES (Saad & Schultz 1986), started in ``span``.
 
-    ``guess`` is one array to start from, or a sequence of past solutions
-    whose least-residual combination is the start
-    (:func:`_projected_start`).  Modified Gram-Schmidt Arnoldi with
-    Givens rotations on the preconditioned operator, applied to the
-    residual of the start x0; returns (x0 + P(sum y_i v_i), iterations).
-    It stops at the absolute target |r| <= GMRES_TOLERANCE * |rhs|, so the
-    accuracy does not depend on the start.  A single guess whose residual
-    is not below |rhs| is dropped and the solve starts from zero; zero
-    data give exact zeros in 0 iterations whatever the guess.
+    The start x0 is the least-residual combination of the past solutions
+    in ``span`` (:func:`_projected_start`); an empty span starts from zero.
+    Modified Gram-Schmidt Arnoldi with Givens rotations on the
+    preconditioned operator, applied to the residual of x0; returns
+    (x0 + P(sum y_i v_i), iterations).  It stops at the absolute target
+    |r| <= GMRES_TOLERANCE * |rhs|, so the accuracy does not depend on the
+    start.  Zero data give exact zeros in 0 iterations whatever the span.
     """
     rhs_norm = np.linalg.norm(rhs)
     if rhs_norm == 0.0:
         return np.zeros_like(rhs), 0
     target = GMRES_TOLERANCE * rhs_norm
     cap = GMRES_MAX_ITERATIONS
-    span = () if guess is None or isinstance(guess, np.ndarray) else guess
     basis = np.empty((max(cap, len(span)) + 1,) + rhs.shape)
     basis[0] = rhs
-    start = ()  # (coefficient, vector) pairs that sum to x0
-    if span:
-        start = _projected_start(operator, span, basis)
-    elif guess is not None:
-        np.subtract(rhs, operator(guess), out=basis[1])
-        if np.linalg.norm(basis[1]) < rhs_norm:
-            basis[0] = basis[1]
-            start = ((1.0, guess),)
+    start = _projected_start(operator, span, basis)  # (c_i, w_i) pairs: x0 = sum c_i w_i
 
     def plus_start(x):
         for c, w in start:
@@ -368,7 +353,7 @@ def _strip_system(grid, hx_samples, data, strip, top_data=None):
     return _StripOperator(c_center, c_ew, c_n, c_s, cross), rhs, values
 
 
-def solve_strip(grid, hx_samples, data, strip, top_data=None, guess=None):
+def solve_strip(grid, hx_samples, data, strip, top_data=None, span=()):
     """Matrix-free solve of the straightened problem with prescribed boundary data.
 
     The field lives above the interface of slope ``hx_samples``; the phase
@@ -377,16 +362,17 @@ def solve_strip(grid, hx_samples, data, strip, top_data=None, guess=None):
     9-point operator acts as a stencil on the interior levels and is
     inverted by GMRES, right-preconditioned with the exact flat-interface
     inverse (FFT in x, eigenvectors in eta); no matrix is assembled or
-    factorized.  ``guess``, an (num_layers-1, N) array of interior values
-    or a sequence of such arrays, is where GMRES starts (see
-    :func:`_gmres`); it changes the iteration count, not the target.
+    factorized.  GMRES starts from the least-residual combination of the
+    (num_layers-1, N) arrays of interior values in ``span`` (see
+    :func:`_gmres`), from zero when it is empty; the span changes the
+    iteration count, not the target.
     The solve must meet the residual gate max|A u - b| <= 1e-8 * max(1,
     max|b|), and the returned field records its iteration count and that
     residual.  This is the raw kernel behind :func:`solve_exterior_fields`;
     tests drive it with synthetic data.
     """
     operator, rhs, values = _strip_system(grid, hx_samples, data, strip, top_data)
-    solution, iterations = _gmres(operator, _flat_inverse(grid, strip), rhs, guess)
+    solution, iterations = _gmres(operator, _flat_inverse(grid, strip), rhs, span)
     residual = np.abs(operator(solution) - rhs).max()
     if residual > 1e-8 * max(1.0, np.abs(rhs).max()):
         raise SolverDivergence(
@@ -397,15 +383,15 @@ def solve_strip(grid, hx_samples, data, strip, top_data=None, guess=None):
     return HalfStripField(values, strip, iterations, float(residual))
 
 
-def solve_exterior_fields(state, strip, guesses=(None, None)):
+def solve_exterior_fields(state, strip, spans=((), ())):
     """Solve the (upper, lower) phases, :func:`solve_strip` with the
     slopes (h_x, -h_x), with the curvature as Dirichlet data.
 
     The x-mean of the curvature extends harmonically as a constant, so it
     is the data at the truncation depth; a constant solves the discrete
     operator exactly, and the boundary row of each field equals the
-    curvature samples exactly.  ``guesses`` holds the (plus, minus) GMRES
-    starts of :func:`solve_strip`.
+    curvature samples exactly.  ``spans`` holds the (plus, minus) GMRES
+    start spans of :func:`solve_strip`.
     """
     if sup_slope(state) > 1.0:
         raise SlopeGateViolation(
@@ -415,8 +401,8 @@ def solve_exterior_fields(state, strip, guesses=(None, None)):
     kappa = state.curvature.samples
     top = np.full(state.grid.num_points, kappa.mean())
     return tuple(
-        solve_strip(state.grid, slope, kappa, strip, top, guess)
-        for slope, guess in zip((hx, -hx), guesses)
+        solve_strip(state.grid, slope, kappa, strip, top, span)
+        for slope, span in zip((hx, -hx), spans)
     )
 
 
@@ -584,11 +570,11 @@ class FieldHistory:
         self._increments = ([], [])  # per side, single precision, newest first
 
     def guesses(self):
-        """(plus, minus) GMRES starts: none, or the newest field followed by
-        the increments, whose least-residual combination :func:`_gmres`
-        starts from."""
+        """(plus, minus) GMRES start spans: empty, or the newest field
+        followed by the increments, whose least-residual combination
+        :func:`_gmres` starts from."""
         if self._newest is None:
-            return (None, None)
+            return ((), ())
         return tuple((newest, *increments) for newest, increments in zip(self._newest, self._increments))
 
     def record(self, fields):

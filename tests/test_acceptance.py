@@ -58,7 +58,7 @@ def report(number, name, ok):
 def standard_run():
     """Amplitude-0.15 gaussian bump on N = 512, dt resolving the active modes."""
     grid = Grid(16.0, 512)
-    strip = StripConfig(depth=23.5, num_layers=48, grading=32.0)
+    strip = StripConfig(depth=23.5, num_layers=48)
     h0 = build_initial_profile(
         grid, {"preset": "gaussian_bump", "amplitude": 0.15, "width": 1.0}
     )
@@ -94,7 +94,7 @@ def test_criterion_1_spectral_identities(rng):
     g = SpectralProfile.from_samples(
         grid, np.cos(2.0 * grid.nodes) + np.cos(5.0 * grid.nodes)
     )
-    depths = StripConfig(6.0, 400, 50.0).levels()
+    depths = StripConfig(6.0, 400).levels()
     field = harmonic_extension(g, depths)
     k = grid.wavenumbers
     fx = np.fft.ifft(np.fft.fft(field, axis=1) * (1j * k)[None, :], axis=1).real
@@ -109,7 +109,7 @@ def test_criterion_2_flat_elliptic_exactness():
     errs = []
     for n, m in [(32, 16), (64, 32), (128, 64)]:
         grid = Grid(2.0 * np.pi, n)
-        strip = StripConfig(depth=4.0, num_layers=m, grading=8.0)
+        strip = StripConfig(depth=4.0, num_layers=m)
         field = solve_strip(grid, np.zeros(n), np.cos(k * grid.nodes), strip)
         z = strip.levels()
         exact = (
@@ -129,7 +129,7 @@ def test_criterion_3_linearization_consistency():
     eps, k = 1e-3, 3
     h0 = SpectralProfile.from_samples(grid, eps * np.cos(k * grid.nodes))
     state = build_state(h0)
-    strip = StripConfig(depth=9.2, num_layers=96, grading=50.0)
+    strip = StripConfig(depth=9.2, num_layers=96)
     fields = solve_exterior_fields(state, strip)
     v = normal_velocity(fields, state)
     height_velocity = -state.line_element * v.samples
@@ -165,7 +165,7 @@ SWEEP_PRESETS = (
 
 def _sweep_reports(n, m):
     grid = Grid(16.0, n)
-    strip = StripConfig(depth=23.5, num_layers=m, grading=32.0)
+    strip = StripConfig(depth=23.5, num_layers=m)
     out = []
     for spec in SWEEP_PRESETS:
         for amplitude in spec["amplitudes"]:
@@ -207,14 +207,12 @@ def rates_setup(tmp_path_factory):
             "t_end": 0.2,
             "mobility": 2.0,
             "grid": {"length": 32.0, "num_points": 512},
-            "strip": {"num_layers": 80, "grading": 100.0},
+            "strip": {"num_layers": 80},
             "output_every": 1,
         },
     }
     grid = Grid(32.0, 512)
-    strip = StripConfig(
-        depth=np.log(1e4) / (2.0 * np.pi / 32.0), num_layers=80, grading=100.0
-    )
+    strip = StripConfig(depth=np.log(1e4) / (2.0 * np.pi / 32.0), num_layers=80)
     h0 = build_initial_profile(grid, config["initial_data"])
     cfg = EvolutionConfig(
         "linear", dt=4e-3, t_end=0.2, grid=grid, strip=strip, output_every=1
@@ -320,7 +318,7 @@ def test_criterion_9_h_oracle():
 def test_criterion_10_curvature_evolution():
     def defect(n, m, dt, steps):
         grid = Grid(16.0, n)
-        strip = StripConfig(depth=23.5, num_layers=m, grading=32.0)
+        strip = StripConfig(depth=23.5, num_layers=m)
         h0 = build_initial_profile(
             grid, {"preset": "gaussian_bump", "amplitude": 0.1, "width": 1.0}
         )
@@ -343,7 +341,7 @@ def test_criterion_11_fault_injection(tmp_path):
             "dt": 2e-3,
             "t_end": 0.04,
             "grid": {"length": 6.283185307179586, "num_points": 128},
-            "strip": {"num_layers": 64, "grading": 40.0, "depth": 9.2},
+            "strip": {"num_layers": 64},
             "output_every": 2,
         },
     }

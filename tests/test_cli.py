@@ -33,7 +33,7 @@ def small_config(tmp_path, **overrides):
             "t_end": 0.02,
             "mobility": 2.0,
             "grid": {"length": 6.283185307179586, "num_points": 128},
-            "strip": {"num_layers": 64, "grading": 40.0, "depth": 9.2},
+            "strip": {"num_layers": 64},
             "output_every": 2,
         },
     }
@@ -110,6 +110,7 @@ class TestConfigValidation:
             (block,) = re.findall(r"```json\n(.*?)```", handle.read(), re.S)
         config = parse_config(json.loads(block))
         assert config.evolution.engine == "nonlinear"
+        assert config.evolution.strip == default_strip_config(config.evolution.grid, num_layers=48)
         assert config.checks == (("energy_dissipation", 0.02),)
 
     def test_omitted_threshold_takes_registry_default(self, tmp_path):
@@ -163,12 +164,23 @@ class TestConfigValidation:
         assert "evolution" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_grading_beyond_the_layers_exit_2(self, tmp_path, capsys):
-        # log(1e15) = 34.5 >= 2*16: the eta-stencil would lose its signs
-        path, _ = small_config(tmp_path, evolution={"strip": {"num_layers": 16, "grading": 1e15}})
+    @pytest.mark.parametrize("key", ["grading", "depth"])
+    def test_strip_takes_only_the_layer_count(self, tmp_path, capsys, key):
+        path, _ = small_config(tmp_path, evolution={"strip": {"num_layers": 16, key: 32.0}})
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
-        assert "evolution.strip" in capsys.readouterr().err
+        assert f"evolution.strip.{key}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_t_end_off_the_step_grid_exit_2(self, tmp_path, capsys):
+        # 0.01/0.003 = 3.33 steps: the run would have ended at t = 0.012
+        path, _ = small_config(tmp_path, evolution={"dt": 3e-3, "t_end": 0.01})
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert err.value.path == "evolution"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+        assert "config error at evolution" in capsys.readouterr().err
         assert not out.exists()
 
     def test_omitted_keys_take_the_dataclass_defaults(self):
@@ -184,11 +196,7 @@ class TestConfigValidation:
         parsed = parse_config({"initial_data": initial, "evolution": evolution}).evolution
         strip = default_strip_config(grid, num_layers=24)
         assert parsed == EvolutionConfig("nonlinear", 1e-3, 2e-3, grid, strip)
-        assert parsed.strip.grading == StripConfig.grading
-        # one strip key given: the other keeps the default of default_strip_config
-        evolution["strip"] = {"num_layers": 24, "grading": 8.0}
-        parsed = parse_config({"initial_data": initial, "evolution": evolution}).evolution
-        assert parsed.strip == StripConfig(strip.depth, 24, 8.0)
+        assert parsed.strip == StripConfig(strip.depth, 24)
         del evolution["strip"]
         parsed = parse_config({"initial_data": initial, "evolution": evolution}).evolution
         assert parsed.strip == default_strip_config(grid)
@@ -220,7 +228,7 @@ class TestSimulate:
             tmp_path,
             initial_data={"preset": "gaussian_bump", "amplitude": 0.0, "width": 1.0},
             evolution={"engine": "nonlinear", "grid": {"length": 16.0, "num_points": 64},
-                       "strip": {"num_layers": 16, "grading": 16.0, "depth": 23.5},
+                       "strip": {"num_layers": 16},
                        "dt": 1e-3, "t_end": 4e-3, "output_every": 1},
         )
         out = tmp_path / "out"
@@ -236,7 +244,7 @@ class TestSimulate:
             tmp_path,
             initial_data={"preset": "gaussian_bump", "amplitude": 0.05, "width": 1.0},
             evolution={"engine": "nonlinear", "grid": {"length": 16.0, "num_points": 64},
-                       "strip": {"num_layers": 32, "grading": 32.0, "depth": 23.5},
+                       "strip": {"num_layers": 32},
                        "dt": 1e-3, "t_end": 5e-3, "output_every": 2},
         )
         out = tmp_path / "out"
@@ -302,7 +310,7 @@ class TestSimulate:
             evolution={
                 "engine": "nonlinear",
                 "grid": {"length": 16.0, "num_points": 128},
-                "strip": {"num_layers": 48, "grading": 50.0, "depth": 23.5},
+                "strip": {"num_layers": 48},
                 "dt": 2e-4, "t_end": 0.03, "output_every": 5,
                 "slope_gate": 0.942,
             },

@@ -65,7 +65,7 @@ class TestLinearSolveExact:
 
 @pytest.fixture(scope="module")
 def strip():
-    return StripConfig(depth=9.2, num_layers=64, grading=40.0)
+    return StripConfig(depth=9.2, num_layers=64)
 
 
 class TestNonlinearStep:
@@ -172,7 +172,7 @@ class TestRun:
         samples = 0.2 * u * np.exp(-(u**2))
         samples -= samples.mean()
         h0 = SpectralProfile.from_samples(grid, samples)
-        wide = StripConfig(depth=23.5, num_layers=32, grading=32.0)
+        wide = StripConfig(depth=23.5, num_layers=32)
         cfg = EvolutionConfig(
             "nonlinear", dt=5e-4, t_end=0.03, grid=grid, strip=wide, output_every=10
         )
@@ -201,7 +201,7 @@ class TestRun:
         samples -= samples.mean()
         h0 = SpectralProfile.from_samples(grid, samples)
         gate = sup_slope(build_state(h0)) + 1e-4
-        wide = StripConfig(depth=23.5, num_layers=24, grading=32.0)
+        wide = StripConfig(depth=23.5, num_layers=24)
         cfg = EvolutionConfig(
             "nonlinear", dt=2e-4, t_end=0.05, grid=grid, strip=wide,
             output_every=5, slope_gate=gate,

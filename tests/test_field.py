@@ -71,17 +71,10 @@ class TestStripConfig:
             StripConfig(depth=-1.0, num_layers=32)
         with pytest.raises(ValueError):
             StripConfig(depth=1.0, num_layers=8)
-        with pytest.raises(ValueError):
-            StripConfig(depth=1.0, num_layers=32, grading=0.5)
-        # at log(grading) = 2*num_layers the eta-stencil's upper coefficient is zero
-        with pytest.raises(ValueError):
-            StripConfig(depth=4.0, num_layers=16, grading=float(np.exp(32.0)))
-        with pytest.raises(ValueError):
-            StripConfig(depth=4.0, num_layers=16, grading=1e15)
-        StripConfig(depth=4.0, num_layers=16, grading=float(np.exp(31.9)))
+        StripConfig(depth=4.0, num_layers=16)
 
     def test_levels_are_geometric(self):
-        strip = StripConfig(depth=4.0, num_layers=32, grading=16.0)
+        strip = StripConfig(depth=4.0, num_layers=32)
         dz = np.diff(strip.levels())
         ratios = dz[1:] / dz[:-1]
         assert np.ptp(ratios) <= 1e-12 * ratios.mean()
@@ -90,15 +83,15 @@ class TestStripConfig:
 
     def test_jacobian_is_the_levels_derivative(self):
         # second-order differences of two finer level sets, Richardson-extrapolated
-        for grading in (1.0, 32.0):
-            jac = StripConfig(depth=4.0, num_layers=32, grading=grading).jacobian()
-            slopes = []
-            for refine in (64, 128):
-                fine = StripConfig(depth=4.0, num_layers=32 * refine, grading=grading)
-                slope = np.gradient(fine.levels(), 1.0 / (32 * refine), edge_order=2)
-                slopes.append(slope[::refine])
-            extrapolated = (4.0 * slopes[1] - slopes[0]) / 3.0
-            assert np.abs(extrapolated - jac).max() <= 1e-8 * jac.max()
+        jac = StripConfig(depth=4.0, num_layers=32).jacobian()
+        slopes = []
+        for refine in (64, 128):
+            fine = StripConfig(depth=4.0, num_layers=32 * refine)
+            slope = np.gradient(fine.levels(), 1.0 / (32 * refine), edge_order=2)
+            slopes.append(slope[::refine])
+        extrapolated = (4.0 * slopes[1] - slopes[0]) / 3.0
+        assert np.abs(extrapolated - jac).max() <= 1e-8 * jac.max()
+        assert jac[-1] == pytest.approx(field_module.GRADING * jac[0], rel=1e-14)
 
     def test_default_depth_kills_slowest_mode(self):
         grid = Grid(16.0, 64)
@@ -113,7 +106,7 @@ class TestSolveStrip:
         errs = []
         for n, m in [(32, 16), (64, 32), (128, 64)]:
             grid = Grid(L, n)
-            strip = StripConfig(depth=4.0, num_layers=m, grading=8.0)
+            strip = StripConfig(depth=4.0, num_layers=m)
             field = solve_strip(grid, np.zeros(n), np.cos(k * grid.nodes), strip)
             errs.append(np.abs(field.values - flat_mode_solution(grid, strip, k)).max())
         # spec asks for at least 3.5x reduction per halving; observed ~4x
@@ -127,7 +120,7 @@ class TestSolveStrip:
         errs = []
         for n, m in [(32, 16), (64, 32), (128, 64)]:
             grid = Grid(L, n)
-            strip = StripConfig(depth=3.0, num_layers=m, grading=6.0)
+            strip = StripConfig(depth=3.0, num_layers=m)
             h = 0.4 * np.sin(grid.nodes)
             z = strip.levels()
             exact = np.exp(-k * (z[:, None] + h[None, :])) * np.cos(k * grid.nodes)[None, :]
@@ -140,7 +133,7 @@ class TestSolveStrip:
     def test_zero_data_zero_field(self):
         grid = Grid(L, 64)
         state = make_state(grid, np.zeros(64))
-        strip = StripConfig(depth=9.2, num_layers=24, grading=16.0)
+        strip = StripConfig(depth=9.2, num_layers=24)
         plus, minus = solve_exterior_fields(state, strip)
         assert np.abs(plus.values).max() == 0.0
         assert np.abs(minus.values).max() == 0.0
@@ -151,7 +144,7 @@ class TestSolveStrip:
     def test_boundary_row_is_curvature(self):
         grid = Grid(L, 128)
         state = make_state(grid, 0.3 * np.sin(grid.nodes) + 0.05 * np.cos(3 * grid.nodes))
-        strip = StripConfig(depth=9.2, num_layers=32, grading=16.0)
+        strip = StripConfig(depth=9.2, num_layers=32)
         plus, minus = solve_exterior_fields(state, strip)
         assert np.array_equal(plus.values[0], state.curvature.samples)
         assert np.array_equal(minus.values[0], state.curvature.samples)
@@ -159,13 +152,13 @@ class TestSolveStrip:
     def test_slope_gate(self):
         grid = Grid(L, 64)
         state = make_state(grid, 1.3 * np.sin(grid.nodes))
-        strip = StripConfig(depth=9.2, num_layers=24, grading=16.0)
+        strip = StripConfig(depth=9.2, num_layers=24)
         with pytest.raises(SlopeGateViolation):
             solve_exterior_fields(state, strip)
 
     def test_result_is_a_read_only_record(self):
         grid = Grid(L, 64)
-        strip = StripConfig(depth=9.2, num_layers=24, grading=16.0)
+        strip = StripConfig(depth=9.2, num_layers=24)
         field = solve_strip(grid, -0.5 * np.cos(grid.nodes), np.sin(grid.nodes), strip)
         assert isinstance(field, HalfStripField)
         assert field._fields == ("values", "strip", "iterations", "residual")
@@ -179,7 +172,7 @@ class TestSolveStrip:
         # and added the mean back; a constant solves the stencil exactly
         grid = Grid(L, 128)
         state = make_state(grid, 0.9 * np.sin(grid.nodes) + 0.05 * np.cos(3 * grid.nodes))
-        strip = StripConfig(depth=9.2, num_layers=32, grading=16.0)
+        strip = StripConfig(depth=9.2, num_layers=32)
         hx = state.slope.samples
         kappa = state.curvature.samples
         mean = kappa.mean()
@@ -195,7 +188,7 @@ class TestSolveStrip:
         # (measured 2.2e-12 relative) rather than to round-off
         grid = Grid(L, 128)
         state = make_state(grid, 0.9 * np.sin(grid.nodes) + 0.05 * np.cos(3 * grid.nodes))
-        strip = StripConfig(depth=9.2, num_layers=32, grading=16.0)
+        strip = StripConfig(depth=9.2, num_layers=32)
         hx = state.slope.samples
         data = state.curvature.samples + 0.7
         mean = data.mean()
@@ -211,7 +204,7 @@ def mode3_setup():
     grid = Grid(L, 256)
     eps, k = 1e-3, 3
     state = make_state(grid, eps * np.cos(k * grid.nodes))
-    strip = StripConfig(depth=9.2, num_layers=96, grading=50.0)
+    strip = StripConfig(depth=9.2, num_layers=96)
     fields = solve_exterior_fields(state, strip)
     return grid, state, strip, fields, eps, k
 
@@ -281,26 +274,27 @@ class TestGmresGuess:
     def test_zero_data_give_zeros_whatever_the_guess(self, system, rng):
         operator, precondition, rhs, _ = system
         solution, iterations = field_module._gmres(
-            operator, precondition, np.zeros_like(rhs), rng.standard_normal(rhs.size)
+            operator, precondition, np.zeros_like(rhs), (rng.standard_normal(rhs.size),)
         )
         assert iterations == 0
         assert np.array_equal(solution, np.zeros_like(rhs))
 
-    def test_guess_no_better_than_zero_is_dropped(self, system, rng):
+    def test_guess_no_better_than_zero_costs_no_iterations(self, system, rng):
         operator, precondition, rhs, _ = system
         cold, cold_iterations = field_module._gmres(operator, precondition, rhs)
         guess = 1e3 * rng.standard_normal(rhs.size)
         assert np.linalg.norm(rhs - operator(guess)) >= np.linalg.norm(rhs)
-        warm, warm_iterations = field_module._gmres(operator, precondition, rhs, guess)
+        warm, warm_iterations = field_module._gmres(operator, precondition, rhs, (guess,))
         assert warm_iterations == cold_iterations
-        assert np.array_equal(warm, cold)
+        limit = (field_module.GMRES_TOLERANCE + 1e-14) * np.linalg.norm(rhs)
+        assert np.linalg.norm(rhs - operator(warm)) <= limit
 
     def test_good_guess_meets_the_same_absolute_target(self, system, rng):
         operator, precondition, rhs, exact = system
         _, cold_iterations = field_module._gmres(operator, precondition, rhs)
         guess = exact + 1e-6 * rng.standard_normal(rhs.size)
         kept = guess.copy()
-        warm, warm_iterations = field_module._gmres(operator, precondition, rhs, guess)
+        warm, warm_iterations = field_module._gmres(operator, precondition, rhs, (guess,))
         assert warm_iterations < cold_iterations
         assert np.array_equal(guess, kept)
         # the Arnoldi residual estimate is the stopping test; the true
@@ -311,20 +305,24 @@ class TestGmresGuess:
     def test_exact_guess_is_returned_without_iterating(self, system):
         operator, precondition, rhs, exact = system
         assert np.array_equal(rhs - operator(exact), np.zeros_like(rhs))
-        solution, iterations = field_module._gmres(operator, precondition, rhs, exact)
+        solution, iterations = field_module._gmres(operator, precondition, rhs, (exact,))
         assert iterations == 0
-        assert np.array_equal(solution, exact) and solution is not exact
+        # the start is c * exact with c = 1 up to the round-off of the projection
+        assert np.abs(solution - exact).max() <= 4.0 * np.finfo(float).eps * np.abs(exact).max()
+        assert solution is not exact
 
     def test_divergence_reports_residual_relative_to_rhs(self, system, rng, monkeypatch):
         operator, precondition, rhs, exact = system
         monkeypatch.setattr(field_module, "GMRES_MAX_ITERATIONS", 1)
         guess = exact + 1e-3 * rng.standard_normal(rhs.size)
-        r0 = rhs - operator(guess)
+        image = operator(guess)
+        # the start is the multiple of the guess with the least residual
+        r0 = rhs - np.vdot(image, rhs) / np.vdot(image, image) * image
         ar0 = operator(r0)
         # one GMRES step minimizes |r0 - t A r0| over t
         r1 = np.sqrt(np.linalg.norm(r0) ** 2 - np.vdot(r0, ar0) ** 2 / np.linalg.norm(ar0) ** 2)
         with pytest.raises(SolverDivergence) as info:
-            field_module._gmres(operator, precondition, rhs, guess)
+            field_module._gmres(operator, precondition, rhs, (guess,))
         reported = float(str(info.value).rsplit(" ", 1)[-1])
         assert reported == pytest.approx(r1 / np.linalg.norm(rhs), rel=1e-3)
         assert abs(reported - r1 / np.linalg.norm(r0)) > 0.5 * r1 / np.linalg.norm(r0)
@@ -345,7 +343,7 @@ class TestWarmStart:
         for slope, near in zip((hx, -hx), solve_exterior_fields(neighbour, strip)):
             args = (state.grid, slope, kappa, strip, top)
             cold = solve_strip(*args)
-            warm = solve_strip(*args, guess=near.values[1:-1])
+            warm = solve_strip(*args, span=(near.values[1:-1],))
             scale = np.abs(cold.values).max()
             assert np.abs(warm.values - cold.values).max() <= 1e-11 * scale
             assert warm.iterations < cold.iterations
@@ -354,7 +352,7 @@ class TestWarmStart:
         strip = default_strip_config(pair[0].grid, num_layers=48)
         k = field_module.START_FIELDS
         history = FieldHistory()
-        assert history.guesses() == (None, None)
+        assert history.guesses() == ((), ())
         solved = []  # (plus, minus) interior fields, oldest first
         full_ids = None
         for step, slope in enumerate((0.9, 0.89, 0.88, 0.87, 0.86, 0.85, 0.84)):
@@ -410,7 +408,7 @@ class TestNormalVelocity:
     def test_mass_conservation_odd_data(self):
         grid = Grid(L, 256)
         state = make_state(grid, 0.1 * np.sin(2.0 * grid.nodes))
-        strip = StripConfig(depth=9.2, num_layers=96, grading=50.0)
+        strip = StripConfig(depth=9.2, num_layers=96)
         fields = solve_exterior_fields(state, strip)
         v = normal_velocity(fields, state)
         mass = grid.spacing * np.sum(v.samples * state.line_element)
@@ -422,7 +420,7 @@ class TestNormalVelocity:
         x = grid.nodes
         samples = 0.2 * np.cos(2 * x) if parity == "even" else 0.2 * np.sin(2 * x)
         state = make_state(grid, samples)
-        strip = StripConfig(depth=9.2, num_layers=32, grading=16.0)
+        strip = StripConfig(depth=9.2, num_layers=32)
         v = normal_velocity(solve_exterior_fields(state, strip), state).samples
         reflected = np.roll(v[::-1], 1)  # v(-x) on the periodic grid
         if parity == "even":
@@ -471,9 +469,10 @@ class TestDissipation:
         assert d2 == pytest.approx(d1 / lam**2, rel=1e-12)
 
     def test_cross_check_failure_when_under_resolved(self):
+        # measured mismatch +26% at 16 layers
         grid = Grid(L, 64)
-        state = make_state(grid, 0.05 * np.cos(8.0 * grid.nodes))
-        coarse = StripConfig(depth=9.2, num_layers=16, grading=1.0)
+        state = make_state(grid, 0.02 * np.cos(16.0 * grid.nodes))
+        coarse = StripConfig(depth=9.2, num_layers=16)
         with pytest.raises(CrossCheckFailure):
             dissipation(solve_exterior_fields(state, coarse), state)
 
@@ -483,7 +482,7 @@ class TestDissipation:
         state = make_state(grid, 0.2 * np.sin(grid.nodes))
         results = []
         for depth in (9.2, 18.4):
-            strip = StripConfig(depth=depth, num_layers=64, grading=40.0)
+            strip = StripConfig(depth=depth, num_layers=64)
             fields = solve_exterior_fields(state, strip)
             results.append(
                 (dissipation(fields, state), normal_velocity(fields, state).samples)
@@ -497,7 +496,7 @@ class TestExteriorResponse:
     def test_matches_the_public_chain_and_is_kept(self):
         grid = Grid(L, 64)
         state = make_state(grid, 0.2 * np.sin(grid.nodes))
-        strip = StripConfig(depth=9.2, num_layers=32, grading=16.0)
+        strip = StripConfig(depth=9.2, num_layers=32)
         response = exterior_response(state, strip)
         fields = solve_exterior_fields(state, strip)
         assert np.array_equal(response.velocity.samples, normal_velocity(fields, state).samples)
@@ -508,7 +507,7 @@ class TestExteriorResponse:
     def test_keeps_no_field_array(self):
         grid = Grid(L, 64)
         state = make_state(grid, 0.2 * np.sin(grid.nodes))
-        strip = StripConfig(depth=9.2, num_layers=32, grading=16.0)
+        strip = StripConfig(depth=9.2, num_layers=32)
         response = exterior_response(state, strip, FieldHistory())
         assert isinstance(response, ExteriorResponse)
         arrays = [response.velocity.samples, response.velocity.coeffs]
@@ -520,7 +519,7 @@ class TestExteriorResponse:
     def test_response_without_quadrature_refuses_the_cross_check(self):
         grid = Grid(L, 64)
         samples = 0.2 * np.sin(grid.nodes)
-        strip = StripConfig(depth=9.2, num_layers=32, grading=16.0)
+        strip = StripConfig(depth=9.2, num_layers=32)
         state = make_state(grid, samples)
         dropped = exterior_response(state, strip, kept=False)
         assert dropped.volume is None
@@ -540,7 +539,7 @@ class TestFieldInvariants:
     def test_trace_and_flux_bounds(self):
         # || |d/ds|^{1/2} kappa ||^2 <= 4 D and || |d/ds|^{-1/2} V ||^2 <= 8 D
         grid = Grid(16.0, 256)
-        strip = StripConfig(depth=23.5, num_layers=48, grading=32.0)
+        strip = StripConfig(depth=23.5, num_layers=48)
         u = grid.nodes - 8.0
         shapes = [
             0.15 * np.exp(-(u**2)),
@@ -560,7 +559,7 @@ class TestFieldInvariants:
         ratios = []
         for n, m in [(256, 48), (512, 96)]:
             grid = Grid(16.0, n)
-            strip = StripConfig(depth=23.5, num_layers=m, grading=32.0)
+            strip = StripConfig(depth=23.5, num_layers=m)
             u = grid.nodes - 8.0
             state = make_state(grid, 0.15 * np.exp(-(u**2)) - (0.15 * np.exp(-(u**2))).mean())
             fields = solve_exterior_fields(state, strip)

@@ -220,7 +220,7 @@ class TestHarmonicExtension:
         g = SpectralProfile.from_samples(
             grid, np.cos(2.0 * grid.nodes) + np.cos(5.0 * grid.nodes)
         )
-        depths = StripConfig(6.0, 400, 50.0).levels()
+        depths = StripConfig(6.0, 400).levels()
         field = harmonic_extension(g, depths)
         k = grid.wavenumbers
         fx = np.fft.ifft(np.fft.fft(field, axis=1) * (1j * k)[None, :], axis=1).real
