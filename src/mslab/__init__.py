@@ -21,10 +21,7 @@ from .spectral import (
     Grid,
     SpectralProfile,
     derivative,
-    dual_pairing_norm,
     fractional_operator,
-    harmonic_extension,
-    interpolation_gap,
     seminorm,
 )
 from .geometry import (
@@ -43,7 +40,6 @@ from .field import (
     default_strip_config,
     dissipation,
     exterior_response,
-    linear_dtn,
     normal_velocity,
     solve_exterior_fields,
     solve_strip,

@@ -195,6 +195,8 @@ def cmd_rates(args):
         print(f"run ended with status {traj.status}", file=sys.stderr)
         return _status_exit(traj.status)
     h0_norm = samples[0].Hhalf
+    if h0_norm <= 0:
+        raise ConfigError("initial_data", f"H0 = {h0_norm:g}: the rates are relative to a nonzero H0")
     reports = diagnostics.check_decay_rates(samples, h0_norm)
     t_late = diagnostics.LATE_TIME_FACTOR * h0_norm**0.75
     window = [s for s in samples if s.t >= t_late]

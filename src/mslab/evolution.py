@@ -3,10 +3,11 @@
 Two engines share one driver: the linearized flow is solved exactly per
 Fourier mode (multiplier exp(-mobility*|k|^3 t)), and the full nonlinear
 flow h_t = -sqrt(1+h_x^2) V is advanced with a first-order IMEX step that
-treats the stiff linear part implicitly.  :func:`run` is the flow's one
-mean-zero gate, and both engines then hold c_0 = 0 exactly.  The module
-also provides the self-similar kernel mask of the linear flow and its
-closed-form Fourier observables.
+treats its own small-slope linearisation -LINEAR_RATE*|k|^3 implicitly.
+The mobility is a parameter of the linear engine only; the nonlinear flow
+has none.  :func:`run` is the flow's one mean-zero gate, and both engines
+then hold c_0 = 0 exactly.  The module also provides the self-similar
+kernel mask of the linear flow and its closed-form Fourier observables.
 """
 
 from dataclasses import dataclass, field as dataclass_field
@@ -19,6 +20,10 @@ from .geometry import build_state, sup_slope
 from .spectral import Grid, SpectralProfile, fractional_operator
 
 
+#: each phase adds |k| to the jump of the normal derivative, so at small
+#: slope the flow is hhat_t = -LINEAR_RATE |k|^3 hhat
+LINEAR_RATE = 2.0
+
 #: largest t_end/dt a configuration may ask for: 1e6 nonlinear steps take
 #: hours at N=512, and the linear engine then makes up to that many snapshots
 MAX_STEPS = 10**6
@@ -26,12 +31,20 @@ MAX_STEPS = 10**6
 
 @dataclass(frozen=True)
 class EvolutionConfig:
+    """Engine, time step and grid of a run.
+
+    ``mobility`` is the rate of the linear engine, hhat_t = -mobility
+    |k|^3 hhat.  The nonlinear engine has no mobility, and a nonlinear
+    configuration whose ``mobility`` is not :data:`LINEAR_RATE` is
+    rejected.
+    """
+
     engine: str
     dt: float
     t_end: float
     grid: Grid
     strip: StripConfig = None
-    mobility: float = 2.0
+    mobility: float = LINEAR_RATE
     output_every: int = 1
     slope_gate: float = 1.0
 
@@ -54,6 +67,11 @@ class EvolutionConfig:
             raise ValueError("output_every must be >= 1")
         if self.engine == "nonlinear" and self.strip is None:
             raise ValueError("the nonlinear engine needs a strip configuration")
+        if self.engine == "nonlinear" and self.mobility != LINEAR_RATE:
+            raise ValueError(
+                f"the nonlinear flow has no mobility (its linear rate is {LINEAR_RATE}); "
+                "mobility sets the linear engine only"
+            )
 
 
 @dataclass
@@ -100,8 +118,9 @@ def _dealias_mask(grid):
 def nonlinear_step(state, cfg):
     """One IMEX step of the full flow.
 
-    The stiff multiplier mobility*|k|^3 is treated implicitly; the
-    remainder N(h) = -sqrt(1+h_x^2) V + mobility*|d/dx|^3 h is evaluated
+    The stiff multiplier LINEAR_RATE*|k|^3, the flow's own small-slope
+    linearisation, is treated implicitly; the remainder
+    N(h) = -sqrt(1+h_x^2) V + LINEAR_RATE*|d/dx|^3 h is evaluated
     explicitly from the exterior response of ``state``, which stays on the
     state for the diagnostics to read.  Products are dealiased with the
     2/3 rule, and the result is re-projected to mean zero.
@@ -113,10 +132,10 @@ def nonlinear_step(state, cfg):
     grid = state.grid
     v = exterior_response(state, cfg.strip).velocity
     stiff = fractional_operator(state.h, 3.0)
-    remainder = -state.line_element * v.samples + cfg.mobility * stiff.samples
+    remainder = -state.line_element * v.samples + LINEAR_RATE * stiff.samples
     nhat = np.where(_dealias_mask(grid), np.fft.fft(remainder) / grid.num_points, 0.0)
     k = np.abs(grid.wavenumbers)
-    new_coeffs = (state.h.coeffs + cfg.dt * nhat) / (1.0 + cfg.dt * cfg.mobility * k**3)
+    new_coeffs = (state.h.coeffs + cfg.dt * nhat) / (1.0 + cfg.dt * LINEAR_RATE * k**3)
     new_coeffs[0] = 0.0
     new_state = build_state(SpectralProfile.from_coeffs(grid, new_coeffs))
     if sup_slope(new_state) > cfg.slope_gate:

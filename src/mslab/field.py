@@ -45,7 +45,8 @@ from .errors import CrossCheckFailure, SlopeGateViolation, SolverDivergence
 from .geometry import sup_slope
 from .spectral import SpectralProfile, derivative
 
-#: GMRES stops once the 2-norm residual falls to this fraction of |b|
+#: GMRES stops once the 2-norm residual falls to this fraction of |b|, and
+#: :func:`solve_strip` raises on a max-norm residual above ten times that
 GMRES_TOLERANCE = 1e-12
 
 #: GMRES iterations after which the strip solve raises SolverDivergence
@@ -366,15 +367,16 @@ def solve_strip(grid, hx_samples, data, strip, top_data=None, span=()):
     (num_layers-1, N) arrays of interior values in ``span`` (see
     :func:`_gmres`), from zero when it is empty; the span changes the
     iteration count, not the target.
-    The solve must meet the residual gate max|A u - b| <= 1e-8 * max(1,
-    max|b|), and the returned field records its iteration count and that
-    residual.  This is the raw kernel behind :func:`solve_exterior_fields`;
-    tests drive it with synthetic data.
+    The solve must meet the residual gate max|A u - b| <= 10 *
+    GMRES_TOLERANCE * |b|, ten times the 2-norm target GMRES stops at, and
+    the returned field records its iteration count and that residual.
+    This is the raw kernel behind :func:`solve_exterior_fields`; tests
+    drive it with synthetic data.
     """
     operator, rhs, values = _strip_system(grid, hx_samples, data, strip, top_data)
     solution, iterations = _gmres(operator, _flat_inverse(grid, strip), rhs, span)
     residual = np.abs(operator(solution) - rhs).max()
-    if residual > 1e-8 * max(1.0, np.abs(rhs).max()):
+    if residual > 10.0 * GMRES_TOLERANCE * np.linalg.norm(rhs):
         raise SolverDivergence(
             f"elliptic residual {residual:.3e} exceeds tolerance after {iterations} GMRES iterations"
         )
@@ -616,12 +618,3 @@ def exterior_response(state, strip, history=None, kept=True):
             history.record(fields)
         state.exterior[strip] = _response(fields, state, kept)
     return state.exterior[strip]
-
-
-def linear_dtn(profile, mobility):
-    """Linearized evolution multiplier: -mobility*|k|^3 per mode."""
-    profile.require_mean_zero("linearized operator")
-    k = profile.grid.wavenumbers
-    return SpectralProfile.from_coeffs(
-        profile.grid, -mobility * np.abs(k) ** 3 * profile.coeffs
-    )

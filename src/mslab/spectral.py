@@ -177,54 +177,3 @@ def seminorm(p, sigma):
     nz = k != 0.0
     weights = np.abs(k[nz]) ** (2.0 * sigma)
     return float(np.sqrt(p.grid.length * np.sum(weights * np.abs(p.coeffs[nz]) ** 2)))
-
-
-def dual_pairing_norm(p, sigma):
-    """Norm of ``p`` acting on the unit ball of ``H^sigma``: seminorm(p, -sigma).
-
-    Dual characterization: sup over test profiles zeta of
-    ``integral p zeta dx`` with ``|| |d/dx|**sigma zeta ||_2 = 1``, attained
-    by ``zeta`` proportional to ``|d/dx|**(-2 sigma) p``.
-    """
-    p.require_mean_zero("dual pairing norm")
-    return seminorm(p, -sigma)
-
-
-def interpolation_gap(p, s1, s2, theta):
-    """Ratio of the interpolated seminorm to the Hoelder product of the ends.
-
-    Returns ``seminorm(p, theta*s1 + (1-theta)*s2)`` divided by
-    ``seminorm(p, s1)**theta * seminorm(p, s2)**(1-theta)``; at most 1 up to
-    round-off.  A zero profile returns 0 by convention.
-    """
-    if not 0.0 < theta < 1.0:
-        raise ValueError("theta must lie in (0, 1)")
-    num = seminorm(p, theta * s1 + (1.0 - theta) * s2)
-    d1 = seminorm(p, s1)
-    d2 = seminorm(p, s2)
-    if d1 == 0.0 or d2 == 0.0:
-        if num == 0.0:
-            return 0.0
-        raise ZeroDivisionError(
-            "interpolation endpoints vanish while the midpoint does not; "
-            "profile state is corrupted"
-        )
-    return num / (d1**theta * d2 ** (1.0 - theta))
-
-
-def harmonic_extension(g, depths):
-    """Harmonic extension of boundary data ``g`` into the half-plane.
-
-    Per-mode Poisson damping ``c_m * exp(-|k_m| z)`` evaluated at each
-    requested depth; the zero mode is propagated unchanged.  Returns an
-    array of shape ``(len(depths), N)`` whose row i holds the field at
-    depth ``depths[i]`` (row 0 of depth 0 is the boundary trace itself).
-    """
-    depths = np.atleast_1d(np.asarray(depths, dtype=float))
-    if np.any(depths < 0):
-        raise ValueError("depths must be nonnegative")
-    k = np.abs(g.grid.wavenumbers)
-    damp = np.exp(-np.outer(depths, k))
-    n = g.grid.num_points
-    return np.fft.ifft(damp * g.coeffs[None, :] * n, axis=1).real
-

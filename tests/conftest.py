@@ -47,6 +47,23 @@ def dft_oracle(samples, grid):
     return out
 
 
+def harmonic_extension(g, depths):
+    """Harmonic extension of boundary data ``g`` into the half-plane.
+
+    Per-mode Poisson damping ``c_m * exp(-|k_m| z)`` evaluated at each
+    requested depth; the zero mode is propagated unchanged.  Returns an
+    array of shape ``(len(depths), N)`` whose row i holds the field at
+    depth ``depths[i]`` (row 0 of depth 0 is the boundary trace itself).
+    """
+    depths = np.atleast_1d(np.asarray(depths, dtype=float))
+    if np.any(depths < 0):
+        raise ValueError("depths must be nonnegative")
+    k = np.abs(g.grid.wavenumbers)
+    damp = np.exp(-np.outer(depths, k))
+    n = g.grid.num_points
+    return np.fft.ifft(damp * g.coeffs[None, :] * n, axis=1).real
+
+
 def dense_arclength(state, q):
     """Arclength profile of q by explicit O(N^2) sums, independent of numpy.fft.
 

@@ -201,6 +201,17 @@ class TestConfigValidation:
         parsed = parse_config({"initial_data": initial, "evolution": evolution}).evolution
         assert parsed.strip == default_strip_config(grid)
 
+    def test_mobility_belongs_to_the_linear_engine(self, tmp_path, capsys):
+        path, _ = small_config(tmp_path, evolution={"mobility": 1.0})
+        assert load_config(path).evolution.mobility == 1.0
+        path, _ = small_config(tmp_path, evolution={"engine": "nonlinear", "mobility": 1.0})
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert err.value.path == "evolution"
+        assert "no mobility" in err.value.message
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "config error at evolution" in capsys.readouterr().err
+
     def test_empty_check_list_exit_2(self, tmp_path, capsys):
         # an empty list would verify nothing and report a pass
         path, _ = small_config(tmp_path, checks=[])
@@ -588,6 +599,18 @@ class TestRates:
         assert payload["slopes"]["E"] == "exponential"
         assert payload["slopes"]["D"] == "exponential"
         assert code in (0, 5)
+
+    def test_flat_initial_data_exit_2(self, tmp_path, capsys):
+        # the rates are relative to H0, which is zero for a flat interface
+        path, _ = small_config(
+            tmp_path,
+            initial_data={"preset": "gaussian_bump", "amplitude": 0.0, "width": 1.0},
+            evolution={"grid": {"length": 16.0, "num_points": 64}},
+        )
+        report_path = tmp_path / "rates.json"
+        assert main(["rates", "--config", str(path), "--out", str(report_path)]) == 2
+        assert "config error at initial_data: H0 = 0" in capsys.readouterr().err
+        assert not report_path.exists()
 
     def test_solver_failure_exit_4(self, tmp_path, monkeypatch, capsys):
         # the linear engine solves only for the triad, so the failure reaches main

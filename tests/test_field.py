@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mslab import field as field_module
-from mslab.errors import CrossCheckFailure, SlopeGateViolation, SolverDivergence, ZeroModeNonzero
+from mslab.errors import CrossCheckFailure, SlopeGateViolation, SolverDivergence
 from mslab.field import (
     ExteriorResponse,
     FieldHistory,
@@ -11,13 +11,12 @@ from mslab.field import (
     default_strip_config,
     dissipation,
     exterior_response,
-    linear_dtn,
     normal_velocity,
     solve_exterior_fields,
     solve_strip,
 )
 from mslab.geometry import build_state, to_arclength
-from mslab.spectral import Grid, SpectralProfile, derivative, seminorm
+from mslab.spectral import Grid, SpectralProfile, derivative, fractional_operator, seminorm
 from conftest import wavelet_state
 
 
@@ -402,7 +401,7 @@ class TestNormalVelocity:
         grid, state, strip, fields, eps, k = mode3_setup
         v = normal_velocity(fields, state)
         h_t = -state.line_element * v.samples
-        target = linear_dtn(state.h, 2.0).samples
+        target = -2.0 * fractional_operator(state.h, 3.0).samples
         assert np.linalg.norm(h_t - target) <= 0.01 * np.linalg.norm(target)
 
     def test_mass_conservation_odd_data(self):
@@ -569,21 +568,3 @@ class TestFieldInvariants:
         # D is the boundary pairing; measured rise 0.49979 -> 0.50013 (+6.7e-4) within 1e-3
         assert ratios[1] <= ratios[0] * (1.0 + 1e-3)
 
-
-class TestLinearDtn:
-    def test_zero_mode_only(self):
-        grid = Grid(L, 64)
-        p = SpectralProfile.from_samples(grid, np.zeros(64))
-        assert linear_dtn(p, 2.0).max_abs() == 0.0
-
-    def test_single_mode_value(self):
-        grid = Grid(L, 64)
-        p = SpectralProfile.from_samples(grid, np.cos(2.0 * grid.nodes))
-        out = linear_dtn(p, 2.0)
-        assert np.abs(out.samples + 16.0 * p.samples).max() <= 1e-12 * 16.0
-
-    def test_rejects_mass(self):
-        grid = Grid(L, 64)
-        p = SpectralProfile.from_samples(grid, 1.0 + np.cos(grid.nodes))
-        with pytest.raises(ZeroModeNonzero):
-            linear_dtn(p, 2.0)

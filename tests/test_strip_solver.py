@@ -65,8 +65,29 @@ class TestGmres:
         assert len(response.iterations) == len(response.residuals) == 2
         # measured: 25 iterations per side
         assert all(0 < it <= 40 for it in response.iterations)
-        # the gate is 1e-8 * max(1, max|b|) >= 1e-8
+        # measured: 3.1e-10 per side, under the gate 10 * GMRES_TOLERANCE * |b|
         assert all(0.0 < r <= 1e-8 for r in response.residuals)
+
+
+class TestResidualGate:
+    """The residual gate of ``solve_strip`` follows ``GMRES_TOLERANCE``."""
+
+    def test_early_gmres_stop_raises(self, monkeypatch):
+        # GMRES stopped at 1e-9 |b| leaves max|Au - b| = 1.3e-7 (measured),
+        # above the gate 10 * GMRES_TOLERANCE * |b| = 2.2e-8
+        early = field._gmres
+
+        def stops_at_1e9(*args):
+            with monkeypatch.context() as patch:
+                patch.setattr(field, "GMRES_TOLERANCE", 1e-9)
+                return early(*args)
+
+        monkeypatch.setattr(field, "_gmres", stops_at_1e9)
+        grid, state = steep_wavelet(0.9)
+        strip = default_strip_config(grid, num_layers=48)
+        kappa = state.curvature.samples
+        with pytest.raises(SolverDivergence, match="elliptic residual"):
+            solve_strip(grid, state.slope.samples, kappa - kappa.mean(), strip)
 
 
 class TestSolverFailure:
