@@ -8,11 +8,11 @@ Commands::
     mslab kernel   --n 512 --length 200 --out kernel.csv
 
 Exit codes: 0 ok, 2 config or input error (including a triad CSV with a
-non-finite value or too few evenly spaced rows), 3 slope blow-up, 4
-solver failure, 5 verification failure.  All numbers are printed with 17
-significant digits so CSV output round-trips doubles losslessly, and
-output files are written atomically (temp file plus rename) with the
-mode ``open()`` would give them.
+non-finite value, a negative value in any column but t, or too few evenly
+spaced rows), 3 slope blow-up, 4 solver failure, 5 verification failure.
+All numbers are printed with 17 significant digits so CSV output
+round-trips doubles losslessly, and output files are written atomically
+(temp file plus rename) with the mode ``open()`` would give them.
 """
 
 import argparse
@@ -28,7 +28,7 @@ from .config import build_initial_profile, load_config
 from .diagnostics import TRIAD_FIELDS, TriadSample, run_named_checks, triad_series
 from .errors import ConfigError, CrossCheckFailure, InsufficientSamples, SolverDivergence
 from .evolution import kernel_mask, run
-from .spectral import Grid
+from .spectral import Grid, seminorm
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -93,16 +93,11 @@ def _status_exit(status):
     }[status]
 
 
-def _simulate(config):
+def cmd_simulate(args):
+    config = load_config(args.config)
     profile = build_initial_profile(config.evolution.grid, config.initial_data)
     traj = run(profile, config.evolution)
     samples = triad_series(traj, config.evolution.strip)
-    return traj, samples
-
-
-def cmd_simulate(args):
-    config = load_config(args.config)
-    traj, samples = _simulate(config)
     os.makedirs(args.out, exist_ok=True)
     _atomic_write(os.path.join(args.out, "trajectory.csv"), _trajectory_csv(traj))
     _atomic_write(os.path.join(args.out, "triad.csv"), _triad_csv(samples))
@@ -130,6 +125,10 @@ def _parse_triad_csv(path):
             raise ConfigError("<traj>", f"line {i}: {exc}") from exc
         if not np.isfinite(values).all():
             raise ConfigError("<traj>", f"line {i}: non-finite value")
+        # every column but t is a norm, an energy or a supremum
+        negative = [name for name, v in zip(TRIAD_FIELDS[1:], values[1:]) if v < 0.0]
+        if negative:
+            raise ConfigError("<traj>", f"line {i}: column {negative[0]} is negative")
         samples.append(TriadSample(**dict(zip(TRIAD_FIELDS, values))))
     if len(samples) < 3:
         raise ConfigError("<traj>", "need at least 3 triad rows")
@@ -145,6 +144,8 @@ def _report_json(reports, extra=None):
                 "threshold": r.threshold,
                 "pass": r.passed,
                 "num_samples": r.num_samples,
+                "t_sup": r.t_sup,
+                "num_excluded": r.num_excluded,
             }
             for r in reports
         ],
@@ -190,22 +191,22 @@ def fit_loglog_slope(times, values):
 
 
 def cmd_rates(args):
-    traj, samples = _simulate(load_config(args.config))
+    config = load_config(args.config)
+    profile = build_initial_profile(config.evolution.grid, config.initial_data)
+    h0_norm = seminorm(profile, -0.5) ** 2
+    if h0_norm <= 0:
+        raise ConfigError("initial_data", f"H0 = {h0_norm:g}: the rates are relative to a nonzero H0")
+    traj = run(profile, config.evolution)
+    samples = triad_series(traj, config.evolution.strip)
     if traj.status != "completed":
         print(f"run ended with status {traj.status}", file=sys.stderr)
         return _status_exit(traj.status)
-    h0_norm = samples[0].Hhalf
-    if h0_norm <= 0:
-        raise ConfigError("initial_data", f"H0 = {h0_norm:g}: the rates are relative to a nonzero H0")
     reports = diagnostics.check_decay_rates(samples, h0_norm)
-    t_late = diagnostics.LATE_TIME_FACTOR * h0_norm**0.75
-    window = [s for s in samples if s.t >= t_late]
-    times = [s.t for s in window]
+    columns = diagnostics.triad_columns(samples)
+    t_late, late = diagnostics.late_window(columns.t, h0_norm)
     slopes = {
-        "E": fit_loglog_slope(times, [s.E for s in window]),
-        "D": fit_loglog_slope(times, [s.D for s in window]),
-        "sup_h": fit_loglog_slope(times, [s.sup_h for s in window]),
-        "sup_slope": fit_loglog_slope(times, [s.sup_slope for s in window]),
+        name: fit_loglog_slope(columns.t[late], getattr(columns, name)[late])
+        for name in ("E", "D", "sup_h", "sup_slope")
     }
     payload = _report_json(
         reports,

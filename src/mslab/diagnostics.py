@@ -3,12 +3,14 @@
 Every inequality proved for the flow is operationalized as a
 :class:`RatioReport`: the empirical supremum of LHS/RHS over the usable
 samples of a trajectory, compared against a fixed per-check threshold
-(default 10 for the universal-constant bounds).  Samples whose
-right-hand side falls below 1e-14 are excluded so equilibria do not
-produce 0/0 ratios.
+(default 10 for the universal-constant bounds).  Both sides are float64
+columns of the triad (:func:`triad_columns`), and
+:meth:`RatioReport.from_sides` alone decides which samples count and
+whether a check fails: a NaN or Inf never passes.
 """
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -24,6 +26,9 @@ LATE_TIME_FACTOR = 5.0
 CURVATURE_EVOLUTION_THRESHOLD = 0.05
 #: the slope/energy bracket is exact algebra, so it is held to one up to round-off
 EXACT_THRESHOLD = 1.0 + 1e-9
+#: every power in a check: numpy's ``power`` may run a SIMD kernel whose last bit
+#: depends on the CPU; ``float_power`` calls the C library's ``pow``, as Python floats do
+_pow = np.float_power
 
 #: every check computable from the triad CSV, in report order: name ->
 #: (family, default threshold).  A run configuration selects from these
@@ -83,28 +88,50 @@ TRIAD_FIELDS = tuple(f.name for f in fields(TriadSample))
 
 @dataclass(frozen=True)
 class RatioReport:
-    """Outcome of one inequality check over a trajectory; ``passed`` is
-    None for a check that did not run (its regime was never entered)."""
+    """Outcome of one inequality check over a trajectory: ``passed`` is None
+    for a check that did not run (its regime was never entered), ``t_sup``
+    is the sample time of the supremum (None without a usable sample) and
+    ``num_excluded`` counts the samples that :data:`RHS_FLOOR` left out."""
 
     name: str
     empirical_sup: float
     threshold: float
     passed: bool
     num_samples: int
+    t_sup: float | None
+    num_excluded: int
 
     @classmethod
-    def from_ratios(cls, name, ratios, threshold):
-        """Supremum of the usable ratios; a NaN or Inf among them fails."""
-        ratios = np.array([r for r in ratios if r is not None], dtype=float)
-        sup = float(ratios.max()) if len(ratios) else 0.0
-        passed = bool(np.isfinite(ratios).all() and sup <= threshold)
-        return cls(name, sup, float(threshold), passed, len(ratios))
+    @np.errstate(all="ignore")
+    def from_sides(cls, name, lhs, rhs, threshold, times):
+        """Supremum of lhs/rhs over float64 arrays sampled at ``times``.
+
+        A sample is left out only when its rhs is finite and below
+        :data:`RHS_FLOOR`, so equilibria give no 0/0; any other non-finite
+        side or ratio fails the check.  Without a usable sample the check
+        passes vacuously.
+        """
+        lhs, rhs, times = np.broadcast_arrays(np.asarray(lhs, dtype=float), rhs, times)
+        kept = ~(np.isfinite(rhs) & (rhs < RHS_FLOOR))
+        ratios, excluded = lhs[kept] / rhs[kept], int(np.sum(~kept))
+        if not len(ratios):
+            return cls(name, 0.0, float(threshold), True, 0, None, excluded)
+        worst = np.argmax(ratios)  # the first NaN, if there is one
+        sup = float(ratios[worst])
+        passed = bool(np.isfinite(rhs[kept]).all() and np.isfinite(ratios).all() and sup <= threshold)
+        return cls(name, sup, float(threshold), passed, len(ratios), float(times[kept][worst]), excluded)
 
 
-def _ratio(lhs, rhs):
-    if rhs < RHS_FLOOR:
-        return None
-    return lhs / rhs
+def triad_columns(samples):
+    """The float64 column of each :class:`TriadSample` field, as an attribute."""
+    table = np.array([astuple(s) for s in samples], dtype=float).reshape(-1, len(TRIAD_FIELDS))
+    return SimpleNamespace(**dict(zip(TRIAD_FIELDS, table.T)))
+
+
+def late_window(t, h0_norm):
+    """Start t_late = 5*H0^{3/4} of the late-time window, and the mask of ``t`` in it."""
+    t_late = LATE_TIME_FACTOR * h0_norm ** 0.75
+    return t_late, np.asarray(t) >= t_late
 
 
 #: rows of the (panels x modes) arrays that :func:`compute_H` holds at once
@@ -195,57 +222,42 @@ def triad_series(traj, strip):
         e = energy(state)
         response = exterior_response(state, strip)
         d = response.dissipation
-        h_dist = compute_H(state)
-        hhalf = seminorm(state.h, -0.5) ** 2
-
         v_x = derivative(response.velocity, 1).samples
-        int_vs2 = float(state.grid.spacing * np.sum(v_x**2 / state.line_element))
-        curv_l2 = float(
-            state.grid.spacing
-            * np.sum(state.curvature.samples**2 * state.line_element)
-        )
         kappa_arc = to_arclength(state, state.curvature).without_mean()
-        sample = TriadSample(
+        out.append(TriadSample(
             t=t,
             E=e,
             D=d,
-            H=h_dist,
-            Hhalf=hhalf,
+            H=compute_H(state),
+            Hhalf=seminorm(state.h, -0.5) ** 2,
             sup_slope=sup_slope(state),
             sup_h=sup_height(state),
             E2D=e * e * d,
-            intVs2=int_vs2,
-            curv_L2=curv_l2,
+            intVs2=float(state.grid.spacing * np.sum(v_x**2 / state.line_element)),
+            curv_L2=float(state.grid.spacing * np.sum(state.curvature.samples**2 * state.line_element)),
             kappa_half_sq=seminorm(kappa_arc, 0.5) ** 2,
             kappa_neg1_sq=seminorm(kappa_arc, -1.0) ** 2,
             hx_l2=state.slope.l2_norm(),
             hxx_l2=derivative(state.h, 2).l2_norm(),
-            h_l3=float(
-                (state.grid.spacing * np.sum(np.abs(state.h.samples) ** 3)) ** (1.0 / 3.0)
-            ),
-        )
-        out.append(sample)
+            h_l3=float((state.grid.spacing * np.sum(np.abs(state.h.samples) ** 3)) ** (1.0 / 3.0)),
+        ))
     return out
 
 
 def _check_usable(samples, minimum):
     if len(samples) < minimum:
-        raise InsufficientSamples(
-            f"need at least {minimum} samples, got {len(samples)}"
-        )
+        raise InsufficientSamples(f"need at least {minimum} samples, got {len(samples)}")
 
 
-def _reports(ratios, thresholds=None):
-    """One report per named ratio list, at the given threshold, else the
-    default of :data:`CSV_CHECKS`, else :data:`DEFAULT_THRESHOLD`."""
-    defaults = {name: threshold for name, (_, threshold) in CSV_CHECKS.items()}
-    thresholds = {**defaults, **(thresholds or {})}
-    return [
-        RatioReport.from_ratios(name, r, thresholds.get(name, DEFAULT_THRESHOLD))
-        for name, r in ratios.items()
-    ]
+def _reports(sides, times, thresholds=None):
+    """One report per named ``(lhs, rhs)`` pair sampled at ``times``, at
+    the given threshold, else the default of :data:`CSV_CHECKS`."""
+    thresholds = {name: threshold for name, (_, threshold) in CSV_CHECKS.items()} | (thresholds or {})
+    return [RatioReport.from_sides(name, lhs, rhs, thresholds[name], times)
+            for name, (lhs, rhs) in sides.items()]
 
 
+@np.errstate(all="ignore")
 def check_algebraic(samples, thresholds=None):
     """Lemma-level algebraic inequality checks, one report per inequality.
 
@@ -255,23 +267,22 @@ def check_algebraic(samples, thresholds=None):
     universal-constant default.
     """
     _check_usable(samples, 3)
-    pairs = {
-        "curvature_l2": [(s.curv_L2, s.E ** (1.0 / 3.0) * s.D ** (2.0 / 3.0)) for s in samples],
-        "slope_e2d": [(s.sup_slope, s.E2D ** (1.0 / 6.0)) for s in samples],
-        "hhalf_h": [(s.Hhalf, s.H) for s in samples],
-        "energy_hd": [(s.E, np.sqrt(s.H * s.D)) for s in samples],
-        "height_interp": [(s.sup_h, (s.Hhalf * s.E**2) ** (1.0 / 6.0)) for s in samples],
-        "kappa_half_d": [(s.kappa_half_sq, s.D) for s in samples],
-        "kappa_neg1_e": [(s.kappa_neg1_sq, s.E) for s in samples],
-        "slope_energy_hi": [(s.hx_l2**2, (1.0 + np.sqrt(2.0)) * s.E) for s in samples],
-        "slope_energy_lo": [(2.0 * s.E, s.hx_l2**2) for s in samples],
-        "height_l3": [
-            (s.h_l3, s.Hhalf ** (1.0 / 3.0) * s.hx_l2 ** (1.0 / 6.0) * s.hxx_l2 ** (1.0 / 6.0))
-            for s in samples
-        ],
+    c = triad_columns(samples)
+    sides = {
+        "curvature_l2": (c.curv_L2, _pow(c.E, 1.0 / 3.0) * _pow(c.D, 2.0 / 3.0)),
+        "slope_e2d": (c.sup_slope, _pow(c.E2D, 1.0 / 6.0)),
+        "hhalf_h": (c.Hhalf, c.H),
+        "energy_hd": (c.E, np.sqrt(c.H * c.D)),
+        "height_interp": (c.sup_h, _pow(c.Hhalf * _pow(c.E, 2), 1.0 / 6.0)),
+        "kappa_half_d": (c.kappa_half_sq, c.D),
+        "kappa_neg1_e": (c.kappa_neg1_sq, c.E),
+        "slope_energy_hi": (_pow(c.hx_l2, 2), (1.0 + np.sqrt(2.0)) * c.E),
+        "slope_energy_lo": (2.0 * c.E, _pow(c.hx_l2, 2)),
+        "height_l3": (
+            c.h_l3, _pow(c.Hhalf, 1.0 / 3.0) * _pow(c.hx_l2, 1.0 / 6.0) * _pow(c.hxx_l2, 1.0 / 6.0)
+        ),
     }
-    ratios = {name: [_ratio(lhs, rhs) for lhs, rhs in p] for name, p in pairs.items()}
-    return _reports(ratios, thresholds)
+    return _reports(sides, c.t, thresholds)
 
 
 def _uniform_cadence(times):
@@ -297,6 +308,7 @@ def _uniform_cadence(times):
     return gaps.mean(), len(gaps) + 1
 
 
+@np.errstate(all="ignore")
 def check_differential(samples, thresholds=None):
     """Verification of the differential relations on three-sample stencils.
 
@@ -310,24 +322,21 @@ def check_differential(samples, thresholds=None):
     interior samples enter, so there is no one-sided bias at the
     trajectory ends.
     """
-    _check_usable(samples, 3)
-    dt, count = _uniform_cadence([s.t for s in samples])
+    c = triad_columns(samples)
+    dt, count = _uniform_cadence(c.t)
+    prev, mid, nxt = slice(0, count - 2), slice(1, count - 1), slice(2, count)
+    E, D, H = c.E, c.D, c.H
 
-    ee, dd, dh = [], [], []
-    for i in range(1, count - 1):
-        prev, mid, nxt = samples[i - 1], samples[i], samples[i + 1]
-        de = (nxt.E - prev.E) / (2.0 * dt)
-        d_simpson = (prev.D + 4.0 * mid.D + nxt.D) / 6.0
-        ddis = (nxt.D - prev.D) / (2.0 * dt)
-        dhd = (nxt.H - prev.H) / (2.0 * dt)
-        ee.append(_ratio(abs(de + d_simpson), mid.D))
-        dd.append(_ratio(ddis + mid.intVs2, mid.D**2.5 + mid.E * mid.D**3))
-        dh.append(
-            _ratio(dhd, np.sqrt(mid.H) * mid.E ** (1.0 / 6.0) * mid.D ** (7.0 / 12.0))
-        )
-    return _reports(
-        {"energy_dissipation": ee, "dissipation_rate": dd, "distance_rate": dh}, thresholds
-    )
+    de = (E[nxt] - E[prev]) / (2.0 * dt)
+    d_simpson = (D[prev] + 4.0 * D[mid] + D[nxt]) / 6.0
+    ddis = (D[nxt] - D[prev]) / (2.0 * dt)
+    dhd = (H[nxt] - H[prev]) / (2.0 * dt)
+    sides = {
+        "energy_dissipation": (np.abs(de + d_simpson), D[mid]),
+        "dissipation_rate": (ddis + c.intVs2[mid], _pow(D[mid], 2.5) + E[mid] * _pow(D[mid], 3)),
+        "distance_rate": (dhd, np.sqrt(H[mid]) * _pow(E[mid], 1.0 / 6.0) * _pow(D[mid], 7.0 / 12.0)),
+    }
+    return _reports(sides, c.t[mid], thresholds)
 
 
 def check_lyapunov(samples, step_tol=CSV_CHECKS["lyapunov_e2d"][1]):
@@ -338,17 +347,16 @@ def check_lyapunov(samples, step_tol=CSV_CHECKS["lyapunov_e2d"][1]):
     nonincreasing, and a NaN or Inf step fails.
     """
     _check_usable(samples, 2)
-    values = np.array([s.E2D for s in samples])
-    inside = np.nonzero(values <= LYAPUNOV_EPSILON)[0]
+    c = triad_columns(samples)
+    inside = np.nonzero(c.E2D <= LYAPUNOV_EPSILON)[0]
     if len(inside) == 0:
-        raise RegimeNeverEntered(
-            f"E^2 D never dropped below epsilon = {LYAPUNOV_EPSILON:.3e}"
-        )
-    tail = values[inside[0]:]
-    steps = np.diff(tail) / np.maximum(tail[:-1], RHS_FLOOR)
-    worst = float(np.max(steps, initial=0.0))
-    passed = bool(np.isfinite(steps).all() and worst <= step_tol)
-    return RatioReport("lyapunov_e2d", worst, float(step_tol), passed, len(steps))
+        raise RegimeNeverEntered(f"E^2 D never dropped below epsilon = {LYAPUNOV_EPSILON:.3e}")
+    tail = c.E2D[inside[0]:]
+    # a decrease counts as no increase; the floored rhs keeps a flat state's steps, as 0
+    increase = np.maximum(np.diff(tail), 0.0)
+    return RatioReport.from_sides(
+        "lyapunov_e2d", increase, np.maximum(tail[:-1], RHS_FLOOR), step_tol, c.t[inside[0] + 1:]
+    )
 
 
 def run_named_checks(samples, checks):
@@ -368,11 +376,12 @@ def run_named_checks(samples, checks):
         try:
             reports.append(check_lyapunov(samples, step_tol=step_tol))
         except RegimeNeverEntered:
-            reports.append(RatioReport("lyapunov_e2d", 0.0, step_tol, None, 0))
+            reports.append(RatioReport("lyapunov_e2d", 0.0, step_tol, None, 0, None, 0))
     by_name = {r.name: r for r in reports}
     return [by_name[name] for name, _ in checks]
 
 
+@np.errstate(all="ignore")
 def check_decay_rates(samples, h0_norm):
     """Theorem-rate supremum checks against the initial distance H0.
 
@@ -384,31 +393,28 @@ def check_decay_rates(samples, h0_norm):
     if h0_norm <= 0:
         raise ValueError("H0 must be positive")
     _check_usable(samples, 1)
-    t_late = LATE_TIME_FACTOR * h0_norm ** 0.75
-    late = [s for s in samples if s.t >= t_late]
+    c = triad_columns(samples)
+    _, late = late_window(c.t, h0_norm)
+    t, tl = c.t, c.t[late]
     root = np.sqrt(h0_norm)
-    ratios = {
-        "rate_te": [_ratio(s.t * s.E, h0_norm) for s in samples],
-        "rate_h": [_ratio(s.H, h0_norm) for s in samples],
-        "rate_t2d": [_ratio(s.t**2 * s.D, h0_norm) for s in late],
-        "rate_slope": [_ratio(s.t ** (2.0 / 3.0) * s.sup_slope, root) for s in late],
-        "rate_height": [_ratio(s.t ** (1.0 / 3.0) * s.sup_h, root) for s in late],
-        "height_he2": [_ratio(s.sup_h, (s.H * s.E**2) ** (1.0 / 6.0)) for s in samples],
+    sides = {
+        "rate_te": (t * c.E, h0_norm, t),
+        "rate_h": (c.H, h0_norm, t),
+        "rate_t2d": (_pow(tl, 2) * c.D[late], h0_norm, tl),
+        "rate_slope": (_pow(tl, 2.0 / 3.0) * c.sup_slope[late], root, tl),
+        "rate_height": (_pow(tl, 1.0 / 3.0) * c.sup_h[late], root, tl),
+        "height_he2": (c.sup_h, _pow(c.H * _pow(c.E, 2), 1.0 / 6.0), t),
     }
-    reports = _reports(ratios)
-    if late:
-        return reports
-    return [
-        replace(r, passed=None) if r.name in ("rate_t2d", "rate_slope", "rate_height") else r
-        for r in reports
-    ]
+    reports = [RatioReport.from_sides(name, lhs, rhs, DEFAULT_THRESHOLD, times)
+               for name, (lhs, rhs, times) in sides.items()]
+    unrun = () if late.any() else ("rate_t2d", "rate_slope", "rate_height")
+    return [replace(r, passed=None) if r.name in unrun else r for r in reports]
 
 
 def _lowpass(values, grid, keep_modes):
-    coeffs = np.fft.fft(values) / grid.num_points
-    m = np.fft.fftfreq(grid.num_points) * grid.num_points
-    coeffs[np.abs(m) > keep_modes] = 0.0
-    return np.fft.ifft(coeffs * grid.num_points).real
+    coeffs = np.fft.fft(values)
+    coeffs[np.abs(np.fft.fftfreq(grid.num_points) * grid.num_points) > keep_modes] = 0.0
+    return np.fft.ifft(coeffs).real
 
 
 def check_curvature_evolution(traj, strip):
@@ -426,28 +432,19 @@ def check_curvature_evolution(traj, strip):
     grid = traj.states[0].grid
     keep = max(2, grid.num_points // 8)
 
-    defects = []
-    for i in range(1, count - 1):
-        state = traj.states[i]
+    sides = []
+    for prev, state, nxt in zip(traj.states, traj.states[1:count - 1], traj.states[2:count]):
         v = exterior_response(state, strip).velocity.samples
-        kappa = state.curvature
-        kappa_t = (
-            traj.states[i + 1].curvature.samples - traj.states[i - 1].curvature.samples
-        ) / (2.0 * dt)
-        convect = (
-            v * state.slope.samples * derivative(kappa, 1).samples / state.line_element
-        )
-        lhs = kappa_t + convect
-
-        v_s = derivative(SpectralProfile.from_samples(grid, v), 1).samples / state.line_element
-        v_ss = derivative(SpectralProfile.from_samples(grid, v_s), 1).samples / state.line_element
+        kappa, ds = state.curvature, state.line_element
+        kappa_t = (nxt.curvature.samples - prev.curvature.samples) / (2.0 * dt)
+        lhs = kappa_t + v * state.slope.samples * derivative(kappa, 1).samples / ds
+        v_s = derivative(SpectralProfile.from_samples(grid, v), 1).samples / ds
+        v_ss = derivative(SpectralProfile.from_samples(grid, v_s), 1).samples / ds
         rhs = -v_ss - kappa.samples**2 * v
+        lhs_f, rhs_f = _lowpass(lhs, grid, keep), _lowpass(rhs, grid, keep)
+        sides.append((np.linalg.norm(lhs_f - rhs_f), np.linalg.norm(rhs_f)))
 
-        lhs_f = _lowpass(lhs, grid, keep)
-        rhs_f = _lowpass(rhs, grid, keep)
-        scale = np.linalg.norm(rhs_f)
-        if scale < RHS_FLOOR:
-            continue
-        defects.append(np.linalg.norm(lhs_f - rhs_f) / scale)
-
-    return RatioReport.from_ratios("curvature_evolution", defects, CURVATURE_EVOLUTION_THRESHOLD)
+    defect, scale = np.reshape(sides, (-1, 2)).T
+    return RatioReport.from_sides(
+        "curvature_evolution", defect, scale, CURVATURE_EVOLUTION_THRESHOLD, traj.times[1:count - 1]
+    )

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -351,6 +352,9 @@ class TestVerify:
         names = {c["name"] for c in payload["checks"]}
         expected = {name for name, _ in load_config(config_path).checks}
         assert names == expected
+        times = {float(row.split(",")[0]) for row in csv_path.read_text().splitlines()[1:]}
+        for check in payload["checks"]:
+            assert check["t_sup"] in times and check["num_excluded"] == 0, check
 
     def test_corrupted_energy_fails_with_exit_5(self, tmp_path, triad_csv):
         config_path, csv_path = triad_csv
@@ -426,14 +430,91 @@ class TestVerify:
         ])
         return code, report_path
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    def test_non_finite_value_exit_2(self, tmp_path, triad_csv, capsys, value):
-        config_path, csv_path = triad_csv
+    @staticmethod
+    def _edit_middle(csv_path, column, value):
         rows = csv_path.read_text().strip().splitlines()
         middle = len(rows) // 2
         parts = rows[middle].split(",")
-        parts[TRIAD_FIELDS.index("D")] = value
+        parts[TRIAD_FIELDS.index(column)] = value
         rows[middle] = ",".join(parts)
+        return rows, middle
+
+    @pytest.mark.parametrize(
+        "column, value",
+        [("kappa_half_sq", "-1"), ("sup_h", "-1"), ("E", "-1e-3"), ("D", "-1e-3"), ("Hhalf", "-1e-3")],
+    )
+    def test_negative_value_exit_2(self, tmp_path, triad_csv, capsys, column, value):
+        # every column but t is a norm, an energy or a supremum
+        config_path, csv_path = triad_csv
+        rows, middle = self._edit_middle(csv_path, column, value)
+        code, report_path = self._verify(tmp_path, config_path, rows)
+        assert code == 2
+        assert f"line {middle + 1}: column {column} is negative" in capsys.readouterr().err
+        assert not report_path.exists()
+
+    @pytest.mark.parametrize("column", ["E", "D"])
+    def test_overflowing_value_exit_5(self, tmp_path, triad_csv, column):
+        # powers of 1e308 overflow to inf, and an inf fails its check
+        config_path, csv_path = triad_csv
+        rows, _ = self._edit_middle(csv_path, column, "1e308")
+        code, report_path = self._verify(tmp_path, config_path, rows)
+        assert code == 5
+        assert json.loads(report_path.read_text())["overall_pass"] is False
+
+    def test_single_cell_edits_exit_0_2_or_5(self, tmp_path, capsys):
+        path, _ = small_config(tmp_path, evolution={"grid": {"length": 6.283185307179586, "num_points": 64}})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        rows = (out / "triad.csv").read_text().strip().splitlines()
+        special = ["nan", "inf", "-inf", "0", "-0", "1e308", "-1e308", "5e-324", "-1e-3", "x", ""]
+        rng = np.random.default_rng(16)
+        codes = Counter()
+        for _ in range(500):
+            i, j = rng.integers(1, len(rows)), rng.integers(len(TRIAD_FIELDS))
+            parts = rows[i].split(",")
+            kind = rng.integers(3)
+            if kind == 0:
+                parts[j] = special[rng.integers(len(special))]
+            elif kind == 1:
+                parts[j] = f"{float(parts[j]) * (1.0 + rng.normal(0.0, 1e-3)):.17g}"
+            else:
+                parts[j] = f"{rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-320.0, 308.0):.17g}"
+            edited = rows[:i] + [",".join(parts)] + rows[i + 1:]
+            codes[self._verify(tmp_path, path, edited)[0]] += 1
+        capsys.readouterr()
+        assert set(codes) == {0, 2, 5}, codes
+
+    @pytest.mark.parametrize("engine", ["linear", "nonlinear"])
+    @pytest.mark.parametrize(
+        "initial_data",
+        [
+            {"preset": "gaussian_bump", "amplitude": 0.15, "width": 1.0},
+            {"preset": "wavelet", "amplitude": 0.3, "width": 1.0},
+            {"preset": "mode", "amplitude": 0.05, "wavenumber": 2},
+        ],
+        ids=lambda d: d["preset"],
+    )
+    def test_simulate_output_verifies(self, tmp_path, engine, initial_data):
+        path, _ = small_config(
+            tmp_path,
+            initial_data=initial_data,
+            evolution={
+                "engine": engine,
+                "grid": {"length": 16.0, "num_points": 64},
+                "strip": {"num_layers": 32},
+                "dt": 6e-4,
+                "t_end": 6e-3,
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        code, _ = self._verify(tmp_path, path, (out / "triad.csv").read_text().strip().splitlines())
+        assert code in (0, 5)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_exit_2(self, tmp_path, triad_csv, capsys, value):
+        config_path, csv_path = triad_csv
+        rows, middle = self._edit_middle(csv_path, "D", value)
         code, report_path = self._verify(tmp_path, config_path, rows)
         assert code == 2
         assert f"line {middle + 1}" in capsys.readouterr().err
@@ -599,8 +680,10 @@ class TestRates:
         assert payload["slopes"]["E"] == "exponential"
         assert payload["slopes"]["D"] == "exponential"
         assert code in (0, 5)
+        late = {c["name"]: c for c in payload["checks"]}["rate_t2d"]
+        assert late["t_sup"] >= payload["late_time_start"] and late["num_excluded"] == 0
 
-    def test_flat_initial_data_exit_2(self, tmp_path, capsys):
+    def test_flat_initial_data_exit_2(self, tmp_path, monkeypatch, capsys):
         # the rates are relative to H0, which is zero for a flat interface
         path, _ = small_config(
             tmp_path,
@@ -608,6 +691,11 @@ class TestRates:
             evolution={"grid": {"length": 16.0, "num_points": 64}},
         )
         report_path = tmp_path / "rates.json"
+
+        def no_run(*args):
+            raise AssertionError("flat initial data must be rejected before the run")
+
+        monkeypatch.setattr(cli, "run", no_run)
         assert main(["rates", "--config", str(path), "--out", str(report_path)]) == 2
         assert "config error at initial_data: H0 = 0" in capsys.readouterr().err
         assert not report_path.exists()

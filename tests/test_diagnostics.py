@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -460,27 +461,85 @@ class TestCurvatureEvolution:
             check_curvature_evolution(traj, strip)
 
 
+def sides_report(lhs, rhs, threshold=10.0):
+    """A report on lhs/rhs over samples at t = 0, 1, 2, ..."""
+    lhs = np.asarray(lhs, dtype=float)
+    return RatioReport.from_sides("x", lhs, rhs, threshold, np.arange(len(lhs), dtype=float))
+
+
 class TestRatioReport:
     def test_pass_iff_sup_below_threshold(self):
-        assert RatioReport.from_ratios("x", [0.5, 2.0], 10.0).passed
-        assert not RatioReport.from_ratios("x", [11.0], 10.0).passed
+        assert sides_report([0.5, 2.0], 1.0).passed
+        assert not sides_report([11.0], 1.0).passed
 
     def test_excludes_tiny_rhs(self):
-        from mslab.diagnostics import _ratio
-
-        assert _ratio(1.0, 1e-15) is None
-        assert _ratio(1.0, 2.0) == 0.5
+        report = sides_report([1.0, 1.0, np.inf, 3.0], [1e-15, 2.0, 0.0, 4.0])
+        assert report.num_excluded == 2 and report.num_samples == 2
+        assert report.empirical_sup == 0.75 and report.t_sup == 3.0 and report.passed
 
     def test_non_finite_ratio_fails(self):
         nan, inf = float("nan"), float("inf")
-        assert not RatioReport.from_ratios("x", [1.0, nan], 10.0).passed
-        assert not RatioReport.from_ratios("x", [nan, 1.0], 10.0).passed
-        assert not RatioReport.from_ratios("x", [1.0, inf], 10.0).passed
-        assert not RatioReport.from_ratios("x", [-inf, 1.0], 10.0).passed
+        for lhs, rhs in (
+            ([1.0, nan], 1.0),
+            ([nan, 1.0], 1.0),
+            ([1.0, inf], 1.0),
+            ([-inf, 1.0], 1.0),
+            ([1.0, 1.0], [1.0, nan]),
+            ([1.0, 1.0], [1.0, inf]),
+            ([1.0, 1.0], [1.0, -inf]),
+            ([1.0, 1e300], [1.0, 1e-10]),  # the ratio overflows
+        ):
+            assert not sides_report(lhs, rhs).passed, (lhs, rhs)
 
     def test_negative_sup_kept(self):
-        report = RatioReport.from_ratios("x", [-3.0, -2.0, None], 10.0)
+        report = sides_report([-3.0, -2.0, 5.0], [1.0, 1.0, 0.0])
         assert report.empirical_sup == -2.0 and report.num_samples == 2 and report.passed
+        assert report.t_sup == 1.0 and report.num_excluded == 1
+
+    def test_no_usable_sample_passes_vacuously(self):
+        report = sides_report([1.0, np.inf], [0.0, -1.0])
+        assert report.passed and report.empirical_sup == 0.0 and report.t_sup is None
+        assert (report.num_samples, report.num_excluded) == (0, 2)
+
+
+def scalar_sides(s, prev, nxt, dt, h0):
+    """The per-sample Python-float sides of every ratio check, the reference
+    for the float64 column arithmetic of the check families."""
+    de, dd, dh = ((getattr(nxt, f) - getattr(prev, f)) / (2.0 * dt) for f in ("E", "D", "H"))
+    return {
+        "curvature_l2": (s.curv_L2, s.E ** (1.0 / 3.0) * s.D ** (2.0 / 3.0)),
+        "slope_e2d": (s.sup_slope, s.E2D ** (1.0 / 6.0)),
+        "energy_hd": (s.E, np.sqrt(s.H * s.D)),
+        "height_interp": (s.sup_h, (s.Hhalf * s.E**2) ** (1.0 / 6.0)),
+        "slope_energy_hi": (s.hx_l2**2, (1.0 + np.sqrt(2.0)) * s.E),
+        "slope_energy_lo": (2.0 * s.E, s.hx_l2**2),
+        "height_l3": (s.h_l3, s.Hhalf ** (1.0 / 3.0) * s.hx_l2 ** (1.0 / 6.0) * s.hxx_l2 ** (1.0 / 6.0)),
+        "energy_dissipation": (abs(de + (prev.D + 4.0 * s.D + nxt.D) / 6.0), s.D),
+        "dissipation_rate": (dd + s.intVs2, s.D**2.5 + s.E * s.D**3),
+        "distance_rate": (dh, np.sqrt(s.H) * s.E ** (1.0 / 6.0) * s.D ** (7.0 / 12.0)),
+        "rate_t2d": (s.t**2 * s.D, h0),
+        "rate_slope": (s.t ** (2.0 / 3.0) * s.sup_slope, np.sqrt(h0)),
+        "rate_height": (s.t ** (1.0 / 3.0) * s.sup_h, np.sqrt(h0)),
+        "height_he2": (s.sup_h, (s.H * s.E**2) ** (1.0 / 6.0)),
+    }
+
+
+def test_columns_match_scalar_arithmetic():
+    # three samples: the middle one is the only centered-difference sample,
+    # and H0 puts all three in the late window
+    rng = np.random.default_rng(21)
+    for _ in range(200):
+        samples = [
+            TriadSample(0.5 * i + 0.5, *(float(v) for v in rng.uniform(0.01, 3.0, len(TRIAD_FIELDS) - 1)))
+            for i in range(3)
+        ]
+        reports = check_algebraic(samples) + check_differential(samples) + check_decay_rates(samples, 1e-3)
+        dt = float(np.diff([s.t for s in samples]).mean())
+        for r in reports:
+            rows = samples[1:2] if r.name in ("energy_dissipation", "dissipation_rate", "distance_rate") else samples
+            sides = [scalar_sides(s, samples[0], samples[2], dt, 1e-3).get(r.name) for s in rows]
+            if sides[0] is not None:
+                assert r.empirical_sup == max(lhs / rhs for lhs, rhs in sides), r.name
 
 
 class TestNonFiniteSamples:
@@ -502,6 +561,21 @@ class TestNonFiniteSamples:
         assert check_differential(samples[:4])[0].passed
         failed = {r.name for r in check_differential(samples) if not r.passed}
         assert failed == {"energy_dissipation", "dissipation_rate", "distance_rate"}
+
+
+    @pytest.mark.parametrize("column", ["E", "D"])
+    def test_overflowing_sample_fails_without_raising(self, column):
+        # H0 = pi puts the late window at t >= 5 pi^(3/4) = 11.8; row 35 is t = 13.5
+        ts = np.linspace(0.01, 15.0, 40)
+        decay = lambda t: np.pi * np.exp(-2 * t)  # noqa: E731
+        samples = proxy_samples(ts, decay, lambda t: 2.0 * decay(t), H=decay)
+        families = (check_algebraic, check_differential, lambda s: check_decay_rates(s, np.pi))
+        assert all(r.passed for family in families for r in family(samples))
+        samples[35] = replace(samples[35], **{column: 1e308})
+        assert not all(r.passed for r in check_differential(samples))
+        assert not all(r.passed for r in check_decay_rates(samples, np.pi))
+        # each algebraic bound on D grows with D, so a huge D breaks none of them
+        assert all(r.passed for r in check_algebraic(samples)) == (column == "D")
 
 
 class TestCadence:
