@@ -47,7 +47,6 @@ from .field import (
 from .evolution import (
     EvolutionConfig,
     Trajectory,
-    exact_linear_observables,
     kernel_mask,
     linear_solve_exact,
     nonlinear_step,
@@ -57,7 +56,6 @@ from .diagnostics import (
     RatioReport,
     TriadSample,
     check_algebraic,
-    check_curvature_evolution,
     check_decay_rates,
     check_differential,
     check_lyapunov,

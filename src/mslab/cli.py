@@ -9,7 +9,8 @@ Commands::
 
 Exit codes: 0 ok, 2 config or input error (including a triad CSV with a
 non-finite value, a negative value in any column but t, or too few evenly
-spaced rows), 3 slope blow-up, 4 solver failure, 5 verification failure.
+spaced rows, and a simulation whose schedule keeps too few of them), 3
+slope blow-up, 4 solver failure, 5 verification failure.
 All numbers are printed with 17 significant digits so CSV output
 round-trips doubles losslessly, and output files are written atomically
 (temp file plus rename) with the mode ``open()`` would give them.
@@ -27,7 +28,7 @@ from . import diagnostics
 from .config import build_initial_profile, load_config
 from .diagnostics import TRIAD_FIELDS, TriadSample, run_named_checks, triad_series
 from .errors import ConfigError, CrossCheckFailure, InsufficientSamples, SolverDivergence
-from .evolution import kernel_mask, run
+from .evolution import kernel_mask, run, snapshot_steps
 from .spectral import Grid, seminorm
 
 EXIT_OK = 0
@@ -95,13 +96,24 @@ def _status_exit(status):
 
 def cmd_simulate(args):
     config = load_config(args.config)
-    profile = build_initial_profile(config.evolution.grid, config.initial_data)
-    traj = run(profile, config.evolution)
-    samples = triad_series(traj, config.evolution.strip)
+    cfg = config.evolution
+    # verify's centered differences need three snapshots on the output
+    # cadence; an off-cadence last snapshot does not count
+    steps = snapshot_steps(cfg)
+    even = sum(step % cfg.output_every == 0 for step in steps)
+    if even < 3:
+        raise ConfigError(
+            "evolution",
+            f"t_end/dt = {steps[-1]} with output_every = {cfg.output_every} "
+            f"keeps {even} evenly spaced snapshots; verify needs at least 3",
+        )
+    profile = build_initial_profile(cfg.grid, config.initial_data)
+    traj = run(profile, cfg)
+    samples = triad_series(traj, cfg.strip)
     os.makedirs(args.out, exist_ok=True)
     _atomic_write(os.path.join(args.out, "trajectory.csv"), _trajectory_csv(traj))
     _atomic_write(os.path.join(args.out, "triad.csv"), _triad_csv(samples))
-    _atomic_write(os.path.join(args.out, "solver.csv"), _solver_csv(traj, config.evolution.dt))
+    _atomic_write(os.path.join(args.out, "solver.csv"), _solver_csv(traj, cfg.dt))
     print(f"status: {traj.status}; {len(traj)} snapshots written to {args.out}")
     return _status_exit(traj.status)
 

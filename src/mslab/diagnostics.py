@@ -17,13 +17,12 @@ import numpy as np
 from .errors import InsufficientSamples, RegimeNeverEntered
 from .field import exterior_response
 from .geometry import energy, sup_height, sup_slope, to_arclength
-from .spectral import SpectralProfile, derivative, seminorm
+from .spectral import derivative, seminorm
 
 RHS_FLOOR = 1e-14
 DEFAULT_THRESHOLD = 10.0
 LYAPUNOV_EPSILON = 1e-3
 LATE_TIME_FACTOR = 5.0
-CURVATURE_EVOLUTION_THRESHOLD = 0.05
 #: the slope/energy bracket is exact algebra, so it is held to one up to round-off
 EXACT_THRESHOLD = 1.0 + 1e-9
 #: every power in a check: numpy's ``power`` may run a SIMD kernel whose last bit
@@ -409,42 +408,3 @@ def check_decay_rates(samples, h0_norm):
                for name, (lhs, rhs, times) in sides.items()]
     unrun = () if late.any() else ("rate_t2d", "rate_slope", "rate_height")
     return [replace(r, passed=None) if r.name in unrun else r for r in reports]
-
-
-def _lowpass(values, grid, keep_modes):
-    coeffs = np.fft.fft(values)
-    coeffs[np.abs(np.fft.fftfreq(grid.num_points) * grid.num_points) > keep_modes] = 0.0
-    return np.fft.ifft(coeffs).real
-
-
-def check_curvature_evolution(traj, strip):
-    """Material-derivative identity for the curvature along the flow.
-
-    Along particle paths the curvature obeys Dkappa/dt = -V_ss - kappa^2 V.
-    The left side is reconstructed from centered time differences of kappa
-    at fixed x plus the convective correction V h_x kappa_x / sqrt(1+h_x^2)
-    (grid points travel vertically, particles travel along the normal).
-    Both sides are low-pass filtered to the lowest N/8 modes before the
-    relative L2 defect is taken, and the largest defect is held to
-    :data:`CURVATURE_EVOLUTION_THRESHOLD`.
-    """
-    dt, count = _uniform_cadence(traj.times)
-    grid = traj.states[0].grid
-    keep = max(2, grid.num_points // 8)
-
-    sides = []
-    for prev, state, nxt in zip(traj.states, traj.states[1:count - 1], traj.states[2:count]):
-        v = exterior_response(state, strip).velocity.samples
-        kappa, ds = state.curvature, state.line_element
-        kappa_t = (nxt.curvature.samples - prev.curvature.samples) / (2.0 * dt)
-        lhs = kappa_t + v * state.slope.samples * derivative(kappa, 1).samples / ds
-        v_s = derivative(SpectralProfile.from_samples(grid, v), 1).samples / ds
-        v_ss = derivative(SpectralProfile.from_samples(grid, v_s), 1).samples / ds
-        rhs = -v_ss - kappa.samples**2 * v
-        lhs_f, rhs_f = _lowpass(lhs, grid, keep), _lowpass(rhs, grid, keep)
-        sides.append((np.linalg.norm(lhs_f - rhs_f), np.linalg.norm(rhs_f)))
-
-    defect, scale = np.reshape(sides, (-1, 2)).T
-    return RatioReport.from_sides(
-        "curvature_evolution", defect, scale, CURVATURE_EVOLUTION_THRESHOLD, traj.times[1:count - 1]
-    )

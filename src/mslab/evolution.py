@@ -7,7 +7,7 @@ treats its own small-slope linearisation -LINEAR_RATE*|k|^3 implicitly.
 The mobility is a parameter of the linear engine only; the nonlinear flow
 has none.  :func:`run` is the flow's one mean-zero gate, and both engines
 then hold c_0 = 0 exactly.  The module also provides the self-similar
-kernel mask of the linear flow and its closed-form Fourier observables.
+kernel mask of the linear flow.
 """
 
 from dataclasses import dataclass, field as dataclass_field
@@ -145,9 +145,15 @@ def nonlinear_step(state, cfg):
     return new_state
 
 
+def snapshot_steps(cfg):
+    """The steps whose states a run keeps: 0, every ``output_every``-th
+    step and the last, which may close a shorter interval."""
+    n_steps = round(cfg.t_end / cfg.dt)
+    return sorted({*range(0, n_steps, cfg.output_every), n_steps})
+
+
 def run(h0, cfg):
-    """Advance h0 to t_end, recording snapshots every ``output_every`` steps
-    and at the last step, which may close a shorter interval.
+    """Advance h0 to t_end, recording the snapshots of :func:`snapshot_steps`.
 
     The linear engine evaluates the exact mode solution at the snapshot
     times; the nonlinear engine steps with :func:`nonlinear_step`.  Its
@@ -174,28 +180,28 @@ def run(h0, cfg):
         )
     traj = Trajectory()
     traj.append(0.0, state0)
-    n_steps = round(cfg.t_end / cfg.dt)
+    steps = snapshot_steps(cfg)
+    n_steps = steps[-1]
     if n_steps == 0:
         return traj
 
     if cfg.engine == "linear":
-        for step in (*range(cfg.output_every, n_steps, cfg.output_every), n_steps):
+        for step in steps[1:]:
             t = step * cfg.dt
             traj.append(t, build_state(linear_solve_exact(h0, t, cfg.mobility)))
         return traj
 
     state = state0
     history = FieldHistory()
+    kept = set(steps)
     try:
         for step in range(1, n_steps + 1):
-            # the trajectory keeps the state at every output_every-th step,
-            # and only a kept state needs the volume quadrature
-            kept = (step - 1) % cfg.output_every == 0
-            response = exterior_response(state, cfg.strip, history, kept)
+            # only a state the trajectory keeps needs the volume quadrature
+            response = exterior_response(state, cfg.strip, history, step - 1 in kept)
             state = nonlinear_step(state, cfg)
             traj.iterations.append(response.iterations)
             traj.residuals.append(response.residuals)
-            if step % cfg.output_every == 0 or step == n_steps:
+            if step in kept:
                 traj.append(step * cfg.dt, state)
         # the diagnostics read the final state too, so it is solved warm here
         exterior_response(state, cfg.strip, history)
@@ -216,23 +222,3 @@ def kernel_mask(grid):
     k = np.abs(grid.wavenumbers)
     coeffs = np.exp(-(k**3)) / grid.length
     return SpectralProfile.from_coeffs(grid, coeffs.astype(complex))
-
-
-def exact_linear_observables(h0, t, mobility):
-    """Closed-form Fourier observables of the linearized flow.
-
-    Returns ``(E_lin, D_lin, H0)`` where ``E_lin = || |d/dx| h(t) ||_2^2``,
-    ``D_lin = || |d/dx|^{5/2} h(t) ||_2^2`` and ``H0 = sum L |c_m|^2/|k_m|``
-    for the initial data.  These are the discrete versions of the scaled
-    integrals ``t E = int |t^{1/3}k|^3 exp(-2 mu |t^{1/3}k|^3) |h0|^2/|k|``
-    (and exponent 6 for ``t^2 D``), the oracle for the decay-rate checks.
-    """
-    h0.require_mean_zero("the linear observables")
-    k = np.abs(h0.grid.wavenumbers)
-    nz = k != 0.0
-    weight = h0.grid.length * np.abs(h0.coeffs[nz]) ** 2
-    decay = np.exp(-2.0 * mobility * k[nz] ** 3 * t)
-    e_lin = float(np.sum(k[nz] ** 2 * decay * weight))
-    d_lin = float(np.sum(k[nz] ** 5 * decay * weight))
-    h0_norm = float(np.sum(weight / k[nz]))
-    return e_lin, d_lin, h0_norm

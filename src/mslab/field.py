@@ -71,7 +71,8 @@ class StripConfig:
     The levels are zt = Z*(exp(alpha*eta)-1)/(exp(alpha)-1) at eta = i/m
     with alpha = log(:data:`GRADING`), so successive layer thicknesses form
     an exact geometric progression and the Jacobian dzt/deta grows by
-    GRADING across the strip.
+    GRADING across the strip.  The solver reads only that Jacobian, never
+    the levels themselves.
     """
 
     depth: float
@@ -83,20 +84,10 @@ class StripConfig:
         if self.num_layers < 16:
             raise ValueError("need at least 16 layers")
 
-    def _graded_map(self):
-        """(zt, dzt/deta) at the levels."""
-        eta = np.arange(self.num_layers + 1) / self.num_layers
-        growth = np.expm1(_ALPHA)
-        return (
-            self.depth * np.expm1(_ALPHA * eta) / growth,
-            self.depth * _ALPHA * np.exp(_ALPHA * eta) / growth,
-        )
-
-    def levels(self):
-        return self._graded_map()[0]
-
     def jacobian(self):
-        return self._graded_map()[1]
+        """dzt/deta at the levels, the one place the depth map is written."""
+        eta = np.arange(self.num_layers + 1) / self.num_layers
+        return self.depth * _ALPHA * np.exp(_ALPHA * eta) / np.expm1(_ALPHA)
 
 
 def default_strip_config(grid, num_layers=64):

@@ -24,10 +24,9 @@ import numpy as np
 
 from .errors import ZeroModeNonzero
 
-#: a profile is mean-zero when |c_0| <= max(MEAN_ZERO_RTOL max|c_m|, MEAN_ZERO_ATOL);
-#: the floor keeps decayed profiles (every mode at round-off) from tripping the test
+#: a profile is mean-zero when |c_0| <= MEAN_ZERO_RTOL max|c_m|; the test is
+#: relative at every amplitude, and a profile that is zero throughout passes it
 MEAN_ZERO_RTOL = 1e-12
-MEAN_ZERO_ATOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -107,7 +106,7 @@ class SpectralProfile:
 
     def is_mean_zero(self):
         scale = np.abs(self.coeffs).max()
-        return abs(self.coeffs[0]) <= max(MEAN_ZERO_RTOL * scale, MEAN_ZERO_ATOL)
+        return abs(self.coeffs[0]) <= MEAN_ZERO_RTOL * scale
 
     def require_mean_zero(self, what):
         """Raise :class:`ZeroModeNonzero` unless the profile is mean-zero."""

@@ -15,7 +15,6 @@ from mslab.cli import fit_loglog_slope, main
 from mslab.config import build_initial_profile
 from mslab.diagnostics import (
     check_algebraic,
-    check_curvature_evolution,
     check_decay_rates,
     check_differential,
     check_lyapunov,
@@ -24,7 +23,6 @@ from mslab.diagnostics import (
 )
 from mslab.evolution import (
     EvolutionConfig,
-    exact_linear_observables,
     kernel_mask,
     linear_solve_exact,
     nonlinear_step,
@@ -43,7 +41,14 @@ from mslab.spectral import (
     fractional_operator,
     seminorm,
 )
-from conftest import band_limited_profile, harmonic_extension, poisson_box_energy
+from conftest import (
+    band_limited_profile,
+    check_curvature_evolution,
+    exact_linear_observables,
+    harmonic_extension,
+    poisson_box_energy,
+    strip_levels,
+)
 
 
 def report(number, name, ok):
@@ -93,7 +98,7 @@ def test_criterion_1_spectral_identities(rng):
     g = SpectralProfile.from_samples(
         grid, np.cos(2.0 * grid.nodes) + np.cos(5.0 * grid.nodes)
     )
-    depths = StripConfig(6.0, 400).levels()
+    depths = strip_levels(StripConfig(6.0, 400))
     field = harmonic_extension(g, depths)
     k = grid.wavenumbers
     fx = np.fft.ifft(np.fft.fft(field, axis=1) * (1j * k)[None, :], axis=1).real
@@ -110,7 +115,7 @@ def test_criterion_2_flat_elliptic_exactness():
         grid = Grid(2.0 * np.pi, n)
         strip = StripConfig(depth=4.0, num_layers=m)
         field = solve_strip(grid, np.zeros(n), np.cos(k * grid.nodes), strip)
-        z = strip.levels()
+        z = strip_levels(strip)
         exact = (
             np.exp(-k * z)[:, None]
             * np.cos(k * grid.nodes)[None, :]

@@ -16,13 +16,14 @@ from scipy.integrate import quad
 import mslab
 from mslab import cli, field
 from mslab.cli import main
-from mslab.config import load_config, parse_config
+from mslab.config import PRESETS, load_config, parse_config
 from mslab.diagnostics import CSV_CHECKS, TRIAD_FIELDS, check_algebraic, triad_series
 from mslab.errors import ConfigError
-from mslab.evolution import EvolutionConfig, exact_linear_observables, run
+from mslab.evolution import EvolutionConfig, run
 from mslab.field import StripConfig, default_strip_config
 from mslab.spectral import Grid
 from mslab.config import build_initial_profile
+from conftest import exact_linear_observables
 
 
 def small_config(tmp_path, **overrides):
@@ -314,6 +315,16 @@ class TestSimulate:
             parsed = [float(v) for v in row.split(",")]
             in_memory = [getattr(sample, name) for name in TRIAD_FIELDS]
             assert parsed == in_memory  # %.17g round-trips doubles exactly
+
+    @pytest.mark.parametrize("t_end, output_every", [(0.02, 10), (0.012, 5)])
+    def test_too_few_snapshots_for_verify_exit_2(self, tmp_path, capsys, t_end, output_every):
+        # 10 steps every 10 keep t = 0 and 0.02; 6 steps every 5 keep t = 0,
+        # 0.01 and the off-cadence 0.012: verify rejects either triad.csv
+        path, _ = small_config(tmp_path, evolution={"t_end": t_end, "output_every": output_every})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+        assert "keeps 2 evenly spaced snapshots; verify needs at least 3" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_slope_blowup_exit_code(self, tmp_path):
         path, _ = small_config(
@@ -715,3 +726,50 @@ class TestRates:
         main(["simulate", "--config", str(path), "--out", str(out)])
         leftovers = [f for f in os.listdir(out) if f.startswith(".tmp-")]
         assert leftovers == []
+
+
+def generated_config(rng, preset, engine):
+    """A random run: N in {16, 32, 64}, 0 to 12 steps of a log-uniform dt,
+    output_every 1 to 8 and a slope gate in [0.1, 1]."""
+    steps = int(rng.integers(0, 13))
+    dt = float(10.0 ** rng.uniform(-5.0, -1.0))
+    initial = {"preset": preset, "amplitude": float(10.0 ** rng.uniform(-3.0, -0.5))}
+    if preset == "mode":
+        initial["wavenumber"] = int(rng.integers(1, 4))
+    else:
+        initial["width"] = float(rng.uniform(0.5, 2.0))
+    return {
+        "initial_data": initial,
+        "evolution": {
+            "engine": engine, "dt": dt, "t_end": steps * dt,
+            "grid": {"length": float(rng.uniform(4.0, 16.0)), "num_points": int(rng.choice([16, 32, 64]))},
+            "strip": {"num_layers": int(rng.choice([16, 32]))},
+            "output_every": int(rng.integers(1, 9)),
+            "slope_gate": float(rng.uniform(0.1, 1.0)),
+        },
+    }
+
+
+def test_generated_configs_exit_with_documented_codes(tmp_path, capsys):
+    """Every preset and engine through simulate, verify and rates: only
+    documented exit codes, nothing raised, and what simulate writes with
+    exit 0 verifies with 0 or 5."""
+    rng = np.random.default_rng(23)
+    outcomes = Counter()
+    for i in range(40):
+        raw = generated_config(rng, PRESETS[i % len(PRESETS)], ("linear", "nonlinear")[i % 2])
+        path = tmp_path / f"config{i}.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / f"out{i}"
+        codes = (
+            main(["simulate", "--config", str(path), "--out", str(out)]),
+            main(["verify", "--traj", str(out / "triad.csv"), "--config", str(path),
+                  "--out", str(out / "report.json")]),
+            main(["rates", "--config", str(path), "--out", str(tmp_path / f"rates{i}.json")]),
+        )
+        assert codes[0] in (0, 2, 3, 4) and codes[1] in (0, 2, 5) and codes[2] in (0, 2, 3, 4, 5), (codes, raw)
+        assert codes[0] != 0 or codes[1] in (0, 5), (codes, raw)
+        outcomes[codes] += 1
+    capsys.readouterr()
+    # the draw reaches verify on a simulated file often enough to matter
+    assert sum(n for codes, n in outcomes.items() if codes[0] == 0) >= 5, outcomes

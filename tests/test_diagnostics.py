@@ -11,7 +11,6 @@ from mslab.diagnostics import (
     RatioReport,
     TriadSample,
     check_algebraic,
-    check_curvature_evolution,
     check_decay_rates,
     check_differential,
     check_lyapunov,
@@ -26,13 +25,15 @@ from mslab.errors import (
     RegimeNeverEntered,
     ZeroModeNonzero,
 )
-from mslab.evolution import EvolutionConfig, Trajectory, exact_linear_observables, run
+from mslab.evolution import EvolutionConfig, Trajectory, run
 from mslab.field import StripConfig, default_strip_config, normal_velocity, solve_exterior_fields
 from mslab.geometry import build_state, sup_slope, to_arclength
 from mslab.spectral import Grid, SpectralProfile, seminorm
 from conftest import (
     bump_state,
+    check_curvature_evolution,
     dense_arclength,
+    exact_linear_observables,
     panel_sweep_H,
     poisson_box_energy,
     wavelet_state,

@@ -10,7 +10,6 @@ from mslab.evolution import (
     MAX_STEPS,
     EvolutionConfig,
     Trajectory,
-    exact_linear_observables,
     kernel_mask,
     linear_solve_exact,
     nonlinear_step,
@@ -20,7 +19,7 @@ from mslab.diagnostics import triad_series
 from mslab.field import StripConfig, default_strip_config, dissipation, solve_exterior_fields
 from mslab.geometry import build_state, sup_slope
 from mslab.spectral import Grid, SpectralProfile, seminorm
-from conftest import band_limited_profile, wavelet_state
+from conftest import band_limited_profile, exact_linear_observables, wavelet_state
 
 
 L = 2.0 * np.pi

@@ -17,7 +17,7 @@ from mslab.field import (
 )
 from mslab.geometry import build_state, to_arclength
 from mslab.spectral import Grid, SpectralProfile, derivative, fractional_operator, seminorm
-from conftest import wavelet_state
+from conftest import strip_levels, wavelet_state
 
 
 L = 2.0 * np.pi
@@ -29,7 +29,7 @@ def make_state(grid, samples):
 
 def flat_mode_solution(grid, strip, k):
     """Closed form for h = 0 with boundary data cos(kx) and zero at depth Z."""
-    z = strip.levels()
+    z = strip_levels(strip)
     depth = strip.depth
     profile = np.exp(-k * z) * (1.0 - np.exp(-2.0 * k * (depth - z))) / (
         1.0 - np.exp(-2.0 * k * depth)
@@ -74,11 +74,11 @@ class TestStripConfig:
 
     def test_levels_are_geometric(self):
         strip = StripConfig(depth=4.0, num_layers=32)
-        dz = np.diff(strip.levels())
+        dz = np.diff(strip_levels(strip))
         ratios = dz[1:] / dz[:-1]
         assert np.ptp(ratios) <= 1e-12 * ratios.mean()
-        assert strip.levels()[0] == 0.0
-        assert strip.levels()[-1] == pytest.approx(4.0, rel=1e-14)
+        assert strip_levels(strip)[0] == 0.0
+        assert strip_levels(strip)[-1] == pytest.approx(4.0, rel=1e-14)
 
     def test_jacobian_is_the_levels_derivative(self):
         # second-order differences of two finer level sets, Richardson-extrapolated
@@ -86,7 +86,7 @@ class TestStripConfig:
         slopes = []
         for refine in (64, 128):
             fine = StripConfig(depth=4.0, num_layers=32 * refine)
-            slope = np.gradient(fine.levels(), 1.0 / (32 * refine), edge_order=2)
+            slope = np.gradient(strip_levels(fine), 1.0 / (32 * refine), edge_order=2)
             slopes.append(slope[::refine])
         extrapolated = (4.0 * slopes[1] - slopes[0]) / 3.0
         assert np.abs(extrapolated - jac).max() <= 1e-8 * jac.max()
@@ -121,7 +121,7 @@ class TestSolveStrip:
             grid = Grid(L, n)
             strip = StripConfig(depth=3.0, num_layers=m)
             h = 0.4 * np.sin(grid.nodes)
-            z = strip.levels()
+            z = strip_levels(strip)
             exact = np.exp(-k * (z[:, None] + h[None, :])) * np.cos(k * grid.nodes)[None, :]
             hx = 0.4 * np.cos(grid.nodes)
             field = solve_strip(grid, hx, exact[0], strip, top_data=exact[-1])

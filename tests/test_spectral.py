@@ -10,7 +10,7 @@ from mslab.spectral import (
     fractional_operator,
     seminorm,
 )
-from conftest import band_limited_profile, dft_oracle, harmonic_extension
+from conftest import band_limited_profile, dft_oracle, harmonic_extension, strip_levels
 
 
 @pytest.fixture
@@ -61,6 +61,14 @@ class TestProfile:
         q = SpectralProfile.from_samples(grid, 1.0 + np.sin(grid.nodes))
         with pytest.raises(ZeroModeNonzero, match="widget"):
             q.require_mean_zero("widget")
+
+    def test_mean_zero_gate_is_relative_at_every_amplitude(self, grid):
+        # the tiny profile is the unit one times 1e-20, so it has mass as well
+        wave = np.cos(2.0 * np.pi * grid.nodes / grid.length)
+        for samples in (0.5e-20 + 1e-20 * wave, 0.5 + wave):
+            with pytest.raises(ZeroModeNonzero):
+                SpectralProfile.from_samples(grid, samples).require_mean_zero("widget")
+        assert SpectralProfile.from_samples(grid, np.zeros(grid.num_points)).is_mean_zero()
 
     def test_without_mean(self, grid):
         q = SpectralProfile.from_samples(grid, 1.0 + np.sin(grid.nodes))
@@ -221,7 +229,7 @@ class TestHarmonicExtension:
         g = SpectralProfile.from_samples(
             grid, np.cos(2.0 * grid.nodes) + np.cos(5.0 * grid.nodes)
         )
-        depths = StripConfig(6.0, 400).levels()
+        depths = strip_levels(StripConfig(6.0, 400))
         field = harmonic_extension(g, depths)
         k = grid.wavenumbers
         fx = np.fft.ifft(np.fft.fft(field, axis=1) * (1j * k)[None, :], axis=1).real

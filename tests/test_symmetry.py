@@ -5,7 +5,8 @@ lambda h(x/lambda, t/lambda^3) on the cell lambda L.  The strip depth is
 proportional to L and every solver tolerance is relative, so the discrete
 flow inherits the symmetry.  At lambda = 2 every rescaling is a power of
 two and exact in floating point, so the runs agree bit for bit: a sum of
-two quantities of different dimension would break that at once.
+two quantities of different dimension would break that at once.  At
+lambda = 3 every rescaling rounds, and the runs agree to 1e-12 relative.
 """
 
 import numpy as np
@@ -64,13 +65,28 @@ def test_scaling_by_two_is_bit_exact(engine):
 
 
 @pytest.mark.parametrize("engine", ["linear", "nonlinear"])
+def test_scaling_by_three_agrees_to_round_off(engine):
+    # lambda = 3 rounds every rescaling; the worst column measured 5.5e-13
+    # relative (intVs2, nonlinear engine; H reads 2.2e-13 on both engines)
+    base, base_triad = _run(engine)
+    scaled, scaled_triad = _run(engine, lam=3.0)
+    for a, b in zip(base.states, scaled.states, strict=True):
+        np.testing.assert_allclose(b.h.samples, 3.0 * a.h.samples, rtol=0, atol=1e-12 * 3.0 * a.h.max_abs())
+    assert scaled.iterations == base.iterations
+    before, after = vars(triad_columns(base_triad)), vars(triad_columns(scaled_triad))
+    for name, power in SCALING.items():
+        np.testing.assert_allclose(after[name], before[name] * 3.0**power, rtol=1e-12, atol=0, err_msg=name)
+
+
+@pytest.mark.parametrize("engine", ["linear", "nonlinear"])
 @pytest.mark.parametrize(
     "transform, inverse",
     [
         (lambda s: np.roll(s, 37), lambda s: np.roll(s, -37)),
+        (lambda s: np.roll(s, 32), lambda s: np.roll(s, -32)),  # half the cell
         (lambda s: np.roll(s[::-1], 1), lambda s: np.roll(s[::-1], 1)),  # x -> -x
     ],
-    ids=["shift_37", "reflection"],
+    ids=["shift_37", "shift_half", "reflection"],
 )
 def test_shift_and_reflection_agree(engine, transform, inverse):
     base, base_triad = _run(engine)
