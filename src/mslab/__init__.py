@@ -34,7 +34,7 @@ from .geometry import (
     total_arclength,
 )
 from .field import (
-    FieldHistory,
+    ExteriorResponse,
     HalfStripField,
     StripConfig,
     default_strip_config,

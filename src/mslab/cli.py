@@ -9,8 +9,10 @@ Commands::
 
 Exit codes: 0 ok, 2 config or input error (including a triad CSV with a
 non-finite value, a negative value in any column but t, or too few evenly
-spaced rows, and a simulation whose schedule keeps too few of them), 3
-slope blow-up, 4 solver failure, 5 verification failure.
+spaced rows, a simulation whose schedule keeps too few of them, and a
+grid above :data:`mslab.field.MAX_POINTS`), 3 slope blow-up, 4 solver
+failure (GMRES did not converge, or a snapshot's grid does not resolve
+the interface, so its D is refused), 5 verification failure.
 All numbers are printed with 17 significant digits so CSV output
 round-trips doubles losslessly, and output files are written atomically
 (temp file plus rename) with the mode ``open()`` would give them.
@@ -78,11 +80,11 @@ def _trajectory_csv(traj):
 
 
 def _solver_csv(traj, dt):
-    """GMRES iterations and max-norm residuals of every nonlinear step."""
-    lines = ["step,t,iterations_plus,iterations_minus,residual_plus,residual_minus"]
-    for step, (iterations, residuals) in enumerate(zip(traj.iterations, traj.residuals), start=1):
-        fields = [str(step), _fmt(step * dt), *map(str, iterations), *map(_fmt, residuals)]
-        lines.append(",".join(fields))
+    """GMRES iterations, max-norm residual and resolution tail of every nonlinear step."""
+    lines = ["step,t,iterations,residual,tail"]
+    rows = zip(traj.iterations, traj.residuals, traj.tails)
+    for step, (iterations, residual, tail) in enumerate(rows, start=1):
+        lines.append(",".join([str(step), _fmt(step * dt), str(iterations), _fmt(residual), _fmt(tail)]))
     return "\n".join(lines) + "\n"
 
 
@@ -109,7 +111,7 @@ def cmd_simulate(args):
         )
     profile = build_initial_profile(cfg.grid, config.initial_data)
     traj = run(profile, cfg)
-    samples = triad_series(traj, cfg.strip)
+    samples = triad_series(traj)
     os.makedirs(args.out, exist_ok=True)
     _atomic_write(os.path.join(args.out, "trajectory.csv"), _trajectory_csv(traj))
     _atomic_write(os.path.join(args.out, "triad.csv"), _triad_csv(samples))
@@ -209,7 +211,7 @@ def cmd_rates(args):
     if h0_norm <= 0:
         raise ConfigError("initial_data", f"H0 = {h0_norm:g}: the rates are relative to a nonzero H0")
     traj = run(profile, config.evolution)
-    samples = triad_series(traj, config.evolution.strip)
+    samples = triad_series(traj)
     if traj.status != "completed":
         print(f"run ended with status {traj.status}", file=sys.stderr)
         return _status_exit(traj.status)

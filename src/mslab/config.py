@@ -14,7 +14,7 @@ import numpy as np
 from .diagnostics import CSV_CHECKS
 from .errors import ConfigError
 from .evolution import EvolutionConfig
-from .field import default_strip_config
+from .field import MAX_POINTS, default_strip_config
 from .geometry import build_state, sup_slope
 from .spectral import Grid, SpectralProfile
 
@@ -58,6 +58,11 @@ def _parse_grid(raw, path):
     _check_keys(raw, path, {"length", "num_points"}, {"length", "num_points"})
     length = _want(raw["length"], f"{path}.length", float, "a positive number")
     n = _want(raw["num_points"], f"{path}.num_points", int, "an integer")
+    if n > MAX_POINTS:
+        raise ConfigError(
+            f"{path}.num_points",
+            f"{n} exceeds the limit of {MAX_POINTS}: the exterior solve holds an N x N kernel",
+        )
     try:
         return Grid(length, n)
     except ValueError as exc:
@@ -65,6 +70,8 @@ def _parse_grid(raw, path):
 
 
 def _parse_strip(raw, path, grid):
+    """The ``strip`` object, of which only ``num_layers`` is accepted.  It is
+    parsed and never read, like ``seed``: the benchmark still writes it."""
     if raw is None:
         return default_strip_config(grid)
     _check_keys(raw, path, {"num_layers"}, {"num_layers"})

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .errors import SlopeBlowup, SolverDivergence
-from .field import FieldHistory, StripConfig, exterior_response
+from .field import StripConfig, exterior_response
 from .geometry import build_state, sup_slope
 from .spectral import Grid, SpectralProfile, fractional_operator
 
@@ -36,7 +36,8 @@ class EvolutionConfig:
     ``mobility`` is the rate of the linear engine, hhat_t = -mobility
     |k|^3 hhat.  The nonlinear engine has no mobility, and a nonlinear
     configuration whose ``mobility`` is not :data:`LINEAR_RATE` is
-    rejected.
+    rejected.  ``strip`` is parsed and never read: the exterior solve has
+    no strip, and the field stays only because the benchmark passes it.
     """
 
     engine: str
@@ -65,8 +66,6 @@ class EvolutionConfig:
             raise ValueError("slope_gate must lie in (0, 1]")
         if self.output_every < 1:
             raise ValueError("output_every must be >= 1")
-        if self.engine == "nonlinear" and self.strip is None:
-            raise ValueError("the nonlinear engine needs a strip configuration")
         if self.engine == "nonlinear" and self.mobility != LINEAR_RATE:
             raise ValueError(
                 f"the nonlinear flow has no mobility (its linear rate is {LINEAR_RATE}); "
@@ -78,9 +77,9 @@ class EvolutionConfig:
 class Trajectory:
     """Time-ordered snapshots plus the reason the run ended.
 
-    ``iterations`` and ``residuals`` hold the (plus, minus) GMRES
-    iteration counts and max-norm residuals of the exterior solve behind
-    every nonlinear step, snapshot or not.
+    ``iterations``, ``residuals`` and ``tails`` hold the GMRES iteration
+    count, the max-norm residual and the resolution signal of the exterior
+    solve behind every nonlinear step, snapshot or not.
     """
 
     times: list = dataclass_field(default_factory=list)
@@ -88,6 +87,7 @@ class Trajectory:
     status: str = "completed"
     iterations: list = dataclass_field(default_factory=list)
     residuals: list = dataclass_field(default_factory=list)
+    tails: list = dataclass_field(default_factory=list)
 
     def append(self, t, state):
         if self.times and t <= self.times[-1]:
@@ -130,7 +130,7 @@ def nonlinear_step(state, cfg):
             f"slope {sup_slope(state):.6f} exceeds gate {cfg.slope_gate}"
         )
     grid = state.grid
-    v = exterior_response(state, cfg.strip).velocity
+    v = exterior_response(state).velocity
     stiff = fractional_operator(state.h, 3.0)
     remainder = -state.line_element * v.samples + LINEAR_RATE * stiff.samples
     nhat = np.where(_dealias_mask(grid), np.fft.fft(remainder) / grid.num_points, 0.0)
@@ -156,18 +156,14 @@ def run(h0, cfg):
     """Advance h0 to t_end, recording the snapshots of :func:`snapshot_steps`.
 
     The linear engine evaluates the exact mode solution at the snapshot
-    times; the nonlinear engine steps with :func:`nonlinear_step`.  Its
-    loop owns a :class:`~mslab.field.FieldHistory`, so each exterior solve
-    after the first starts GMRES from the combination of the fields of the
-    last :data:`~mslab.field.START_FIELDS` states with the least residual;
-    the iteration counts and residuals of every step go to
-    ``Trajectory.iterations`` and ``Trajectory.residuals``.  The volume
-    quadrature is made only for the states the trajectory keeps, and the
-    state the run ends on is solved warm as well, so the diagnostics find
-    every snapshot solved.  A gate violation or solver failure, in a step
-    or in that last solve, halts the run with the matching status instead
-    of raising.  A profile that passes the mean-zero gate is projected to
-    an exact zero mode before the first state is built.
+    times; the nonlinear engine steps with :func:`nonlinear_step`, and the
+    solver statistics of every step go to ``Trajectory.iterations``,
+    ``Trajectory.residuals`` and ``Trajectory.tails``.  The state the run
+    ends on is solved as well, so the diagnostics find every snapshot
+    solved.  A gate violation or solver failure, in a step or in that last
+    solve, halts the run with the matching status instead of raising.  A
+    profile that passes the mean-zero gate is projected to an exact zero
+    mode before the first state is built.
     """
     h0.require_mean_zero("the flow")
     h0 = h0.without_mean()
@@ -192,19 +188,18 @@ def run(h0, cfg):
         return traj
 
     state = state0
-    history = FieldHistory()
     kept = set(steps)
     try:
         for step in range(1, n_steps + 1):
-            # only a state the trajectory keeps needs the volume quadrature
-            response = exterior_response(state, cfg.strip, history, step - 1 in kept)
+            response = exterior_response(state)
             state = nonlinear_step(state, cfg)
             traj.iterations.append(response.iterations)
-            traj.residuals.append(response.residuals)
+            traj.residuals.append(response.residual)
+            traj.tails.append(response.tail)
             if step in kept:
                 traj.append(step * cfg.dt, state)
-        # the diagnostics read the final state too, so it is solved warm here
-        exterior_response(state, cfg.strip, history)
+        # the diagnostics read the final state too
+        exterior_response(state)
     except SlopeBlowup:
         traj.status = "slope_blowup"
     except SolverDivergence:

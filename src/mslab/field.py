@@ -1,38 +1,38 @@
 """Two-phase exterior problem for the interface potential.
 
-The harmonic field f (Laplace off the interface, f = curvature on it) is
-computed after straightening each phase onto a half-strip with the change
-of variable zt = z - h(x).  The straightened operator is the uniformly
-elliptic -div(a grad f) with a = J^T J, J = [[1, -h_x], [0, 1]].  The
-lower phase is the upper phase of the mirrored interface -h, so one
-half-strip problem, solved with the slopes h_x and -h_x, serves both.  The
-strip is truncated at depth Z, where the field takes the x-mean of the
-boundary data as Dirichlet data: that constant is its own half-plane
-harmonic extension, and the decaying remainder vanishes there.
+The harmonic field f (Laplace off the interface, f = curvature on it,
+bounded in both phases) moves the interface with the normal velocity V,
+the jump of the normal derivative of f across it, and dissipates the
+energy at the rate D, the Dirichlet energy of f.  :func:`exterior_response`
+computes both with the periodic single-layer potential (Zhu, Chen & Hou,
+J. Comput. Phys. 127, 1996): f = S[sigma] + c with the Green's function
+G = -(1/4pi) log(cosh(2pi dz/L) - cos(2pi dx/L)), f = kappa on the curve
+and integral sigma ds = 0, so V = -sigma and the mass flux integral V ds
+vanishes by construction.  The logarithm splits into log(4 sin^2(pi dx/L)),
+whose periodic integral is the Fourier multiplier 1/(2|k|) (Kress, *Linear
+Integral Equations*), and the smooth, periodic log R with
+R = 1 + sinh^2(pi dz/L)/sin^2(pi dx/L), which the trapezoid rule
+integrates spectrally.  With phi = sigma sqrt(1+h_x^2) = 2|D| psi and
+c = mean(psi) the equation is the second kind (I + M 2|D|) psi = kappa,
+M the trapezoid matrix of -(1/4pi) log R; a flat interface gives M = 0.
+GMRES solves it unpreconditioned from zero in a handful of iterations.
+The share of the spectral energy of psi above the 2/3 cut is the
+resolution signal: past :data:`RESOLUTION_TAIL_MAX` the dissipation is
+refused with :class:`~mslab.errors.CrossCheckFailure`.
 
-Discretization: second-order finite differences on a tensor grid, periodic
-in x, geometrically graded toward zt = 0 through the smooth map
+A second-order straightened strip, which no command runs, is the
+reference the tests hold the integral against: each phase mapped
+onto a half-strip with zt = z - h(x), where the operator is the uniformly
+elliptic -div(a grad f) with a = J^T J, J = [[1, -h_x], [0, 1]], and the
+lower phase is the upper phase of the mirrored interface -h.  The strip is
+truncated at depth Z with the x-mean of the boundary data as Dirichlet
+data there.  Discretization: second-order finite differences on a tensor
+grid, periodic in x, geometrically graded toward zt = 0 through the map
 zt = Z*(exp(alpha*eta)-1)/(exp(alpha)-1) of :class:`StripConfig`, with
-alpha = log(:data:`GRADING`) the same for every strip.  The map's Jacobian
-gives the one set of eta-coefficients (:func:`_eta_coefficients`) that
-the operator and its preconditioner share.  The 9-point operator is
-applied as a stencil, never assembled, summed into buffers made once per
-system; the Dirichlet data enter the right-hand side through the two rows
-next to the boundary levels alone.  It is inverted by matrix-free GMRES
-right-preconditioned with the exact inverse of the flat (h = 0) operator:
-an FFT in x and the eigenvectors of the tridiagonal eta-operator
-diagonalise it (fast diagonalisation; Lynch, Rice & Thomas, Numer. Math.
-6, 1964).  There is no direct factorization.
-:func:`exterior_response` is the one place that decides when a state is
-solved: at most once per strip, keeping only the normal velocity, the two
-dissipation values and the solver statistics on the state.  The volume
-quadrature behind the dissipation's cross-check is made only for states
-that the caller keeps.  A stepping loop may pass it a
-:class:`FieldHistory`; GMRES then starts from the combination of the
-fields of the last :data:`START_FIELDS` solved states whose residual under
-the current operator is least (Fischer, Comput. Methods Appl. Mech.
-Engrg. 163, 1998; Parks et al., SIAM J. Sci. Comput. 28, 2006) and stops
-at the same absolute residual as from zero.
+alpha = log(:data:`GRADING`).  The 9-point operator is applied as a
+stencil and inverted by matrix-free GMRES right-preconditioned with the
+exact inverse of the flat operator (fast diagonalisation; Lynch, Rice &
+Thomas, Numer. Math. 6, 1964).
 """
 
 from dataclasses import dataclass
@@ -40,20 +40,35 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CrossCheckFailure, SlopeGateViolation, SolverDivergence
 from .geometry import sup_slope
 from .spectral import SpectralProfile, derivative
 
-#: GMRES stops once the 2-norm residual falls to this fraction of |b|, and
-#: :func:`solve_strip` raises on a max-norm residual above ten times that
+#: GMRES stops once the 2-norm residual falls to this fraction of |b|, and a
+#: solve raises on a max-norm residual above ten times that
 GMRES_TOLERANCE = 1e-12
 
-#: GMRES iterations after which the strip solve raises SolverDivergence
+#: GMRES iterations after which a solve raises SolverDivergence
 GMRES_MAX_ITERATIONS = 100
 
-#: past solutions per side whose least-residual combination starts a warm solve
-START_FIELDS = 5
+#: largest grid a run may ask for: the kernel of a state is N^2 float64, 128 MB
+#: at this cap
+MAX_POINTS = 4096
+
+#: rows of the kernel built at once, so the temporaries stay O(block N)
+_KERNEL_BLOCK = 64
+
+#: largest share of the spectral energy of psi above the 2/3 cut at which a
+#: state counts as resolved; a larger tail makes ``.dissipation`` raise.
+#: Measured before it was fixed: at most 5.0e-11 on the benchmark's workloads
+#: (seeds 0-4) and 1.2e-25 on the README example, at most 6.8e-5 on the test
+#: runs that must pass, and 1.0 on a mode just above the cut.  Under grid
+#: halving a tail of 1.7e-3 came with a D error of 3.9e-3 (steep wavelet,
+#: N = 64) and one of 3.8e-6 with 2.2e-7 (N = 128): the limit refuses D about
+#: where its error passes the 1.7e-3 the second-order strip used to carry.
+RESOLUTION_TAIL_MAX = 1e-3
 
 #: factor by which the slowest periodic mode decays across the default strip depth
 DEPTH_DECAY = 1e-4
@@ -91,7 +106,10 @@ class StripConfig:
 
 
 def default_strip_config(grid, num_layers=64):
-    """Depth chosen so the slowest periodic mode decays below :data:`DEPTH_DECAY`."""
+    """Depth chosen so the slowest periodic mode decays below :data:`DEPTH_DECAY`.
+
+    The config's ``strip`` key builds this, and no command reads it; it
+    stays because the benchmark passes it."""
     k_min = 2.0 * np.pi / grid.length
     return StripConfig(float(np.log(1.0 / DEPTH_DECAY) / k_min), num_layers)
 
@@ -165,76 +183,26 @@ def _flat_inverse(grid, strip):
     return apply
 
 
-def _projected_start(operator, span, basis):
-    """The start of least residual in the span of past solutions.
+def _gmres(operator, precondition, rhs):
+    """Right-preconditioned GMRES (Saad & Schultz 1986), started from zero.
 
-    The images A w_i of the vectors in ``span`` go into basis[1:], where
-    modified Gram-Schmidt turns them into orthonormal q_i with
-    A W = Q R; an image that it reduces below 1e-10 of its norm is
-    dropped together with its w_i.  The start x0 = W c with R c = Q^T b
-    minimises |b - A x0|, and its residual b - Q Q^T b is written over
-    basis[0], which holds b, without applying A again.  Returns the
-    (c_i, w_i) pairs of the start.
-    """
-    kept = []
-    r = np.zeros((len(span), len(span)))
-    for w in span:
-        j = len(kept)
-        image = basis[1 + j]
-        image[...] = operator(w)
-        norm = np.linalg.norm(image)
-        for i in range(j):
-            r[i, j] = np.vdot(basis[1 + i], image)
-            image -= r[i, j] * basis[1 + i]
-        r[j, j] = np.linalg.norm(image)
-        if r[j, j] <= 1e-10 * norm:
-            continue
-        image /= r[j, j]
-        kept.append(w)
-    if not kept:
-        return ()
-    k = len(kept)
-    qtb = np.empty(k)
-    for i in range(k):
-        qtb[i] = np.vdot(basis[1 + i], basis[0])
-        basis[0] -= qtb[i] * basis[1 + i]
-    return tuple(zip(np.linalg.solve(r[:k, :k], qtb), kept))
-
-
-def _gmres(operator, precondition, rhs, span=()):
-    """Right-preconditioned GMRES (Saad & Schultz 1986), started in ``span``.
-
-    The start x0 is the least-residual combination of the past solutions
-    in ``span`` (:func:`_projected_start`); an empty span starts from zero.
     Modified Gram-Schmidt Arnoldi with Givens rotations on the
-    preconditioned operator, applied to the residual of x0; returns
-    (x0 + P(sum y_i v_i), iterations).  It stops at the absolute target
-    |r| <= GMRES_TOLERANCE * |rhs|, so the accuracy does not depend on the
-    start.  Zero data give exact zeros in 0 iterations whatever the span.
+    preconditioned operator; returns (P(sum y_i v_i), iterations).  It
+    stops at |r| <= GMRES_TOLERANCE * |rhs|.  Zero data give exact zeros in
+    0 iterations.
     """
     rhs_norm = np.linalg.norm(rhs)
     if rhs_norm == 0.0:
         return np.zeros_like(rhs), 0
     target = GMRES_TOLERANCE * rhs_norm
     cap = GMRES_MAX_ITERATIONS
-    basis = np.empty((max(cap, len(span)) + 1,) + rhs.shape)
-    basis[0] = rhs
-    start = _projected_start(operator, span, basis)  # (c_i, w_i) pairs: x0 = sum c_i w_i
-
-    def plus_start(x):
-        for c, w in start:
-            x += np.multiply(c, w, dtype=float)  # double precision for a single-precision w
-        return x
-
-    beta = np.linalg.norm(basis[0])
-    if beta <= target:  # only a start can be at the target
-        return plus_start(np.zeros_like(rhs)), 0
-    basis[0] /= beta
+    basis = np.empty((cap + 1,) + rhs.shape)
+    basis[0] = rhs / rhs_norm
     hess = np.zeros((cap + 1, cap))
     cos = np.zeros(cap)
     sin = np.zeros(cap)
     g = np.zeros(cap + 1)
-    g[0] = beta
+    g[0] = rhs_norm
     for j in range(cap):
         w = operator(precondition(basis[j]))
         for i in range(j + 1):
@@ -261,7 +229,18 @@ def _gmres(operator, precondition, rhs, span=()):
         )
     k = j + 1
     y = np.linalg.solve(hess[:k, :k], g[:k])
-    return plus_start(precondition(np.tensordot(y, basis[:k], axes=1))), k
+    return precondition(np.tensordot(y, basis[:k], axes=1)), k
+
+
+def _checked_residual(operator, solution, rhs, iterations):
+    """max|A u - b| of a GMRES solution, which must meet the gate
+    10 * GMRES_TOLERANCE * |b|, ten times the 2-norm target GMRES stops at."""
+    residual = float(np.abs(operator(solution) - rhs).max())
+    if residual > 10.0 * GMRES_TOLERANCE * np.linalg.norm(rhs):
+        raise SolverDivergence(
+            f"elliptic residual {residual:.3e} exceeds tolerance after {iterations} GMRES iterations"
+        )
+    return residual
 
 
 class _StripOperator:
@@ -345,7 +324,7 @@ def _strip_system(grid, hx_samples, data, strip, top_data=None):
     return _StripOperator(c_center, c_ew, c_n, c_s, cross), rhs, values
 
 
-def solve_strip(grid, hx_samples, data, strip, top_data=None, span=()):
+def solve_strip(grid, hx_samples, data, strip, top_data=None):
     """Matrix-free solve of the straightened problem with prescribed boundary data.
 
     The field lives above the interface of slope ``hx_samples``; the phase
@@ -354,10 +333,7 @@ def solve_strip(grid, hx_samples, data, strip, top_data=None, span=()):
     9-point operator acts as a stencil on the interior levels and is
     inverted by GMRES, right-preconditioned with the exact flat-interface
     inverse (FFT in x, eigenvectors in eta); no matrix is assembled or
-    factorized.  GMRES starts from the least-residual combination of the
-    (num_layers-1, N) arrays of interior values in ``span`` (see
-    :func:`_gmres`), from zero when it is empty; the span changes the
-    iteration count, not the target.
+    factorized.
     The solve must meet the residual gate max|A u - b| <= 10 *
     GMRES_TOLERANCE * |b|, ten times the 2-norm target GMRES stops at, and
     the returned field records its iteration count and that residual.
@@ -365,26 +341,22 @@ def solve_strip(grid, hx_samples, data, strip, top_data=None, span=()):
     drive it with synthetic data.
     """
     operator, rhs, values = _strip_system(grid, hx_samples, data, strip, top_data)
-    solution, iterations = _gmres(operator, _flat_inverse(grid, strip), rhs, span)
-    residual = np.abs(operator(solution) - rhs).max()
-    if residual > 10.0 * GMRES_TOLERANCE * np.linalg.norm(rhs):
-        raise SolverDivergence(
-            f"elliptic residual {residual:.3e} exceeds tolerance after {iterations} GMRES iterations"
-        )
+    solution, iterations = _gmres(operator, _flat_inverse(grid, strip), rhs)
+    residual = _checked_residual(operator, solution, rhs, iterations)
     values[1:-1] = solution
     values.setflags(write=False)
-    return HalfStripField(values, strip, iterations, float(residual))
+    return HalfStripField(values, strip, iterations, residual)
 
 
-def solve_exterior_fields(state, strip, spans=((), ())):
+def solve_exterior_fields(state, strip):
     """Solve the (upper, lower) phases, :func:`solve_strip` with the
     slopes (h_x, -h_x), with the curvature as Dirichlet data.
 
-    The x-mean of the curvature extends harmonically as a constant, so it
-    is the data at the truncation depth; a constant solves the discrete
-    operator exactly, and the boundary row of each field equals the
-    curvature samples exactly.  ``spans`` holds the (plus, minus) GMRES
-    start spans of :func:`solve_strip`.
+    The x-mean of the curvature is the data at the truncation depth; a
+    constant solves the discrete operator exactly, and the boundary row of
+    each field equals the curvature samples exactly.  This second-order
+    strip pair is the reference the tests hold :func:`exterior_response`
+    against.
     """
     if sup_slope(state) > 1.0:
         raise SlopeGateViolation(
@@ -393,10 +365,7 @@ def solve_exterior_fields(state, strip, spans=((), ())):
     hx = state.slope.samples
     kappa = state.curvature.samples
     top = np.full(state.grid.num_points, kappa.mean())
-    return tuple(
-        solve_strip(state.grid, slope, kappa, strip, top, span)
-        for slope, span in zip((hx, -hx), spans)
-    )
+    return tuple(solve_strip(state.grid, slope, kappa, strip, top) for slope in (hx, -hx))
 
 
 def _eta_derivative_at_boundary(values, strip):
@@ -422,190 +391,124 @@ def normal_velocity(fields, state):
     return SpectralProfile.from_samples(state.grid, v)
 
 
-def _row_x_derivative(values, grid):
-    """Spectral d/dx of each row, with the Nyquist mode dropped."""
-    n = grid.num_points
-    mult = 2j * np.pi * np.fft.rfftfreq(n, d=grid.spacing)
-    mult[-1] = 0.0
-    return np.fft.irfft(np.fft.rfft(values, axis=1) * mult, n, axis=1)
+def _boundary_pairing(state, v):
+    """-integral kappa V ds on the x-grid, for normal velocity samples ``v``."""
+    kappa = state.curvature.samples
+    return -float(state.grid.spacing * np.sum(kappa * v * state.line_element))
+
+
+def dissipation(fields, state):
+    """D = -integral_Gamma kappa V ds of a strip pair, with V from
+    :func:`normal_velocity`: the boundary pairing, which in the continuum
+    is the Dirichlet energy of the field over both phases."""
+    return _boundary_pairing(state, normal_velocity(fields, state).samples)
 
 
 class ExteriorResponse(NamedTuple):
-    """What the flow and the diagnostics read from one exterior solve.
+    """What the flow and the diagnostics read from the solve of one state.
 
-    ``velocity`` is the normal speed V, ``boundary`` the pairing
-    D_bnd = -integral kappa V ds and ``volume`` the quadrature D_vol of
-    |grad f|^2, or None for a state its caller does not keep (see
-    :func:`exterior_response`); ``iterations`` and ``residuals`` hold the
-    GMRES iteration count and max-norm residual of the (plus, minus)
-    solves.  The field arrays themselves are not kept.
+    ``velocity`` is the normal speed V and ``boundary`` the pairing
+    D = -integral kappa V ds.  ``iterations`` and ``residual`` are the
+    GMRES iteration count and the max-norm residual of the solve, and
+    ``tail`` is the resolution signal: the share of the spectral energy of
+    psi (its mean left out) in the modes above the 2/3 cut, which the
+    nonlinear step discards.  No array of more than N values is kept.
     """
 
     velocity: SpectralProfile
     boundary: float
-    volume: float | None
-    iterations: tuple
-    residuals: tuple
+    iterations: int
+    residual: float
+    tail: float
 
     @property
     def dissipation(self):
-        """D_bnd, after the 2 percent cross-check against D_vol.
-
-        A response built without D_vol raises instead: the check cannot
-        run, and it must not pass unseen.
-        """
-        if self.volume is None:
-            raise RuntimeError(
-                "this exterior response was built without the volume quadrature "
-                "(its state was not kept), so its dissipation cannot be cross-checked"
-            )
-        scale = max(abs(self.volume), abs(self.boundary))
-        if scale > 1e-14 and abs(self.volume - self.boundary) > 0.02 * scale:
+        """D, after the resolution check: a ``tail`` above
+        :data:`RESOLUTION_TAIL_MAX` (or a NaN) raises CrossCheckFailure."""
+        if not self.tail <= RESOLUTION_TAIL_MAX:
             raise CrossCheckFailure(
-                f"dissipation quadrature {self.volume:.6e} and boundary pairing "
-                f"{self.boundary:.6e} differ by more than 2 percent"
+                f"{self.tail:.3e} of the boundary density's spectral energy lies above "
+                f"the 2/3 cut (limit {RESOLUTION_TAIL_MAX:.0e}): the grid does not "
+                "resolve the interface"
             )
         return self.boundary
 
 
-def _eta_derivative(values, deta):
-    """Fourth-order d/deta at every level: centered inside, one-sided at
-    the two ends and off-centre next to them."""
-    f = values
-    d = np.empty_like(f)
-    d[2:-2] = f[:-4] - 8.0 * f[1:-3] + 8.0 * f[3:-1] - f[4:]
-    d[0] = -25.0 * f[0] + 48.0 * f[1] - 36.0 * f[2] + 16.0 * f[3] - 3.0 * f[4]
-    d[1] = -3.0 * f[0] - 10.0 * f[1] + 18.0 * f[2] - 6.0 * f[3] + f[4]
-    d[-2] = 3.0 * f[-1] + 10.0 * f[-2] - 18.0 * f[-3] + 6.0 * f[-4] - f[-5]
-    d[-1] = 25.0 * f[-1] - 48.0 * f[-2] + 36.0 * f[-3] - 16.0 * f[-4] + 3.0 * f[-5]
-    return d / (12.0 * deta)
+def _log_kernel(state):
+    """The N x N matrix log R_ij of the smooth part of the single layer.
+
+    R_ij - 1 = sinh^2(a_i - a_j) / sin^2(pi (i - j)/N) with a = pi z/L is
+    built in blocks of :data:`_KERNEL_BLOCK` rows: 2 sinh(a_i - a_j) =
+    e^{a_i} e^{-a_j} - e^{-a_i} e^{a_j} is one product of an (N x 2) and a
+    (2 x N) matrix, and 1/sin^2 depends on (j - i) mod N alone, so each
+    block reads it from windows onto one periodic sequence.  log1p is the
+    only function evaluated on N^2 values.  The diagonal is the limit
+    R_ii = 1 + h_x^2.
+    """
+    n = state.grid.num_points
+    a = (np.pi / state.grid.length) * state.h.samples
+    up, down = np.exp(a), np.exp(-a)
+    left, right = np.column_stack((up, -down)), np.vstack((down, up))
+    quarter_csc2 = np.zeros(n)  # 1/(4 sin^2(pi d/N)), d = (j - i) mod N; d = 0 is the diagonal
+    quarter_csc2[1:] = 0.25 / np.sin(np.pi * np.arange(1, n) / n) ** 2
+    # windows[n - i, j] = quarter_csc2[(j - i) mod n], row i of the circulant
+    windows = sliding_window_view(np.tile(quarter_csc2, 2), n)
+    slope2 = state.slope.samples**2
+    kernel = np.empty((n, n))
+    for start in range(0, n, _KERNEL_BLOCK):
+        stop = min(start + _KERNEL_BLOCK, n)
+        block = kernel[start:stop]
+        np.dot(left[start:stop], right, out=block)
+        block *= block
+        block *= windows[n - stop + 1 : n - start + 1][::-1]
+        rows = np.arange(start, stop)
+        block[rows - start, rows] = slope2[start:stop]
+        np.log1p(block, out=block)
+    return kernel
 
 
-def _simpson_weights(m):
-    """Composite Simpson weights on m unit-spaced intervals, with the 3/8
-    rule on the last three intervals when m is odd."""
-    w = np.zeros(m + 1)
-    even = m - 3 * (m % 2)
-    w[: even + 1 : 2] = 2.0 / 3.0
-    w[1:even:2] = 4.0 / 3.0
-    w[0] = w[even] = 1.0 / 3.0
-    if m % 2:
-        w[even:] += np.array([3.0, 9.0, 9.0, 3.0]) / 8.0
-    return w
+def _solve(state):
+    """The :class:`ExteriorResponse` of the second-kind equation
+    (I + M 2|D|) psi = kappa, solved by unpreconditioned GMRES from zero.
 
+    M = -(dx/4pi) log R is applied as the kernel of :func:`_log_kernel`
+    times a scalar, and the kernel lives only for this solve.
+    V = -(2|D| psi)/sqrt(1+h_x^2), so integral V ds is the zero mode of
+    2|D| psi and vanishes to round-off.
+    """
+    grid = state.grid
+    n = grid.num_points
+    log_kernel = _log_kernel(state)
+    scale = -grid.spacing / (4.0 * np.pi)
+    two_dtn = (4.0 * np.pi / grid.length) * np.arange(n // 2 + 1)  # 2|k| on the rfft modes
 
-def _volume_quadrature(fields, state):
-    """D_vol, the volume quadrature of |grad f|^2 over both phases (see
-    :func:`dissipation`)."""
-    volume = 0.0
-    # the (plus, minus) fields were solved with the slopes (h_x, -h_x)
-    for s, field in zip((1.0, -1.0), fields):
-        strip = field.strip
-        m = strip.num_layers
-        jac = strip.jacobian()
-        fx = _row_x_derivative(field.values, state.grid)
-        fzeta = _eta_derivative(field.values, 1.0 / m) / jac[:, None]
-        comp1 = fx - s * state.slope.samples[None, :] * fzeta
-        density = (comp1**2 + fzeta**2).sum(axis=1) * state.grid.spacing
-        # Simpson in eta: dz = J deta with the exact Jacobian of the grading map
-        volume += float((_simpson_weights(m) * jac / m) @ density)
-    return volume
+    def density(psi):
+        return np.fft.irfft(two_dtn * np.fft.rfft(psi), n)
 
+    def operator(psi):
+        return psi + log_kernel @ (scale * density(psi))
 
-def _response(fields, state, kept=True):
-    """The :class:`ExteriorResponse` of solved fields; D_vol only if ``kept``."""
-    v = normal_velocity(fields, state)
     kappa = state.curvature.samples
-    boundary = -float(
-        state.grid.spacing * np.sum(kappa * v.samples * state.line_element)
-    )
+    psi, iterations = _gmres(operator, lambda r: r, kappa)
+    residual = _checked_residual(operator, psi, kappa, iterations)
+    power = np.abs(np.fft.rfft(psi)) ** 2
+    power[0] = 0.0  # the mean of psi is the constant c, not a shape
+    power[1:-1] *= 2.0  # every mode but the mean and the Nyquist has a conjugate pair
+    total = power.sum()
+    tail = float(power[n // 3 + 1 :].sum() / total) if total > 0.0 else 0.0
+    v = -density(psi) / state.line_element
     return ExteriorResponse(
-        v,
-        boundary,
-        _volume_quadrature(fields, state) if kept else None,
-        tuple(field.iterations for field in fields),
-        tuple(field.residual for field in fields),
+        SpectralProfile.from_samples(grid, v), _boundary_pairing(state, v), iterations, residual, tail
     )
 
 
-def dissipation(fields, state):
-    """Dissipation D = -integral_Gamma kappa V ds over both phases.
+def exterior_response(state):
+    """V, D and the solver statistics of a state, from one boundary-integral solve.
 
-    The boundary pairing uses the same one-sided boundary derivative as
-    :func:`normal_velocity`, so it is the rate at which the discrete energy
-    falls.  In the continuum it equals the Dirichlet energy of the field;
-    the volume quadrature of |grad f|^2 in original coordinates (Simpson
-    in eta weighted by the exact map Jacobian, fourth-order eta-differences,
-    rectangle in x) serves as a cross-check, and a mismatch beyond 2
-    percent signals an under-resolved strip.
+    The response is kept on the state, so the step that leaves a state and
+    the diagnostics that read it share one solve.  Reading ``.dissipation``
+    applies the resolution check; reading ``.velocity`` does not.
     """
-    return _response(fields, state).dissipation
-
-
-class FieldHistory:
-    """The interior fields of the last :data:`START_FIELDS` solved states, per side.
-
-    A stepping loop owns one history and hands it to
-    :func:`exterior_response`, which starts each solve from
-    :meth:`guesses` and passes the new fields to :meth:`record`.  Per
-    side it keeps the newest field u_n in double precision and the
-    START_FIELDS - 1 latest increments u_{j+1} - u_j in single precision,
-    which span the same space as the last START_FIELDS fields.  An
-    increment is formed in double precision and rounded once, so its
-    rounding error is relative to the increment; fields rounded whole
-    would lose the small differences between them that the projection
-    combines.  Once the history is full, a record reuses the buffer of the
-    oldest increment, so nothing is allocated.
-    """
-
-    def __init__(self):
-        self._newest = None  # (plus, minus) interior fields, double precision
-        self._increments = ([], [])  # per side, single precision, newest first
-
-    def guesses(self):
-        """(plus, minus) GMRES start spans: empty, or the newest field
-        followed by the increments, whose least-residual combination
-        :func:`_gmres` starts from."""
-        if self._newest is None:
-            return ((), ())
-        return tuple((newest, *increments) for newest, increments in zip(self._newest, self._increments))
-
-    def record(self, fields):
-        """Keep the interior values of the (plus, minus) fields just solved."""
-        if self._newest is None:
-            self._newest = tuple(f.values[1:-1].copy() for f in fields)
-            return
-        for newest, increments, field in zip(self._newest, self._increments, fields):
-            if len(increments) < START_FIELDS - 1:
-                increments.insert(0, np.empty(newest.shape, np.float32))
-            else:
-                increments.insert(0, increments.pop())
-            np.subtract(field.values[1:-1], newest, out=increments[0])
-            newest[...] = field.values[1:-1]
-
-
-def exterior_response(state, strip, history=None, kept=True):
-    """V, D_bnd and D_vol of a state, from at most one solve per strip.
-
-    The response is kept on the state, keyed by the strip, so the step
-    that leaves a state and the diagnostics that read it share one
-    :func:`solve_exterior_fields`.  When it solves and a
-    :class:`FieldHistory` is given, GMRES starts from the combination of
-    the history's last fields with the least residual under this state's
-    operator, and the new fields are recorded in it; the response and the
-    state keep no field arrays.  The volume quadrature D_vol is read only
-    through ``.dissipation`` of a state that someone keeps, so a caller
-    that drops the state after stepping from it passes ``kept=False`` and
-    the solve skips the quadrature; that response's ``.dissipation``
-    raises, and a later call finds it cached as it is.  Reading
-    ``.dissipation`` applies the cross-check; reading ``.velocity`` does
-    not.
-    """
-    if strip not in state.exterior:
-        if history is None:
-            fields = solve_exterior_fields(state, strip)
-        else:
-            fields = solve_exterior_fields(state, strip, history.guesses())
-            history.record(fields)
-        state.exterior[strip] = _response(fields, state, kept)
-    return state.exterior[strip]
+    if not state.exterior:
+        state.exterior.append(_solve(state))
+    return state.exterior[0]

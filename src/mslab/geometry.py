@@ -24,8 +24,9 @@ _SPREAD_HALF_WIDTH = 14
 class InterfaceState:
     """Height profile plus cached geometric fields of the interface.
 
-    ``exterior`` is filled by :func:`mslab.field.exterior_response`: the
-    response of the exterior problem per strip configuration.
+    ``exterior`` holds the response of the exterior problem once
+    :func:`mslab.field.exterior_response` has solved it, and is empty
+    before.
     """
 
     __slots__ = ("h", "slope", "curvature", "line_element", "exterior")
@@ -37,7 +38,7 @@ class InterfaceState:
         line_element = np.ascontiguousarray(line_element, dtype=float)
         line_element.setflags(write=False)
         object.__setattr__(self, "line_element", line_element)
-        object.__setattr__(self, "exterior", {})
+        object.__setattr__(self, "exterior", [])
 
     def __setattr__(self, name, value):
         raise AttributeError("InterfaceState is immutable")

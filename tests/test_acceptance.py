@@ -28,12 +28,7 @@ from mslab.evolution import (
     nonlinear_step,
     run,
 )
-from mslab.field import (
-    StripConfig,
-    normal_velocity,
-    solve_exterior_fields,
-    solve_strip,
-)
+from mslab.field import StripConfig, exterior_response
 from mslab.geometry import build_state
 from mslab.spectral import (
     Grid,
@@ -109,23 +104,20 @@ def test_criterion_1_spectral_identities(rng):
 
 
 def test_criterion_2_flat_elliptic_exactness():
-    k = 2
-    errs = []
-    for n, m in [(32, 16), (64, 32), (128, 64)]:
-        grid = Grid(2.0 * np.pi, n)
-        strip = StripConfig(depth=4.0, num_layers=m)
-        field = solve_strip(grid, np.zeros(n), np.cos(k * grid.nodes), strip)
-        z = strip_levels(strip)
-        exact = (
-            np.exp(-k * z)[:, None]
-            * np.cos(k * grid.nodes)[None, :]
-            * ((1.0 - np.exp(-2 * k * (strip.depth - z))) / (1.0 - np.exp(-2 * k * strip.depth)))[
-                :, None
-            ]
-        )
-        errs.append(np.abs(field.values - exact).max())
-    orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
-    report(2, "flat-interface elliptic exactness", min(orders) >= 1.9)
+    # V = 2|k|^3 hhat for one mode of amplitude 1e-8 at every mode up to the
+    # 2/3 cut, h built from its coefficients; measured 1.3e-13 relative
+    n = 256
+    grid = Grid(16.0, n)
+    worst = 0.0
+    for m in range(1, n // 3 + 1):
+        k = 2.0 * np.pi * m / grid.length
+        coeffs = np.zeros(n, dtype=complex)
+        coeffs[m] = coeffs[n - m] = 0.5e-8
+        state = build_state(SpectralProfile.from_coeffs(grid, coeffs))
+        v = exterior_response(state).velocity.samples
+        target = 2.0 * k**3 * 1e-8 * np.cos(k * grid.nodes)
+        worst = max(worst, np.abs(v - target).max() / (2.0 * k**3 * 1e-8))
+    report(2, "flat-interface elliptic exactness", worst <= 1e-11)
 
 
 def test_criterion_3_linearization_consistency():
@@ -133,15 +125,13 @@ def test_criterion_3_linearization_consistency():
     eps, k = 1e-3, 3
     h0 = SpectralProfile.from_samples(grid, eps * np.cos(k * grid.nodes))
     state = build_state(h0)
-    strip = StripConfig(depth=9.2, num_layers=96)
-    fields = solve_exterior_fields(state, strip)
-    v = normal_velocity(fields, state)
+    v = exterior_response(state).velocity
     height_velocity = -state.line_element * v.samples
     target = -2.0 * fractional_operator(h0, 3.0).samples  # -2 |k|^3 hhat per mode
     ok = np.linalg.norm(height_velocity - target) <= 0.01 * np.linalg.norm(target)
 
     dt = 1e-5
-    cfg = EvolutionConfig("nonlinear", dt=dt, t_end=dt, grid=grid, strip=strip)
+    cfg = EvolutionConfig("nonlinear", dt=dt, t_end=dt, grid=grid)
     stepped = nonlinear_step(state, cfg)
     exact = linear_solve_exact(h0, dt, 2.0)
     ok &= np.abs(stepped.h.samples - exact.samples).max() <= 1e-6 * h0.max_abs()
@@ -330,7 +320,7 @@ def test_criterion_10_curvature_evolution():
             "nonlinear", dt=dt, t_end=steps * dt, grid=grid, strip=strip, output_every=1
         )
         traj = run(h0, cfg)
-        return check_curvature_evolution(traj, strip).empirical_sup
+        return check_curvature_evolution(traj).empirical_sup
 
     coarse = defect(256, 48, 1e-3, 20)
     fine = defect(512, 96, 5e-4, 20)

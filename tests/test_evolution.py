@@ -16,7 +16,7 @@ from mslab.evolution import (
     run,
 )
 from mslab.diagnostics import triad_series
-from mslab.field import StripConfig, default_strip_config, dissipation, solve_exterior_fields
+from mslab.field import StripConfig, default_strip_config, exterior_response
 from mslab.geometry import build_state, sup_slope
 from mslab.spectral import Grid, SpectralProfile, seminorm
 from conftest import band_limited_profile, exact_linear_observables, wavelet_state
@@ -116,6 +116,7 @@ class TestRun:
             assert np.abs(state.h.samples - exact.samples).max() <= 1e-13
         assert traj.iterations == []
         assert traj.residuals == []
+        assert traj.tails == []
 
     @pytest.mark.parametrize("engine", ["linear", "nonlinear"])
     def test_snapshot_rule_with_off_cadence_end(self, engine, strip):
@@ -238,137 +239,79 @@ class TestRun:
         assert d_mid <= 1e-4  # engines agree at small amplitude
         assert 30.0 <= d_big / d_mid <= 300.0  # quadratic amplitude law
 
-
-class TestWarmStartedRun:
-    """The nonlinear loop starts each exterior solve from the least-residual
-    combination of the last fields."""
-
     def test_matches_the_cold_stepped_loop(self):
+        # run solves each state once and steps from that solve, as
+        # nonlinear_step does by itself
         state0 = wavelet_state(256, slope=0.9)
         grid = state0.grid
-        strip = default_strip_config(grid, num_layers=48)
         n_steps = 12
-        cfg = EvolutionConfig("nonlinear", dt=1e-4, t_end=n_steps * 1e-4, grid=grid, strip=strip)
-        warm = run(state0.h, cfg)
-        cold = Trajectory()
-        state = build_state(state0.h.without_mean())
-        cold.append(0.0, state)
-        for step in range(1, n_steps + 1):
-            state = nonlinear_step(state, cfg)  # solves each state from zero
-            cold.append(step * cfg.dt, state)
-        assert warm.status == "completed" and warm.times == cold.times
-        for a, b in zip(warm.states, cold.states):
-            assert np.abs(a.h.samples - b.h.samples).max() <= 1e-12 * np.abs(b.h.samples).max()
-        for a, b in zip(triad_series(warm, strip), triad_series(cold, strip)):
-            assert a.E == pytest.approx(b.E, rel=1e-11, abs=0.0)
-            assert a.D == pytest.approx(b.D, rel=1e-11, abs=0.0)
-
-    def test_iterations_fall_below_cold_solves(self):
-        state0 = wavelet_state(256, slope=0.9)
-        grid = state0.grid
-        strip = default_strip_config(grid, num_layers=48)
-        n_steps = 10
-        cfg = EvolutionConfig("nonlinear", dt=1e-4, t_end=n_steps * 1e-4, grid=grid, strip=strip)
+        cfg = EvolutionConfig("nonlinear", dt=1e-4, t_end=n_steps * 1e-4, grid=grid)
         traj = run(state0.h, cfg)
-        assert traj.status == "completed" and len(traj.iterations) == n_steps
-        assert len(traj.residuals) == n_steps
-        warm = np.array(traj.iterations)
-        cold_fields = [solve_exterior_fields(s, strip) for s in traj.states[:-1]]
-        cold = np.array([[f.iterations for f in fields] for fields in cold_fields])
-        # measured: 147 warm against 230 cold iterations per side
-        assert np.array_equal(warm[0], cold[0])
-        # the first step starts cold, so it is the same solve
-        assert traj.residuals[0] == tuple(f.residual for f in cold_fields[0])
-        assert warm.sum() <= 0.7 * cold.sum()
-        assert np.all(warm[2:] < cold[2:])
+        stepped = Trajectory()
+        state = build_state(state0.h.without_mean())
+        stepped.append(0.0, state)
+        for step in range(1, n_steps + 1):
+            state = nonlinear_step(state, cfg)
+            stepped.append(step * cfg.dt, state)
+        assert traj.status == "completed" and traj.times == stepped.times
+        for a, b in zip(traj.states, stepped.states):
+            assert np.array_equal(a.h.samples, b.h.samples)
+        assert triad_series(traj) == triad_series(stepped)
+        assert traj.iterations == [s.exterior[0].iterations for s in stepped.states[:-1]]
 
     def test_runs_are_bit_identical(self):
         state0 = wavelet_state(128, slope=0.9)
-        grid = state0.grid
-        strip = default_strip_config(grid, num_layers=32)
-        cfg = EvolutionConfig("nonlinear", dt=2e-4, t_end=1.2e-3, grid=grid, strip=strip)
+        cfg = EvolutionConfig("nonlinear", dt=2e-4, t_end=1.2e-3, grid=state0.grid)
         first, second = run(state0.h, cfg), run(state0.h, cfg)
         assert first.times == second.times and first.iterations == second.iterations
+        assert first.residuals == second.residuals and first.tails == second.tails
         for a, b in zip(first.states, second.states):
             assert np.array_equal(a.h.samples, b.h.samples)
-        assert triad_series(first, strip) == triad_series(second, strip)
+        assert triad_series(first) == triad_series(second)
 
 
 class TestRunSolvesOnlyWhatIsRead:
-    """The loop makes the volume quadrature only for the states the
-    trajectory keeps, and ends by solving its final state warm."""
+    """The loop solves every state it steps from once, and ends by solving
+    its final state."""
 
     N_STEPS = 12
 
     @pytest.fixture(scope="class")
-    def setup(self):
-        state0 = wavelet_state(128, slope=0.9)
-        strip = default_strip_config(state0.grid, num_layers=32)
-        return state0, strip
+    def state0(self):
+        return wavelet_state(128, slope=0.9)
 
-    def config(self, setup, output_every, engine="nonlinear"):
-        state0, strip = setup
+    def config(self, state0, output_every, engine="nonlinear"):
         return EvolutionConfig(
-            engine, dt=1e-4, t_end=self.N_STEPS * 1e-4, grid=state0.grid, strip=strip,
-            output_every=output_every,
+            engine, dt=1e-4, t_end=self.N_STEPS * 1e-4, grid=state0.grid, output_every=output_every,
         )
 
-    def test_quadrature_only_for_kept_states(self, setup, monkeypatch):
-        state0, strip = setup
-        quadratures = []
-        original = field._volume_quadrature
-
-        def counting(fields, state):
-            quadratures.append(state)
-            return original(fields, state)
-
-        monkeypatch.setattr(field, "_volume_quadrature", counting)
-        kept = run(state0.h, self.config(setup, 5))
-        assert kept.status == "completed" and len(kept.iterations) == self.N_STEPS
-        # the states of steps 0, 5 and 10 inside the loop, then the final state
-        assert kept.times == pytest.approx([0.0, 5e-4, 1e-3, 1.2e-3], rel=1e-12)
-        assert len(quadratures) == 4
-        assert all(a is b for a, b in zip(quadratures, kept.states))
-
-        quadratures.clear()
-        every = run(state0.h, self.config(setup, 1))
-        assert len(quadratures) == self.N_STEPS + 1
-        assert kept.iterations == every.iterations
-        for t, state in zip(kept.times, kept.states):
-            reference = every.states[every.times.index(t)].exterior[strip].volume
-            assert abs(state.exterior[strip].volume - reference) <= 1e-13 * abs(reference)
-        samples = triad_series(kept, strip)
-        assert [sample.D for sample in samples] == [state.exterior[strip].boundary for state in kept.states]
-
-    def test_final_state_is_solved_warm(self, setup):
-        state0, strip = setup
-        traj = run(state0.h, self.config(setup, 5))
+    def test_final_state_is_solved(self, state0):
+        traj = run(state0.h, self.config(state0, 5))
         final = traj.states[-1]
-        response = final.exterior[strip]
-        cold = solve_exterior_fields(final, strip)
-        assert all(w < c for w, c in zip(response.iterations, (f.iterations for f in cold)))
-        assert response.dissipation == pytest.approx(dissipation(cold, final), rel=1e-11, abs=0.0)
+        (response,) = final.exterior
+        fresh = exterior_response(build_state(final.h))
+        assert np.array_equal(response.velocity.samples, fresh.velocity.samples)
+        assert response[1:] == fresh[1:]
+        assert len(traj.iterations) == len(traj.residuals) == len(traj.tails) == self.N_STEPS
 
-    def test_final_solve_failure_is_a_solver_failure(self, setup, monkeypatch):
-        state0, _ = setup
+    def test_final_solve_failure_is_a_solver_failure(self, state0, monkeypatch):
         calls = [0]
-        original = field.solve_exterior_fields
+        original = field._solve
 
-        def failing_last(state, strip, *rest):
+        def failing_last(state):
             calls[0] += 1
             if calls[0] > self.N_STEPS:
                 raise SolverDivergence("the final solve fails")
-            return original(state, strip, *rest)
+            return original(state)
 
-        monkeypatch.setattr(field, "solve_exterior_fields", failing_last)
-        traj = run(state0.h, self.config(setup, 5))
+        monkeypatch.setattr(field, "_solve", failing_last)
+        traj = run(state0.h, self.config(state0, 5))
         assert traj.status == "solver_failure"
         assert len(traj) == 4 and len(traj.iterations) == self.N_STEPS
         assert not traj.states[-1].exterior
 
-    def test_linear_engine_solves_nothing(self, setup):
-        state0, _ = setup
-        traj = run(state0.h, self.config(setup, 5, engine="linear"))
+    def test_linear_engine_solves_nothing(self, state0):
+        traj = run(state0.h, self.config(state0, 5, engine="linear"))
         assert len(traj) == 4
         assert not any(state.exterior for state in traj.states)
 

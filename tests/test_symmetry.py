@@ -1,9 +1,9 @@
 """The flow's exact symmetries: scale, translation and reflection.
 
 Mullins-Sekerka has no length scale: if h solves it, so does
-lambda h(x/lambda, t/lambda^3) on the cell lambda L.  The strip depth is
-proportional to L and every solver tolerance is relative, so the discrete
-flow inherits the symmetry.  At lambda = 2 every rescaling is a power of
+lambda h(x/lambda, t/lambda^3) on the cell lambda L.  The boundary-integral
+kernel depends on z/L and x/L alone and every solver tolerance is relative,
+so the discrete flow inherits the symmetry.  At lambda = 2 every rescaling is a power of
 two and exact in floating point, so the runs agree bit for bit: a sum of
 two quantities of different dimension would break that at once.  At
 lambda = 3 every rescaling rounds, and the runs agree to 1e-12 relative.
@@ -54,7 +54,9 @@ def test_scaling_by_two_is_bit_exact(engine):
     for a, b in zip(base.states, scaled.states, strict=True):
         assert np.array_equal(2.0 * a.h.samples, b.h.samples)
     assert scaled.iterations == base.iterations
-    assert scaled.residuals == [(p / 8.0, m / 8.0) for p, m in base.residuals]
+    # the residual of (I + M 2|D|) psi = kappa has the dimension of kappa
+    assert scaled.residuals == [r / 2.0 for r in base.residuals]
+    assert scaled.tails == base.tails
     before, after = vars(triad_columns(base_triad)), vars(triad_columns(scaled_triad))
     for name, power in SCALING.items():
         expected = before[name] * 2.0**power
