@@ -43,8 +43,11 @@ EXIT_VERIFY_FAILED = 5
 SLOPE_FIT_RESIDUAL_MAX = 0.25
 
 
-def _fmt(x):
-    return f"{x:.17g}"
+_fmt = "{:.17g}".format
+
+
+def _csv_row(values):
+    return ",".join(map(_fmt, values))
 
 
 def _atomic_write(path, text):
@@ -65,8 +68,7 @@ def _atomic_write(path, text):
 
 def _triad_csv(samples):
     lines = [",".join(TRIAD_FIELDS)]
-    for s in samples:
-        lines.append(",".join(_fmt(getattr(s, name)) for name in TRIAD_FIELDS))
+    lines += [_csv_row(row) for row in diagnostics.triad_table(samples).tolist()]
     return "\n".join(lines) + "\n"
 
 
@@ -75,7 +77,7 @@ def _trajectory_csv(traj):
     header = ",".join(["t"] + [f"h_{j}" for j in range(n)])
     lines = [header]
     for t, state in zip(traj.times, traj.states):
-        lines.append(",".join([_fmt(t)] + [_fmt(v) for v in state.h.samples]))
+        lines.append(_csv_row([t] + state.h.samples.tolist()))
     return "\n".join(lines) + "\n"
 
 

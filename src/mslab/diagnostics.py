@@ -9,7 +9,7 @@ columns of the triad (:func:`triad_columns`), and
 whether a check fails: a NaN or Inf never passes.
 """
 
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -126,10 +126,15 @@ class RatioReport:
         return cls(name, sup, float(threshold), passed, len(ratios), float(times[kept][worst]), excluded)
 
 
+def triad_table(samples):
+    """The float64 (samples x :data:`TRIAD_FIELDS`) table of a triad series."""
+    rows = [[getattr(s, name) for name in TRIAD_FIELDS] for s in samples]
+    return np.array(rows, dtype=float).reshape(-1, len(TRIAD_FIELDS))
+
+
 def triad_columns(samples):
     """The float64 column of each :class:`TriadSample` field, as an attribute."""
-    table = np.array([astuple(s) for s in samples], dtype=float).reshape(-1, len(TRIAD_FIELDS))
-    return SimpleNamespace(**dict(zip(TRIAD_FIELDS, table.T)))
+    return SimpleNamespace(**dict(zip(TRIAD_FIELDS, triad_table(samples).T)))
 
 
 def late_window(t, h0_norm):
@@ -138,12 +143,15 @@ def late_window(t, h0_norm):
     return t_late, np.asarray(t) >= t_late
 
 
-#: rows of the (panels x modes) arrays that :func:`compute_H` holds at once
+#: states that one sweep of :func:`compute_H` stacks
 _H_BLOCK = 64
+#: entries of the (states x panels x columns) arrays that one block of the
+#: sweep holds, so that a block stays in cache; a block has at least one row
+_H_BLOCK_ENTRIES = 2**14
 
 
-def compute_H(state):
-    """Squared gradient-flow distance to the flat interface.
+def compute_H(states):
+    """Squared gradient-flow distance to the flat interface, one per state.
 
     H is the Dirichlet energy of the potential of the signed indicator
     chi of the region between the graph and the flat line.  It is
@@ -157,61 +165,92 @@ def compute_H(state):
     sum_{q<p} conj(c_q) (1 - e^{-k w_q}) e^{-k (z_p - z_{q+1})}, which the
     z-sorted panels pass on by the decay recursion
     carry_{p+1} = e^{-k w_p} carry_p + conj(c_p) (1 - e^{-k w_p}); every
-    factor is at most one.  The panel transforms are built in blocks of
-    :data:`_H_BLOCK` rows, so time is O(N^2) and memory O(block N).
+    factor is at most one.
+
+    ``states`` share one grid, and one sweep serves a stack of up to
+    :data:`_H_BLOCK` of them, so the recursion runs once per panel row for
+    the whole stack.  Each array has a leading state axis, and a state with
+    fewer panels than the stack's most is padded with zero-width panels,
+    for which e^{-k w} = 1 and 1 - e^{-k w} = 0: they add exact zeros and
+    pass the carry on unchanged.  The panel transforms are built
+    max(1, :data:`_H_BLOCK_ENTRIES` // (stack N)) rows at a time, so time is
+    O(N^2) per state and memory O(_H_BLOCK N).  Returns a float64 array,
+    one H per state.
     """
-    h = state.h
-    h.require_mean_zero("H")
-    samples = h.samples
-    n = h.grid.num_points
-    if np.all(samples == 0.0):
-        return 0.0
+    states = list(states)
+    out = np.empty(len(states))
+    for start in range(0, len(states), _H_BLOCK):
+        out[start:start + _H_BLOCK] = _stacked_H(states[start:start + _H_BLOCK])
+    return out
 
-    breaks = np.unique(np.concatenate(([0.0], samples)))
-    widths = np.diff(breaks)
-    centers = breaks[:-1] + 0.5 * widths
-    chi = -np.sign(centers)  # chi on a panel's active columns; no centre is 0
-    k_pos = 2.0 * np.pi * np.arange(1, n // 2 + 1) / h.grid.length
 
-    modal = np.zeros(n // 2)
-    carry = np.zeros(n // 2, dtype=complex)
-    chi0 = np.empty(len(widths))
-    for start in range(0, len(widths), _H_BLOCK):
-        rows = slice(start, start + _H_BLOCK)
+def _stacked_H(stack):
+    """H of each state of ``stack`` by one sweep over its padded panels."""
+    grid = stack[0].grid
+    n, count = grid.num_points, len(stack)
+    panels = []
+    for state in stack:
+        if state.grid != grid:
+            raise ValueError("compute_H needs states of one grid")
+        state.h.require_mean_zero("H")
+        panels.append(np.unique(np.concatenate(([0.0], state.h.samples))))
+    samples = np.array([state.h.samples for state in stack])
+    rows = max(len(breaks) for breaks in panels) - 1
+    # padding panels have width 0 and chi = 0, so no column is active there
+    widths = np.zeros((count, rows))
+    chi = np.zeros((count, rows))
+    bounds = np.zeros((count, rows))
+    for s, breaks in enumerate(panels):
+        w = np.diff(breaks)
+        centers = breaks[:-1] + 0.5 * w
+        widths[s, : len(w)] = w
+        chi[s, : len(w)] = -np.sign(centers)  # chi on a panel's active columns; no centre is 0
+        # (h - z) chi < 0 is h chi < z chi = -|z| exactly, as chi is 1 or -1
+        bounds[s, : len(w)] = -np.abs(centers)
+    k_pos = 2.0 * np.pi * np.arange(1, n // 2 + 1) / grid.length
+
+    step = max(1, _H_BLOCK_ENTRIES // (count * n))
+    # summed over the rows of a block once the sweep ends
+    modal = np.zeros((count, step, n // 2))
+    carry = np.zeros((count, n // 2), dtype=complex)
+    chi0 = np.empty((count, rows))
+    for start in range(0, rows, step):
+        block = slice(start, start + step)
         # a column is active where the panel lies between 0 and h(x)
-        active = (samples[None, :] - centers[rows, None]) * chi[rows, None] < 0.0
-        chat = np.fft.rfft(active, axis=1) * (chi[rows, None] / n)
-        chi0[rows] = chat[:, 0].real
-        c = chat[:, 1:]
-        kw = np.outer(widths[rows], k_pos)
+        active = samples[:, None, :] * chi[:, block, None] < bounds[:, block, None]
+        chat = np.fft.rfft(active, axis=2)  # the panel transform times n chi
+        chi0[:, block] = chat[..., 0].real * (chi[:, block] / n)
+        c = chat[..., 1:]
+        kw = widths[:, block, None] * k_pos
         decay = np.exp(-kw)
         one_minus = 1.0 - decay
-        term = np.conj(c) * one_minus
+        weight = one_minus * chi[:, block, None]
+        term = np.conj(c) * weight
         carries = np.empty_like(term)
-        for p in range(len(term)):
-            carries[p] = carry
-            carry *= decay[p]
-            carry += term[p]
-        # in units of 2/k^2: the same-panel integral k w - (1 - e^{-k w})
-        # and the cross-panel term Re(c carry)(1 - e^{-k w})
-        modal += np.sum(
-            np.abs(c) ** 2 * (kw - one_minus) + (c * carries).real * one_minus, axis=0
-        )
+        for p in range(term.shape[1]):
+            carries[:, p] = carry
+            carry *= decay[:, p]
+            carry += term[:, p]
+        # in units of 2/(n k)^2, as chi^2 = 1: the same-panel integral
+        # k w - (1 - e^{-k w}) and the cross-panel term Re(c carry) chi (1 - e^{-k w})
+        same = (c.real**2 + c.imag**2) * (kw - one_minus)
+        modal[:, : term.shape[1]] += same + (c * carries).real * weight
 
-    per_mode = modal / k_pos**3
+    per_mode = modal.sum(axis=1) / (n * n * k_pos**3)
     pair_weight = np.full(n // 2, 2.0)
     pair_weight[-1] = 1.0  # the unpaired -N/2 mode counts once
-    total = float(np.sum(pair_weight * per_mode))
+    total = np.sum(pair_weight * per_mode, axis=1)
 
     # zero mode: Phi' is piecewise linear with slope -chi_0 per panel
-    phi_prime = np.concatenate(([0.0], np.cumsum(-chi0 * widths)))
-    a = phi_prime[:-1]
-    b = phi_prime[1:]
-    total += float(np.sum(widths * (a * a + a * b + b * b) / 3.0))
+    phi_prime = np.zeros((count, rows + 1))
+    np.cumsum(-chi0 * widths, axis=1, out=phi_prime[:, 1:])
+    a = phi_prime[:, :-1]
+    b = phi_prime[:, 1:]
+    total += np.sum(widths * (a * a + a * b + b * b) / 3.0, axis=1)
 
     # the quadratic form is nonnegative; round-off can leave a tiny
     # negative total once the profile has decayed to machine level
-    return max(h.grid.length * total, 0.0)
+    return np.maximum(grid.length * total, 0.0)
 
 
 def triad_series(traj, strip=None):
@@ -219,11 +258,12 @@ def triad_series(traj, strip=None):
 
     V and D come from :func:`mslab.field.exterior_response`, so a state the
     run already stepped from is not solved again.  int V_s^2 ds is
-    evaluated on the x-grid as int V_x^2/sqrt(1+h_x^2) dx.  ``strip`` is
+    evaluated on the x-grid as int V_x^2/sqrt(1+h_x^2) dx, and H of every
+    snapshot comes from one :func:`compute_H` call.  ``strip`` is
     not read; it stays only because the benchmark passes it.
     """
     out = []
-    for t, state in zip(traj.times, traj.states):
+    for t, state, distance in zip(traj.times, traj.states, compute_H(traj.states).tolist()):
         e = energy(state)
         response = exterior_response(state)
         d = response.dissipation
@@ -233,7 +273,7 @@ def triad_series(traj, strip=None):
             t=t,
             E=e,
             D=d,
-            H=compute_H(state),
+            H=distance,
             Hhalf=seminorm(state.h, -0.5) ** 2,
             sup_slope=sup_slope(state),
             sup_h=sup_height(state),

@@ -191,8 +191,8 @@ def run(h0, cfg):
     kept = set(steps)
     try:
         for step in range(1, n_steps + 1):
-            response = exterior_response(state)
-            state = nonlinear_step(state, cfg)
+            previous, state = state, nonlinear_step(state, cfg)
+            response = exterior_response(previous)  # the solve the step made
             traj.iterations.append(response.iterations)
             traj.residuals.append(response.residual)
             traj.tails.append(response.tail)

@@ -652,6 +652,31 @@ class TestOutputFiles:
         for name in ("trajectory.csv", "triad.csv", "report.json"):
             assert os.stat(out / name).st_mode & 0o777 == 0o644
 
+    def test_csv_bytes_match_per_value_formatting(self, tmp_path):
+        # the rows are formatted from Python floats; every value must print
+        # as it does alone, with 17 significant digits, as numpy holds it
+        path, _ = small_config(
+            tmp_path,
+            initial_data={"preset": "wavelet", "amplitude": 0.1, "width": 1.0},
+            evolution={"engine": "nonlinear", "grid": {"length": 16.0, "num_points": 64},
+                       "dt": 1e-3, "t_end": 4e-3, "output_every": 1},
+        )
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        config = load_config(path)
+        traj = run(build_initial_profile(config.evolution.grid, config.initial_data), config.evolution)
+        lines = [",".join(["t"] + [f"h_{j}" for j in range(64)])]
+        for t, state in zip(traj.times, traj.states):
+            lines.append(",".join([f"{t:.17g}"] + [f"{v:.17g}" for v in state.h.samples]))
+        assert (out / "trajectory.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+        lines = [",".join(TRIAD_FIELDS)]
+        for s in triad_series(traj):
+            lines.append(",".join(f"{getattr(s, name):.17g}" for name in TRIAD_FIELDS))
+        assert (out / "triad.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+
+        values = np.array([-0.0, 0.1, 1.0 / 3.0, 5e-324, -1e300, np.inf, np.nan])
+        assert cli._csv_row(values.tolist()) == ",".join(f"{v:.17g}" for v in values)
+
 
 class TestKernelCommand:
     def test_csv_symmetry_and_mass(self, tmp_path):

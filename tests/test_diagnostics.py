@@ -18,7 +18,7 @@ from mslab.diagnostics import (
     run_named_checks,
     triad_series,
 )
-from mslab import field
+from mslab import diagnostics, field
 from mslab.errors import (
     CrossCheckFailure,
     InsufficientSamples,
@@ -71,7 +71,7 @@ def proxy_samples(ts, E, D, H=None, **extra):
 class TestComputeH:
     def test_flat_zero(self):
         grid = Grid(L, 64)
-        assert compute_H(build_state(make_state(grid, np.zeros(64)))) == 0.0
+        assert compute_H([build_state(make_state(grid, np.zeros(64)))]).tolist() == [0.0]
 
     def test_small_mode_value_and_hhalf_ratio(self):
         # H -> eps^2 L/(4k); the ratio to the negative-half seminorm is 1/2
@@ -79,7 +79,7 @@ class TestComputeH:
         eps, k = 1e-3, 2
         h = make_state(grid, eps * np.cos(k * grid.nodes))
         state = build_state(h)
-        value = compute_H(state)
+        (value,) = compute_H([state])
         assert value == pytest.approx(eps**2 * L / (4.0 * k), rel=5e-3)
         hhalf = seminorm(h, -0.5) ** 2
         assert value / hhalf == pytest.approx(0.5, rel=5e-3)
@@ -87,16 +87,17 @@ class TestComputeH:
     def test_quartic_scaling(self):
         grid = Grid(L, 128)
         h = make_state(grid, 0.2 * np.sin(grid.nodes) + 0.05 * np.cos(2 * grid.nodes))
-        base = compute_H(build_state(h))
+        (base,) = compute_H([build_state(h)])
         lam = 2.3
         scaled = SpectralProfile.from_samples(Grid(lam * L, 128), lam * h.samples)
-        assert compute_H(build_state(scaled)) == pytest.approx(lam**4 * base, rel=1e-6)
+        (value,) = compute_H([build_state(scaled)])
+        assert value == pytest.approx(lam**4 * base, rel=1e-6)
 
     def test_rejects_mass(self):
         grid = Grid(L, 64)
         h = SpectralProfile.from_samples(grid, 0.1 + 0.1 * np.cos(grid.nodes))
         with pytest.raises(ZeroModeNonzero):
-            compute_H(build_state(h))
+            compute_H([build_state(h)])
 
     @pytest.mark.parametrize(
         "make",
@@ -105,8 +106,9 @@ class TestComputeH:
             lambda: bump_state(1024),
             lambda: wavelet_state(256),
             lambda: mode_state(Grid(L, 256), 1e-3),
-            # on a unit cell 64 sorted heights span more than 600/k_max, so
-            # most blocks end at the exponent span, not at the row count
+            # amplitude 2 on a unit cell: across the 1839 panels the top mode
+            # decays by e^{-25736}, far outside the float64 exponent range,
+            # which the carry's decay recursion never leaves
             lambda: mode_state(Grid(1.0, 2048), 2.0, k=2.0 * np.pi),
         ],
         ids=["bump-512", "bump-1024", "wavelet-0.9", "small-mode", "amplitude-2"],
@@ -115,7 +117,7 @@ class TestComputeH:
         state = make()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            value = compute_H(state)
+            (value,) = compute_H([state])
         assert value == pytest.approx(panel_sweep_H(state), rel=1e-12, abs=0.0)
 
     def test_bounded_memory(self):
@@ -123,7 +125,58 @@ class TestComputeH:
         state = bump_state(2048)
         tracemalloc.start()
         try:
-            compute_H(state)
+            compute_H([state])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+
+    def test_stack_matches_one_state_sweeps(self):
+        # padding to the stack's panel count adds exact zeros, so each state
+        # reads its own one-state H; the flat state reads exactly zero
+        grid = Grid(16.0, 256)
+        u = grid.nodes - 8.0
+        stack = [
+            build_state(make_state(grid, 0.15 * np.exp(-(u**2)) + 0.06 * np.exp(-((u - 2.0) ** 2) / 0.3))),
+            bump_state(256),
+            wavelet_state(256),
+            build_state(make_state(grid, np.zeros(256))),
+            mode_state(grid, 1e-3, k=2.0 * np.pi * 2.0 / 16.0),
+        ]
+        values = compute_H(stack)
+        assert values.dtype == np.float64 and values.shape == (len(stack),)
+        assert values[3] == 0.0
+        for state, value in zip(stack, values):
+            (alone,) = compute_H([state])
+            assert value == pytest.approx(alone, rel=1e-13, abs=0.0)
+
+    def test_sweep_crosses_a_stack_boundary(self):
+        grid = Grid(16.0, 64)
+        u = grid.nodes - 8.0
+        stack = [
+            build_state(make_state(grid, a * np.exp(-(u**2)) + b * u * np.exp(-(u**2))))
+            for a, b in zip(np.linspace(0.05, 0.3, 70), np.linspace(0.2, -0.2, 70))
+        ]
+        values = compute_H(stack)
+        assert len(values) == 70
+        for state, value in zip(stack, values):
+            assert value == pytest.approx(panel_sweep_H(state), rel=1e-12, abs=0.0)
+
+    def test_rejects_mixed_grids(self):
+        with pytest.raises(ValueError, match="one grid"):
+            compute_H([bump_state(64), bump_state(128)])
+
+    @pytest.mark.parametrize("count, n", [(64, 256), (10, 1024)])
+    def test_stack_memory(self, count, n):
+        grid = Grid(16.0, n)
+        u = grid.nodes - 8.0
+        stack = [
+            build_state(make_state(grid, a * u * np.exp(-(u**2))))
+            for a in np.linspace(0.1, 0.3, count)
+        ]
+        tracemalloc.start()
+        try:
+            compute_H(stack)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -134,7 +187,7 @@ class TestComputeH:
         u = grid.nodes - 8.0
         samples = 0.15 * np.exp(-(u**2))
         state = build_state(make_state(grid, samples))
-        ours = compute_H(state)
+        (ours,) = compute_H([state])
         oracle = poisson_box_energy(state, n_x=128, n_z=640)
         assert ours == pytest.approx(oracle, rel=0.03)
 
@@ -155,6 +208,22 @@ class TestTriadSeries:
         for s in samples:
             assert s.E == s.D == s.H == s.Hhalf == s.E2D == 0.0
             assert s.intVs2 == s.curv_L2 == 0.0
+
+    def test_one_compute_H_call_per_trajectory(self, monkeypatch):
+        calls = []
+        original = diagnostics.compute_H
+
+        def counting(states):
+            calls.append(list(states))
+            return original(states)
+
+        monkeypatch.setattr(diagnostics, "compute_H", counting)
+        grid = Grid(16.0, 64)
+        cfg = EvolutionConfig("linear", dt=1e-3, t_end=0.045, grid=grid)
+        traj = run(bump_state(64).h, cfg)
+        samples = triad_series(traj)
+        assert len(calls) == 1 and calls[0] == traj.states and len(traj) == 46
+        assert [s.H for s in samples] == original(traj.states).tolist()
 
     def test_linear_mode_matches_observables_with_dictionary(self):
         # physical E is half the linear-section proxy, physical D twice it

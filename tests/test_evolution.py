@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from mslab import field
+from mslab import evolution, field
 from mslab.errors import SlopeBlowup, SolverDivergence, ZeroModeNonzero
 from mslab.evolution import (
     MAX_STEPS,
@@ -293,6 +293,30 @@ class TestRunSolvesOnlyWhatIsRead:
         assert np.array_equal(response.velocity.samples, fresh.velocity.samples)
         assert response[1:] == fresh[1:]
         assert len(traj.iterations) == len(traj.residuals) == len(traj.tails) == self.N_STEPS
+
+    def test_every_step_solve_runs_inside_the_step(self, state0, monkeypatch):
+        # the step's own span then holds its solve; only the final state is
+        # solved outside a step
+        inside = [False]
+        where = []
+        original_step, original_solve = evolution.nonlinear_step, field._solve
+
+        def step(state, cfg):
+            inside[0] = True
+            try:
+                return original_step(state, cfg)
+            finally:
+                inside[0] = False
+
+        def solve(state):
+            where.append(inside[0])
+            return original_solve(state)
+
+        monkeypatch.setattr(evolution, "nonlinear_step", step)
+        monkeypatch.setattr(field, "_solve", solve)
+        traj = run(state0.h, self.config(state0, 5))
+        assert traj.status == "completed"
+        assert where == [True] * self.N_STEPS + [False]
 
     def test_final_solve_failure_is_a_solver_failure(self, state0, monkeypatch):
         calls = [0]
