@@ -8,7 +8,6 @@ the trajectories, including the theorem-level decay rates.
 
 from .errors import (
     ConfigError,
-    CrossCheckFailure,
     InsufficientSamples,
     MSLabError,
     RegimeNeverEntered,

@@ -11,8 +11,9 @@ Exit codes: 0 ok, 2 config or input error (including a triad CSV with a
 non-finite value, a negative value in any column but t, or too few evenly
 spaced rows, a simulation whose schedule keeps too few of them, and a
 grid above :data:`mslab.field.MAX_POINTS`), 3 slope blow-up, 4 solver
-failure (GMRES did not converge, or a snapshot's grid does not resolve
-the interface, so its D is refused), 5 verification failure.
+failure (the exterior solve of a state failed: GMRES did not converge or
+missed its residual gate, or the grid does not resolve the state), 5
+verification failure.
 All numbers are printed with 17 significant digits so CSV output
 round-trips doubles losslessly, and output files are written atomically
 (temp file plus rename) with the mode ``open()`` would give them.
@@ -29,7 +30,7 @@ import numpy as np
 from . import diagnostics
 from .config import build_initial_profile, load_config
 from .diagnostics import TRIAD_FIELDS, TriadSample, run_named_checks, triad_series
-from .errors import ConfigError, CrossCheckFailure, InsufficientSamples, SolverDivergence
+from .errors import ConfigError, InsufficientSamples, SolverDivergence
 from .evolution import kernel_mask, run, snapshot_steps
 from .spectral import Grid, seminorm
 
@@ -213,10 +214,10 @@ def cmd_rates(args):
     if h0_norm <= 0:
         raise ConfigError("initial_data", f"H0 = {h0_norm:g}: the rates are relative to a nonzero H0")
     traj = run(profile, config.evolution)
-    samples = triad_series(traj)
     if traj.status != "completed":
         print(f"run ended with status {traj.status}", file=sys.stderr)
         return _status_exit(traj.status)
+    samples = triad_series(traj)
     reports = diagnostics.check_decay_rates(samples, h0_norm)
     columns = diagnostics.triad_columns(samples)
     t_late, late = diagnostics.late_window(columns.t, h0_norm)
@@ -289,7 +290,7 @@ def main(argv=None):
     except (ConfigError, InsufficientSamples) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_CONFIG
-    except (SolverDivergence, CrossCheckFailure) as exc:
+    except SolverDivergence as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER_FAILURE
 

@@ -29,7 +29,6 @@ class RunConfig:
     initial_data: dict
     evolution: EvolutionConfig
     checks: tuple = DEFAULT_CHECKS
-    seed: int = 0
 
 
 def _want(obj, path, typ, name):
@@ -185,7 +184,8 @@ def parse_config(raw):
         _want(raw["evolution"], "evolution", dict, "an object"), "evolution"
     )
     checks = _parse_checks(raw.get("checks"), "checks")
-    seed = _want(raw.get("seed", 0), "seed", int, "an integer")
+    # validated, then dropped: every preset is deterministic
+    _want(raw.get("seed", 0), "seed", int, "an integer")
 
     profile = build_initial_profile(evolution.grid, initial)
     steep = sup_slope(build_state(profile))
@@ -196,7 +196,7 @@ def parse_config(raw):
         )
     if not math.isfinite(profile.max_abs()):
         raise ConfigError("initial_data", "preset produced non-finite samples")
-    return RunConfig(initial, evolution, checks, seed)
+    return RunConfig(initial, evolution, checks)
 
 
 def load_config(path):

@@ -18,11 +18,9 @@ class SlopeBlowup(MSLabError):
 
 
 class SolverDivergence(MSLabError):
-    """The discrete elliptic solve failed its residual tolerance."""
-
-
-class CrossCheckFailure(MSLabError):
-    """Two independent evaluations of the same quantity disagree."""
+    """The exterior solve of a state failed: GMRES did not converge, its
+    residual missed the gate, or the grid does not resolve the boundary
+    density (its tail above the 2/3 cut exceeds the limit)."""
 
 
 class InsufficientSamples(MSLabError):

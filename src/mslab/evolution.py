@@ -110,11 +110,6 @@ def linear_solve_exact(h0, t, mobility):
     return SpectralProfile.from_coeffs(h0.grid, h0.coeffs * np.exp(-mobility * k**3 * t))
 
 
-def _dealias_mask(grid):
-    m = np.rint(grid.wavenumbers * grid.length / (2.0 * np.pi)).astype(int)
-    return np.abs(m) <= grid.num_points // 3
-
-
 def nonlinear_step(state, cfg):
     """One IMEX step of the full flow.
 
@@ -123,7 +118,8 @@ def nonlinear_step(state, cfg):
     N(h) = -sqrt(1+h_x^2) V + LINEAR_RATE*|d/dx|^3 h is evaluated
     explicitly from the exterior response of ``state``, which stays on the
     state for the diagnostics to read.  Products are dealiased with the
-    2/3 rule, and the result is re-projected to mean zero.
+    2/3 rule of :attr:`~mslab.spectral.Grid.dealiased`, and the result is
+    re-projected to mean zero.
     """
     if sup_slope(state) > cfg.slope_gate:
         raise SlopeBlowup(
@@ -133,7 +129,7 @@ def nonlinear_step(state, cfg):
     v = exterior_response(state).velocity
     stiff = fractional_operator(state.h, 3.0)
     remainder = -state.line_element * v.samples + LINEAR_RATE * stiff.samples
-    nhat = np.where(_dealias_mask(grid), np.fft.fft(remainder) / grid.num_points, 0.0)
+    nhat = np.where(grid.dealiased, np.fft.fft(remainder) / grid.num_points, 0.0)
     k = np.abs(grid.wavenumbers)
     new_coeffs = (state.h.coeffs + cfg.dt * nhat) / (1.0 + cfg.dt * LINEAR_RATE * k**3)
     new_coeffs[0] = 0.0
@@ -161,7 +157,8 @@ def run(h0, cfg):
     ``Trajectory.residuals`` and ``Trajectory.tails``.  The state the run
     ends on is solved as well, so the diagnostics find every snapshot
     solved.  A gate violation or solver failure, in a step or in that last
-    solve, halts the run with the matching status instead of raising.  A
+    solve, halts the run with the matching status instead of raising; a
+    state whose grid does not resolve it is a solver failure.  A
     profile that passes the mean-zero gate is projected to an exact zero
     mode before the first state is built.
     """

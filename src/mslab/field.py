@@ -17,8 +17,9 @@ c = mean(psi) the equation is the second kind (I + M 2|D|) psi = kappa,
 M the trapezoid matrix of -(1/4pi) log R; a flat interface gives M = 0.
 GMRES solves it unpreconditioned from zero in a handful of iterations.
 The share of the spectral energy of psi above the 2/3 cut is the
-resolution signal: past :data:`RESOLUTION_TAIL_MAX` the dissipation is
-refused with :class:`~mslab.errors.CrossCheckFailure`.
+resolution signal: past :data:`RESOLUTION_TAIL_MAX` the solve raises
+:class:`~mslab.errors.SolverDivergence`, as on a GMRES or residual
+failure, so every state the flow solves is resolved.
 
 A second-order straightened strip, which no command runs, is the
 reference the tests hold the integral against: each phase mapped
@@ -42,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import CrossCheckFailure, SlopeGateViolation, SolverDivergence
+from .errors import SlopeGateViolation, SolverDivergence
 from .geometry import sup_slope
 from .spectral import SpectralProfile, derivative
 
@@ -61,7 +62,7 @@ MAX_POINTS = 4096
 _KERNEL_BLOCK = 64
 
 #: largest share of the spectral energy of psi above the 2/3 cut at which a
-#: state counts as resolved; a larger tail makes ``.dissipation`` raise.
+#: state counts as resolved; a larger tail makes the solve raise.
 #: Measured before it was fixed: at most 5.0e-11 on the benchmark's workloads
 #: (seeds 0-4) and 1.2e-25 on the README example, at most 6.8e-5 on the test
 #: runs that must pass, and 1.0 on a mode just above the cut.  Under grid
@@ -407,31 +408,21 @@ def dissipation(fields, state):
 class ExteriorResponse(NamedTuple):
     """What the flow and the diagnostics read from the solve of one state.
 
-    ``velocity`` is the normal speed V and ``boundary`` the pairing
+    ``velocity`` is the normal speed V and ``dissipation`` the pairing
     D = -integral kappa V ds.  ``iterations`` and ``residual`` are the
     GMRES iteration count and the max-norm residual of the solve, and
     ``tail`` is the resolution signal: the share of the spectral energy of
-    psi (its mean left out) in the modes above the 2/3 cut, which the
-    nonlinear step discards.  No array of more than N values is kept.
+    psi (its mean left out) in the modes outside the 2/3 cut
+    :attr:`~mslab.spectral.Grid.dealiased`, which the nonlinear step
+    discards; it is at most :data:`RESOLUTION_TAIL_MAX`.  No array of more
+    than N values is kept.
     """
 
     velocity: SpectralProfile
-    boundary: float
+    dissipation: float
     iterations: int
     residual: float
     tail: float
-
-    @property
-    def dissipation(self):
-        """D, after the resolution check: a ``tail`` above
-        :data:`RESOLUTION_TAIL_MAX` (or a NaN) raises CrossCheckFailure."""
-        if not self.tail <= RESOLUTION_TAIL_MAX:
-            raise CrossCheckFailure(
-                f"{self.tail:.3e} of the boundary density's spectral energy lies above "
-                f"the 2/3 cut (limit {RESOLUTION_TAIL_MAX:.0e}): the grid does not "
-                "resolve the interface"
-            )
-        return self.boundary
 
 
 def _log_kernel(state):
@@ -474,7 +465,8 @@ def _solve(state):
     M = -(dx/4pi) log R is applied as the kernel of :func:`_log_kernel`
     times a scalar, and the kernel lives only for this solve.
     V = -(2|D| psi)/sqrt(1+h_x^2), so integral V ds is the zero mode of
-    2|D| psi and vanishes to round-off.
+    2|D| psi and vanishes to round-off.  A tail above
+    :data:`RESOLUTION_TAIL_MAX`, or a NaN one, raises SolverDivergence.
     """
     grid = state.grid
     n = grid.num_points
@@ -495,7 +487,13 @@ def _solve(state):
     power[0] = 0.0  # the mean of psi is the constant c, not a shape
     power[1:-1] *= 2.0  # every mode but the mean and the Nyquist has a conjugate pair
     total = power.sum()
-    tail = float(power[n // 3 + 1 :].sum() / total) if total > 0.0 else 0.0
+    tail = float(power[~grid.dealiased[: n // 2 + 1]].sum() / total) if total > 0.0 else 0.0
+    if not tail <= RESOLUTION_TAIL_MAX:
+        raise SolverDivergence(
+            f"{tail:.3e} of the boundary density's spectral energy lies above "
+            f"the 2/3 cut (limit {RESOLUTION_TAIL_MAX:.0e}): the grid does not "
+            "resolve the interface"
+        )
     v = -density(psi) / state.line_element
     return ExteriorResponse(
         SpectralProfile.from_samples(grid, v), _boundary_pairing(state, v), iterations, residual, tail
@@ -506,8 +504,9 @@ def exterior_response(state):
     """V, D and the solver statistics of a state, from one boundary-integral solve.
 
     The response is kept on the state, so the step that leaves a state and
-    the diagnostics that read it share one solve.  Reading ``.dissipation``
-    applies the resolution check; reading ``.velocity`` does not.
+    the diagnostics that read it share one solve.  A failed solve, the
+    resolution check included, raises
+    :class:`~mslab.errors.SolverDivergence` and keeps nothing.
     """
     if not state.exterior:
         state.exterior.append(_solve(state))

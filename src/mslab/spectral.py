@@ -59,6 +59,22 @@ class Grid:
         k.setflags(write=False)
         return k
 
+    @cached_property
+    def dealiased(self):
+        """The 2/3 cut |m| <= N//3 in :attr:`wavenumbers` order: the modes the
+        nonlinear step keeps and the exterior solve's resolution tail leaves out."""
+        n = self.num_points
+        kept = np.abs(np.fft.fftfreq(n, d=1.0 / n)) <= n // 3
+        kept.setflags(write=False)
+        return kept
+
+    @cached_property
+    def conjugate(self):
+        """Index of the mode -m for each mode m, in :attr:`wavenumbers` order."""
+        index = np.r_[0, self.num_points - 1 : 0 : -1]
+        index.setflags(write=False)
+        return index
+
 
 class SpectralProfile:
     """A real periodic function held as grid samples plus Fourier coefficients.
@@ -95,9 +111,8 @@ class SpectralProfile:
         if coeffs.shape != (grid.num_points,):
             raise ValueError("coefficient array does not match the grid")
         # enforce Hermitian symmetry so the samples are exactly real
-        n = grid.num_points
-        sym = 0.5 * (coeffs + np.conj(coeffs[np.r_[0, n - 1:0:-1]]))
-        samples = np.fft.ifft(sym * n).real
+        sym = 0.5 * (coeffs + np.conj(coeffs[grid.conjugate]))
+        samples = np.fft.ifft(sym * grid.num_points).real
         return cls(grid, samples, sym)
 
     @property

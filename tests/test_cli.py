@@ -113,7 +113,7 @@ class TestConfigValidation:
             (block,) = re.findall(r"```json\n(.*?)```", handle.read(), re.S)
         config = parse_config(json.loads(block))
         assert config.evolution.engine == "nonlinear"
-        assert config.evolution.strip == default_strip_config(config.evolution.grid, num_layers=48)
+        assert config.evolution.strip == default_strip_config(config.evolution.grid)
         assert config.checks == (("energy_dissipation", 0.02),)
 
     def test_omitted_threshold_takes_registry_default(self, tmp_path):
@@ -766,6 +766,28 @@ class TestRates:
         report_path = tmp_path / "rates.json"
         assert main(["rates", "--config", str(path), "--out", str(report_path)]) == 4
         assert "solver failure" in capsys.readouterr().err
+        assert not report_path.exists()
+
+    def test_slope_blowup_exit_3_before_the_triad(self, tmp_path, monkeypatch, capsys):
+        # a run that did not complete has no rates, so its triad is never built
+        path, _ = small_config(
+            tmp_path,
+            initial_data={"preset": "gaussian_bump", "amplitude": 1.1, "width": 1.0},
+            evolution={
+                "engine": "nonlinear",
+                "grid": {"length": 16.0, "num_points": 128},
+                "dt": 2e-4, "t_end": 0.03, "output_every": 5,
+                "slope_gate": 0.942,
+            },
+        )
+        report_path = tmp_path / "rates.json"
+
+        def no_triad(*args):
+            raise AssertionError("the triad of a run that did not complete is thrown away")
+
+        monkeypatch.setattr(cli, "triad_series", no_triad)
+        assert main(["rates", "--config", str(path), "--out", str(report_path)]) == 3
+        assert "run ended with status slope_blowup" in capsys.readouterr().err
         assert not report_path.exists()
 
     def test_atomic_outputs_leave_no_temp_files(self, tmp_path):

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -19,15 +20,15 @@ from mslab.diagnostics import (
     triad_series,
 )
 from mslab import diagnostics, field
+from mslab.cli import main
 from mslab.errors import (
-    CrossCheckFailure,
     InsufficientSamples,
     RegimeNeverEntered,
     ZeroModeNonzero,
 )
 from mslab.evolution import EvolutionConfig, Trajectory, run
 from mslab.config import build_initial_profile
-from mslab.field import RESOLUTION_TAIL_MAX, StripConfig, exterior_response
+from mslab.field import StripConfig, exterior_response
 from mslab.geometry import build_state, sup_slope, to_arclength
 from mslab.spectral import Grid, SpectralProfile, seminorm
 from conftest import (
@@ -318,16 +319,23 @@ class TestOneSolvePerState:
         assert triad_series(fresh) == samples
         assert solves[0] == 2 * (n_steps + 1)
 
-    def test_cross_check_raised_where_d_is_read(self):
-        # mode 22 lies above the 2/3 cut of N = 64: the run steps, and the
-        # triad, which reads D, raises
+    def test_unresolved_state_ends_the_run(self, tmp_path, capsys):
+        # mode 22 lies above the 2/3 cut of N = 64: the solve of the initial
+        # state refuses it, so the run keeps that state and takes no step,
+        # and simulate exits 4
         grid = Grid(L, 64)
         cfg = EvolutionConfig("nonlinear", dt=1e-4, t_end=3e-4, grid=grid, output_every=1)
         traj = run(make_state(grid, 1e-3 / 22.0 * np.cos(22.0 * grid.nodes)), cfg)
-        assert traj.status == "completed" and len(traj) == 4
-        assert min(traj.tails) > RESOLUTION_TAIL_MAX
-        with pytest.raises(CrossCheckFailure):
-            triad_series(traj)
+        assert traj.status == "solver_failure" and len(traj) == 1
+        assert traj.iterations == traj.residuals == traj.tails == []
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "initial_data": {"preset": "mode", "amplitude": 1e-3 / 22.0, "wavenumber": 22},
+            "evolution": {"engine": "nonlinear", "dt": 1e-4, "t_end": 3e-4, "output_every": 1,
+                          "grid": {"length": L, "num_points": 64}},
+        }))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 4
+        assert "the grid does not resolve the interface" in capsys.readouterr().err
 
 
 class TestCheckAlgebraic:

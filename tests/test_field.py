@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mslab import field as field_module
-from mslab.errors import CrossCheckFailure, SlopeGateViolation, SolverDivergence
+from mslab.errors import SlopeGateViolation, SolverDivergence
 from mslab.field import (
     RESOLUTION_TAIL_MAX,
     ExteriorResponse,
@@ -354,7 +354,7 @@ class TestNormalVelocity:
         up, down = exterior_response(state), exterior_response(mirror)
         scale = np.abs(up.velocity.samples).max()
         assert np.abs(down.velocity.samples + up.velocity.samples).max() <= 1e-13 * scale
-        assert down.boundary == pytest.approx(up.boundary, rel=1e-13, abs=0.0)
+        assert down.dissipation == pytest.approx(up.dissipation, rel=1e-13, abs=0.0)
         assert down.iterations == up.iterations
 
 
@@ -385,21 +385,17 @@ class TestDissipation:
         d2 = 2.0 * seminorm(q, 2.5) ** 2
         assert d2 == pytest.approx(d1 / lam**2, rel=1e-12)
 
-    def test_cross_check_failure_when_under_resolved(self):
-        # a mode above the 2/3 cut puts all of psi's energy in the tail;
-        # the highest resolved mode, N/3, leaves it at round-off (measured
-        # 1.4e-26 at N = 64)
+    def test_unresolved_state_raises_solver_divergence(self):
+        # a mode above the 2/3 cut puts all of psi's energy in the tail, and
+        # the solve refuses it; the highest resolved mode, N/3, leaves the
+        # tail at round-off (measured 1.4e-26 at N = 64)
         grid = Grid(L, 64)
-        for mode, under in ((22, True), (21, False)):
-            state = make_state(grid, 1e-3 / mode * np.cos(mode * grid.nodes))
-            response = exterior_response(state)
-            if under:
-                assert response.tail >= 0.99 > RESOLUTION_TAIL_MAX
-                with pytest.raises(CrossCheckFailure):
-                    response.dissipation
-            else:
-                assert response.tail <= 1e-20
-                assert response.dissipation == response.boundary
+        state = make_state(grid, 1e-3 / 22 * np.cos(22 * grid.nodes))
+        with pytest.raises(SolverDivergence, match="above the 2/3 cut") as err:
+            exterior_response(state)
+        assert float(str(err.value).split()[0]) >= 0.99 > RESOLUTION_TAIL_MAX
+        assert state.exterior == []
+        assert exterior_response(make_state(grid, 1e-3 / 21 * np.cos(21 * grid.nodes))).tail <= 1e-20
 
     def test_depth_doubling_is_converged(self):
         # truncation-depth error is controlled empirically
@@ -441,7 +437,7 @@ class TestExteriorResponse:
         arrays = [response.velocity.samples, response.velocity.coeffs]
         arrays += [v for v in response if isinstance(v, np.ndarray)]
         assert max(np.size(a) for a in arrays) <= grid.num_points
-        scalars = (response.boundary, response.iterations, response.residual, response.tail)
+        scalars = (response.dissipation, response.iterations, response.residual, response.tail)
         assert all(np.ndim(v) == 0 for v in scalars)
 
 
@@ -455,7 +451,7 @@ class TestBoundaryIntegral:
         coarse, fine = exterior_response(make(n)), exterior_response(make(2 * n))
         v_coarse, v_fine = coarse.velocity.samples, fine.velocity.samples[::2]
         assert np.abs(v_coarse - v_fine).max() <= 1e-8 * np.abs(v_fine).max()
-        assert coarse.boundary == pytest.approx(fine.boundary, rel=1e-8, abs=0.0)
+        assert coarse.dissipation == pytest.approx(fine.dissipation, rel=1e-8, abs=0.0)
 
     @pytest.mark.parametrize("make, n", [(bump_state, 512), (wavelet_state, 256)], ids=["bump", "wavelet"])
     def test_mass_flux_vanishes(self, make, n):
