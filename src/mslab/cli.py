@@ -10,10 +10,11 @@ Commands::
 Exit codes: 0 ok, 2 config or input error (including a triad CSV with a
 non-finite value, a negative value in any column but t, or too few evenly
 spaced rows, a simulation whose schedule keeps too few of them, and a
-grid above :data:`mslab.field.MAX_POINTS`), 3 slope blow-up, 4 solver
-failure (the exterior solve of a state failed: GMRES did not converge or
-missed its residual gate, or the grid does not resolve the state), 5
-verification failure.
+grid, of a run or of the kernel, above :data:`mslab.field.MAX_POINTS`),
+3 slope blow-up, 4 solver failure (the exterior solve of a state failed:
+GMRES did not converge or missed its residual gate, or the grid does not
+resolve the state), 5 verification failure.  :func:`main` alone maps an
+error to its exit code, and prints the error's message.
 All numbers are printed with 17 significant digits so CSV output
 round-trips doubles losslessly, and output files are written atomically
 (temp file plus rename) with the mode ``open()`` would give them.
@@ -28,11 +29,11 @@ import tempfile
 import numpy as np
 
 from . import diagnostics
-from .config import build_initial_profile, load_config
+from .config import _parse_grid, build_initial_profile, load_config
 from .diagnostics import TRIAD_FIELDS, TriadSample, run_named_checks, triad_series
-from .errors import ConfigError, InsufficientSamples, SolverDivergence
+from .errors import ConfigError, InsufficientSamples, SlopeBlowup, SolverDivergence
 from .evolution import kernel_mask, run, snapshot_steps
-from .spectral import Grid, seminorm
+from .spectral import seminorm
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -91,15 +92,9 @@ def _solver_csv(traj, dt):
     return "\n".join(lines) + "\n"
 
 
-def _status_exit(status):
-    return {
-        "completed": EXIT_OK,
-        "slope_blowup": EXIT_SLOPE_BLOWUP,
-        "solver_failure": EXIT_SOLVER_FAILURE,
-    }[status]
-
-
 def cmd_simulate(args):
+    """Write the kept states of a run, failed or not, to the three files and
+    print the status line; the failure of a failed run then reaches :func:`main`."""
     config = load_config(args.config)
     cfg = config.evolution
     # verify's centered differences need three snapshots on the output
@@ -120,7 +115,9 @@ def cmd_simulate(args):
     _atomic_write(os.path.join(args.out, "triad.csv"), _triad_csv(samples))
     _atomic_write(os.path.join(args.out, "solver.csv"), _solver_csv(traj, cfg.dt))
     print(f"status: {traj.status}; {len(traj)} snapshots written to {args.out}")
-    return _status_exit(traj.status)
+    if traj.failure is not None:
+        raise traj.failure
+    return EXIT_OK
 
 
 def _parse_triad_csv(path):
@@ -214,9 +211,8 @@ def cmd_rates(args):
     if h0_norm <= 0:
         raise ConfigError("initial_data", f"H0 = {h0_norm:g}: the rates are relative to a nonzero H0")
     traj = run(profile, config.evolution)
-    if traj.status != "completed":
-        print(f"run ended with status {traj.status}", file=sys.stderr)
-        return _status_exit(traj.status)
+    if traj.failure is not None:
+        raise traj.failure
     samples = triad_series(traj)
     reports = diagnostics.check_decay_rates(samples, h0_norm)
     columns = diagnostics.triad_columns(samples)
@@ -235,11 +231,7 @@ def cmd_rates(args):
 
 
 def cmd_kernel(args):
-    try:
-        grid = Grid(args.length, args.n)
-    except ValueError as exc:
-        print(f"kernel: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    grid = _parse_grid({"length": args.length, "num_points": args.n}, "kernel")
     mask = kernel_mask(grid)
     shift = args.n // 2
     x = np.concatenate((grid.nodes[shift:] - grid.length, grid.nodes[:shift]))
@@ -290,6 +282,9 @@ def main(argv=None):
     except (ConfigError, InsufficientSamples) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_CONFIG
+    except SlopeBlowup as exc:
+        print(f"slope blow-up: {exc}", file=sys.stderr)
+        return EXIT_SLOPE_BLOWUP
     except SolverDivergence as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER_FAILURE

@@ -75,19 +75,29 @@ class EvolutionConfig:
 
 @dataclass
 class Trajectory:
-    """Time-ordered snapshots plus the reason the run ended.
+    """Time-ordered snapshots plus the failure that ended the run.
 
-    ``iterations``, ``residuals`` and ``tails`` hold the GMRES iteration
-    count, the max-norm residual and the resolution signal of the exterior
-    solve behind every nonlinear step, snapshot or not.
+    ``failure`` is the SlopeBlowup or SolverDivergence that ended the run,
+    or None; it is kept without its traceback, whose frames would hold the
+    failed solve's N x N kernel.  ``iterations``, ``residuals`` and
+    ``tails`` hold the GMRES iteration count, the max-norm residual and the
+    resolution signal of the exterior solve behind every nonlinear step,
+    snapshot or not.
     """
 
     times: list = dataclass_field(default_factory=list)
     states: list = dataclass_field(default_factory=list)
-    status: str = "completed"
+    failure: Exception = None
     iterations: list = dataclass_field(default_factory=list)
     residuals: list = dataclass_field(default_factory=list)
     tails: list = dataclass_field(default_factory=list)
+
+    @property
+    def status(self):
+        """``completed``, ``slope_blowup`` or ``solver_failure``."""
+        if self.failure is None:
+            return "completed"
+        return "slope_blowup" if isinstance(self.failure, SlopeBlowup) else "solver_failure"
 
     def append(self, t, state):
         if self.times and t <= self.times[-1]:
@@ -119,12 +129,9 @@ def nonlinear_step(state, cfg):
     explicitly from the exterior response of ``state``, which stays on the
     state for the diagnostics to read.  Products are dealiased with the
     2/3 rule of :attr:`~mslab.spectral.Grid.dealiased`, and the result is
-    re-projected to mean zero.
+    re-projected to mean zero.  The step gates no slope: :func:`run` gates
+    the state it starts from and every state a step returns.
     """
-    if sup_slope(state) > cfg.slope_gate:
-        raise SlopeBlowup(
-            f"slope {sup_slope(state):.6f} exceeds gate {cfg.slope_gate}"
-        )
     grid = state.grid
     v = exterior_response(state).velocity
     stiff = fractional_operator(state.h, 3.0)
@@ -133,12 +140,7 @@ def nonlinear_step(state, cfg):
     k = np.abs(grid.wavenumbers)
     new_coeffs = (state.h.coeffs + cfg.dt * nhat) / (1.0 + cfg.dt * LINEAR_RATE * k**3)
     new_coeffs[0] = 0.0
-    new_state = build_state(SpectralProfile.from_coeffs(grid, new_coeffs))
-    if sup_slope(new_state) > cfg.slope_gate:
-        raise SlopeBlowup(
-            f"slope {sup_slope(new_state):.6f} exceeds gate {cfg.slope_gate} after step"
-        )
-    return new_state
+    return build_state(SpectralProfile.from_coeffs(grid, new_coeffs))
 
 
 def snapshot_steps(cfg):
@@ -149,58 +151,57 @@ def snapshot_steps(cfg):
 
 
 def run(h0, cfg):
-    """Advance h0 to t_end, recording the snapshots of :func:`snapshot_steps`.
+    """Advance h0 to t_end, keeping the snapshots of :func:`snapshot_steps`.
 
     The linear engine evaluates the exact mode solution at the snapshot
-    times; the nonlinear engine steps with :func:`nonlinear_step`, and the
-    solver statistics of every step go to ``Trajectory.iterations``,
-    ``Trajectory.residuals`` and ``Trajectory.tails``.  The state the run
-    ends on is solved as well, so the diagnostics find every snapshot
-    solved.  A gate violation or solver failure, in a step or in that last
-    solve, halts the run with the matching status instead of raising; a
-    state whose grid does not resolve it is a solver failure.  A
-    profile that passes the mean-zero gate is projected to an exact zero
-    mode before the first state is built.
+    times.  The nonlinear engine steps with :func:`nonlinear_step`, which
+    solves the state it steps from; the loop then keeps that state and
+    records the solve's statistics in ``Trajectory.iterations``,
+    ``Trajectory.residuals`` and ``Trajectory.tails``.  The final state is
+    kept after its own solve, so every kept state is solved and the
+    diagnostics solve nothing again.  A slope past the gate after a step,
+    or a failed solve (an unresolved state included), ends the run in
+    ``Trajectory.failure`` instead of raising.  A profile that passes the
+    mean-zero gate is projected to an exact zero mode before the first
+    state is built.
     """
     h0.require_mean_zero("the flow")
     h0 = h0.without_mean()
     if h0.grid != cfg.grid:
         raise ValueError("initial profile and configuration use different grids")
-    state0 = build_state(h0)
-    if sup_slope(state0) > cfg.slope_gate:
+    state = build_state(h0)
+    if sup_slope(state) > cfg.slope_gate:
         raise SlopeBlowup(
-            f"initial slope {sup_slope(state0):.6f} exceeds gate {cfg.slope_gate}"
+            f"initial slope {sup_slope(state):.6f} exceeds gate {cfg.slope_gate}"
         )
     traj = Trajectory()
-    traj.append(0.0, state0)
     steps = snapshot_steps(cfg)
-    n_steps = steps[-1]
-    if n_steps == 0:
-        return traj
 
     if cfg.engine == "linear":
+        traj.append(0.0, state)
         for step in steps[1:]:
             t = step * cfg.dt
             traj.append(t, build_state(linear_solve_exact(h0, t, cfg.mobility)))
         return traj
 
-    state = state0
     kept = set(steps)
     try:
-        for step in range(1, n_steps + 1):
+        for step in range(1, steps[-1] + 1):
             previous, state = state, nonlinear_step(state, cfg)
+            if step - 1 in kept:
+                traj.append((step - 1) * cfg.dt, previous)
+            if sup_slope(state) > cfg.slope_gate:
+                raise SlopeBlowup(
+                    f"slope {sup_slope(state):.6f} exceeds gate {cfg.slope_gate} after step"
+                )
             response = exterior_response(previous)  # the solve the step made
             traj.iterations.append(response.iterations)
             traj.residuals.append(response.residual)
             traj.tails.append(response.tail)
-            if step in kept:
-                traj.append(step * cfg.dt, state)
-        # the diagnostics read the final state too
         exterior_response(state)
-    except SlopeBlowup:
-        traj.status = "slope_blowup"
-    except SolverDivergence:
-        traj.status = "solver_failure"
+        traj.append(steps[-1] * cfg.dt, state)
+    except (SlopeBlowup, SolverDivergence) as exc:
+        traj.failure = exc.with_traceback(None)
     return traj
 
 

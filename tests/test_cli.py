@@ -19,7 +19,7 @@ from mslab import config as config_module
 from mslab.cli import main
 from mslab.config import PRESETS, load_config, parse_config
 from mslab.diagnostics import CSV_CHECKS, TRIAD_FIELDS, check_algebraic, triad_series
-from mslab.errors import ConfigError
+from mslab.errors import ConfigError, SolverDivergence
 from mslab.evolution import EvolutionConfig, run
 from mslab.field import StripConfig, default_strip_config
 from mslab.spectral import Grid
@@ -356,6 +356,29 @@ class TestSimulate:
         )
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(path), "--out", str(out)]) == 3
+
+    def test_failure_off_the_schedule_writes_what_was_solved(self, tmp_path, monkeypatch, capsys):
+        # the second solve is of state 1, which output_every = 2 does not
+        # keep: the files hold state 0 and the solver's message is printed
+        path, _ = small_config(tmp_path, evolution={"engine": "nonlinear", "output_every": 2})
+        calls = [0]
+        original = field._solve
+
+        def failing_second(state):
+            calls[0] += 1
+            if calls[0] == 2:
+                raise SolverDivergence("the solve of state 1 fails")
+            return original(state)
+
+        monkeypatch.setattr(field, "_solve", failing_second)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 4
+        for name in ("trajectory.csv", "triad.csv", "solver.csv"):
+            assert len((out / name).read_text().splitlines()) == 2
+        assert (out / "trajectory.csv").read_text().splitlines()[1].startswith("0,")
+        captured = capsys.readouterr()
+        assert "status: solver_failure; 1 snapshots" in captured.out
+        assert "solver failure: the solve of state 1 fails" in captured.err
 
 
 class TestVerify:
@@ -703,7 +726,8 @@ class TestKernelCommand:
 
     def test_bad_arguments_exit_2(self, tmp_path):
         out = tmp_path / "k.csv"
-        for n, length in [("100", "10"), ("64", "-1"), ("16", "nan"), ("16", "inf")]:
+        for n, length in [("100", "10"), ("64", "-1"), ("16", "nan"), ("16", "inf"),
+                          ("4611686018427387904", "1"), ("8192", "1")]:
             assert main(["kernel", "--n", n, "--length", length, "--out", str(out)]) == 2
             assert not out.exists()
 
@@ -787,7 +811,7 @@ class TestRates:
 
         monkeypatch.setattr(cli, "triad_series", no_triad)
         assert main(["rates", "--config", str(path), "--out", str(report_path)]) == 3
-        assert "run ended with status slope_blowup" in capsys.readouterr().err
+        assert re.search(r"slope blow-up: slope \S+ exceeds gate 0\.942 after step", capsys.readouterr().err)
         assert not report_path.exists()
 
     def test_atomic_outputs_leave_no_temp_files(self, tmp_path):

@@ -24,6 +24,7 @@ from mslab.cli import main
 from mslab.errors import (
     InsufficientSamples,
     RegimeNeverEntered,
+    SolverDivergence,
     ZeroModeNonzero,
 )
 from mslab.evolution import EvolutionConfig, Trajectory, run
@@ -321,12 +322,13 @@ class TestOneSolvePerState:
 
     def test_unresolved_state_ends_the_run(self, tmp_path, capsys):
         # mode 22 lies above the 2/3 cut of N = 64: the solve of the initial
-        # state refuses it, so the run keeps that state and takes no step,
-        # and simulate exits 4
+        # state refuses it, so the run keeps no state and takes no step,
+        # and simulate writes header-only files and exits 4
         grid = Grid(L, 64)
         cfg = EvolutionConfig("nonlinear", dt=1e-4, t_end=3e-4, grid=grid, output_every=1)
         traj = run(make_state(grid, 1e-3 / 22.0 * np.cos(22.0 * grid.nodes)), cfg)
-        assert traj.status == "solver_failure" and len(traj) == 1
+        assert traj.status == "solver_failure" and len(traj) == 0
+        assert isinstance(traj.failure, SolverDivergence) and traj.failure.__traceback__ is None
         assert traj.iterations == traj.residuals == traj.tails == []
         path = tmp_path / "config.json"
         path.write_text(json.dumps({
@@ -334,8 +336,13 @@ class TestOneSolvePerState:
             "evolution": {"engine": "nonlinear", "dt": 1e-4, "t_end": 3e-4, "output_every": 1,
                           "grid": {"length": L, "num_points": 64}},
         }))
-        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 4
-        assert "the grid does not resolve the interface" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 4
+        for name in ("trajectory.csv", "triad.csv", "solver.csv"):
+            assert len((out / name).read_text().splitlines()) == 1
+        captured = capsys.readouterr()
+        assert "status: solver_failure; 0 snapshots" in captured.out
+        assert "the grid does not resolve the interface" in captured.err
 
 
 class TestCheckAlgebraic:

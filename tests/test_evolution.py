@@ -331,8 +331,8 @@ class TestRunSolvesOnlyWhatIsRead:
         monkeypatch.setattr(field, "_solve", failing_last)
         traj = run(state0.h, self.config(state0, 5))
         assert traj.status == "solver_failure"
-        assert len(traj) == 4 and len(traj.iterations) == self.N_STEPS
-        assert not traj.states[-1].exterior
+        assert len(traj) == 3 and len(traj.iterations) == self.N_STEPS
+        assert all(state.exterior for state in traj.states)
 
     def test_linear_engine_solves_nothing(self, state0):
         traj = run(state0.h, self.config(state0, 5, engine="linear"))

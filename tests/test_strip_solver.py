@@ -113,7 +113,7 @@ class TestSolverFailure:
         cfg = EvolutionConfig("nonlinear", dt=1e-4, t_end=3e-4, grid=grid)
         traj = run(state.h, cfg)
         assert traj.status == "solver_failure"
-        assert len(traj) == 1
+        assert len(traj) == 0
 
     def test_simulate_exits_4(self, tmp_path):
         raw = {
