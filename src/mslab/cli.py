@@ -13,7 +13,8 @@ spaced rows, a simulation whose schedule keeps too few of them, and a
 grid, of a run or of the kernel, above :data:`mslab.field.MAX_POINTS`),
 3 slope blow-up, 4 solver failure (the exterior solve of a state failed:
 GMRES did not converge or missed its residual gate, or the grid does not
-resolve the state), 5 verification failure.  :func:`main` alone maps an
+resolve the state; only the nonlinear engine solves, so only a nonlinear
+run exits 4), 5 verification failure.  :func:`main` alone maps an
 error to its exit code, and prints the error's message.
 All numbers are printed with 17 significant digits so CSV output
 round-trips doubles losslessly, and output files are written atomically
@@ -74,8 +75,10 @@ def _triad_csv(samples):
     return "\n".join(lines) + "\n"
 
 
-def _trajectory_csv(traj):
-    n = traj.states[0].grid.num_points if traj.states else 0
+def _trajectory_csv(traj, grid):
+    """Time and height samples of every kept state; the header names the
+    N samples of the run's grid even when the run kept no state."""
+    n = grid.num_points
     header = ",".join(["t"] + [f"h_{j}" for j in range(n)])
     lines = [header]
     for t, state in zip(traj.times, traj.states):
@@ -111,7 +114,7 @@ def cmd_simulate(args):
     traj = run(profile, cfg)
     samples = triad_series(traj)
     os.makedirs(args.out, exist_ok=True)
-    _atomic_write(os.path.join(args.out, "trajectory.csv"), _trajectory_csv(traj))
+    _atomic_write(os.path.join(args.out, "trajectory.csv"), _trajectory_csv(traj, cfg.grid))
     _atomic_write(os.path.join(args.out, "triad.csv"), _triad_csv(samples))
     _atomic_write(os.path.join(args.out, "solver.csv"), _solver_csv(traj, cfg.dt))
     print(f"status: {traj.status}; {len(traj)} snapshots written to {args.out}")

@@ -256,8 +256,12 @@ def _stacked_H(stack):
 def triad_series(traj, strip=None):
     """Compute one :class:`TriadSample` per snapshot of a trajectory.
 
-    V and D come from :func:`mslab.field.exterior_response`, so a state the
-    run already stepped from is not solved again.  int V_s^2 ds is
+    V and D come from :func:`mslab.field.exterior_response`: the response
+    :func:`mslab.evolution.run` kept on each state is read, and a state
+    without one is solved.  V is thus the velocity of the engine that made
+    the run and D the rate at which that flow lowers E.  Every column is
+    one formula for both engines; D, E2D and intVs2 depend on the engine
+    through V alone.  int V_s^2 ds is
     evaluated on the x-grid as int V_x^2/sqrt(1+h_x^2) dx, and H of every
     snapshot comes from one :func:`compute_H` call.  ``strip`` is
     not read; it stays only because the benchmark passes it.

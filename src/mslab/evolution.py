@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .errors import SlopeBlowup, SolverDivergence
-from .field import StripConfig, exterior_response
+from .field import StripConfig, exterior_response, prescribed_response
 from .geometry import build_state, sup_slope
 from .spectral import Grid, SpectralProfile, fractional_operator
 
@@ -120,6 +120,18 @@ def linear_solve_exact(h0, t, mobility):
     return SpectralProfile.from_coeffs(h0.grid, h0.coeffs * np.exp(-mobility * k**3 * t))
 
 
+def linear_response(state, mobility):
+    """The response of the linear flow h_t = -mobility |d/dx|^3 h at a state.
+
+    The flow moves the interface h_t = -sqrt(1+h_x^2) V with the normal
+    velocity V = mobility |d/dx|^3 h / sqrt(1+h_x^2), one spectral
+    multiply, and D = -integral kappa V ds is then exactly the rate at
+    which it lowers the arclength energy.
+    """
+    v = mobility * fractional_operator(state.h, 3.0).samples / state.line_element
+    return prescribed_response(state, v)
+
+
 def nonlinear_step(state, cfg):
     """One IMEX step of the full flow.
 
@@ -153,15 +165,18 @@ def snapshot_steps(cfg):
 def run(h0, cfg):
     """Advance h0 to t_end, keeping the snapshots of :func:`snapshot_steps`.
 
-    The linear engine evaluates the exact mode solution at the snapshot
-    times.  The nonlinear engine steps with :func:`nonlinear_step`, which
-    solves the state it steps from; the loop then keeps that state and
-    records the solve's statistics in ``Trajectory.iterations``,
-    ``Trajectory.residuals`` and ``Trajectory.tails``.  The final state is
-    kept after its own solve, so every kept state is solved and the
-    diagnostics solve nothing again.  A slope past the gate after a step,
-    or a failed solve (an unresolved state included), ends the run in
-    ``Trajectory.failure`` instead of raising.  A profile that passes the
+    Every kept state carries the response of its engine's flow in
+    ``InterfaceState.exterior``, so the diagnostics solve nothing.  The
+    linear engine evaluates the exact mode solution at the snapshot times
+    and stores the response of that flow (:func:`linear_response`): a
+    linear run makes no exterior solve and cannot fail one.  The nonlinear
+    engine steps with :func:`nonlinear_step`, which solves the state it
+    steps from; the loop then keeps that state and records the solve's
+    statistics in ``Trajectory.iterations``, ``Trajectory.residuals`` and
+    ``Trajectory.tails``.  The final state is kept after its own solve.
+    A slope past the gate after a step, or a failed solve (an unresolved
+    state included), ends the run in ``Trajectory.failure`` instead of
+    raising.  A profile that passes the
     mean-zero gate is projected to an exact zero mode before the first
     state is built.
     """
@@ -178,10 +193,11 @@ def run(h0, cfg):
     steps = snapshot_steps(cfg)
 
     if cfg.engine == "linear":
-        traj.append(0.0, state)
-        for step in steps[1:]:
-            t = step * cfg.dt
-            traj.append(t, build_state(linear_solve_exact(h0, t, cfg.mobility)))
+        for step in steps:
+            if step:
+                state = build_state(linear_solve_exact(h0, step * cfg.dt, cfg.mobility))
+            state.exterior.append(linear_response(state, cfg.mobility))
+            traj.append(step * cfg.dt, state)
         return traj
 
     kept = set(steps)

@@ -406,16 +406,20 @@ def dissipation(fields, state):
 
 
 class ExteriorResponse(NamedTuple):
-    """What the flow and the diagnostics read from the solve of one state.
+    """What the flow and the diagnostics read about the motion of one state.
 
-    ``velocity`` is the normal speed V and ``dissipation`` the pairing
-    D = -integral kappa V ds.  ``iterations`` and ``residual`` are the
-    GMRES iteration count and the max-norm residual of the solve, and
-    ``tail`` is the resolution signal: the share of the spectral energy of
-    psi (its mean left out) in the modes outside the 2/3 cut
+    ``velocity`` is the normal speed V of the engine's flow and
+    ``dissipation`` the pairing D = -integral kappa V ds, the rate at which
+    that flow lowers the energy.  On the nonlinear engine V comes from the
+    boundary-integral solve: ``iterations`` and ``residual`` are the GMRES
+    iteration count and the max-norm residual of the solve, and ``tail`` is
+    the resolution signal: the share of the spectral energy of psi (its
+    mean left out) in the modes outside the 2/3 cut
     :attr:`~mslab.spectral.Grid.dealiased`, which the nonlinear step
-    discards; it is at most :data:`RESOLUTION_TAIL_MAX`.  No array of more
-    than N values is kept.
+    discards; it is at most :data:`RESOLUTION_TAIL_MAX`.  A flow that gives
+    V itself (:func:`prescribed_response`, the linear engine) makes no
+    solve, and records ``iterations`` 0, ``residual`` 0.0 and ``tail`` 0.0.
+    No array of more than N values is kept.
     """
 
     velocity: SpectralProfile
@@ -423,6 +427,13 @@ class ExteriorResponse(NamedTuple):
     iterations: int
     residual: float
     tail: float
+
+
+def prescribed_response(state, v):
+    """The :class:`ExteriorResponse` of a flow that gives its own normal
+    velocity samples ``v``: D is the boundary pairing of ``v``, as for a
+    solved state, and the statistics are those of no solve."""
+    return ExteriorResponse(SpectralProfile.from_samples(state.grid, v), _boundary_pairing(state, v), 0, 0.0, 0.0)
 
 
 def _log_kernel(state):
@@ -504,7 +515,8 @@ def exterior_response(state):
     """V, D and the solver statistics of a state, from one boundary-integral solve.
 
     The response is kept on the state, so the step that leaves a state and
-    the diagnostics that read it share one solve.  A failed solve, the
+    the diagnostics that read it share one solve; a state whose flow gave
+    its response (:func:`prescribed_response`) is not solved.  A failed solve, the
     resolution check included, raises
     :class:`~mslab.errors.SolverDivergence` and keeps nothing.
     """

@@ -24,9 +24,9 @@ _SPREAD_HALF_WIDTH = 14
 class InterfaceState:
     """Height profile plus cached geometric fields of the interface.
 
-    ``exterior`` holds the response of the exterior problem once
-    :func:`mslab.field.exterior_response` has solved it, and is empty
-    before.
+    ``exterior`` holds the :class:`~mslab.field.ExteriorResponse` of the
+    state's flow once :func:`mslab.field.exterior_response` has solved it
+    or a linear run has stored it, and is empty before.
     """
 
     __slots__ = ("h", "slope", "curvature", "line_element", "exterior")

@@ -406,6 +406,24 @@ class TestVerify:
         for check in payload["checks"]:
             assert check["t_sup"] in times and check["num_excluded"] == 0, check
 
+    def test_steep_linear_bump_passes(self, tmp_path):
+        # the linear engine's D is its own flow's rate, so energy_dissipation
+        # holds on a bump of amplitude 0.3 (measured 1.8e-5)
+        path, _ = small_config(
+            tmp_path,
+            initial_data={"preset": "gaussian_bump", "amplitude": 0.3, "width": 1.0},
+            evolution={"grid": {"length": 16.0, "num_points": 256}, "t_end": 0.04, "output_every": 1},
+        )
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        report_path = tmp_path / "report.json"
+        code = main([
+            "verify", "--traj", str(out / "triad.csv"), "--config", str(path),
+            "--out", str(report_path),
+        ])
+        assert code == 0
+        assert json.loads(report_path.read_text())["overall_pass"] is True
+
     def test_corrupted_energy_fails_with_exit_5(self, tmp_path, triad_csv):
         config_path, csv_path = triad_csv
         rows = csv_path.read_text().strip().splitlines()
@@ -632,12 +650,9 @@ class TestVerify:
     def test_exact_flow_at_coarse_cadence_verifies(self, tmp_path):
         # the linear engine is exact in time; snapshots 5 steps apart must
         # not fail energy_dissipation on the truncation of the check itself.
-        # Its reading has two parts besides: Simpson's truncation, 2.4e-3 at
-        # t = 0.01 for snapshots 0.01 apart even on the closed-form linear
-        # E and D, and the O(amplitude^2) gap between the linear flow's
-        # dE/dt and the nonlinear D (test_diagnostics.py,
-        # test_linear_engine_energy_gap_is_second_order).  Snapshots 5e-3
-        # apart at amplitude 0.05 keep both below the gate: measured 6.2e-4
+        # Its D is the rate at which its own flow lowers E, so the reading
+        # is Simpson's truncation alone: 2.4e-3 at t = 0.01 for snapshots
+        # 0.01 apart, and 2.7e-4 for these, 5e-3 apart
         path, _ = small_config(
             tmp_path,
             initial_data={"preset": "gaussian_bump", "amplitude": 0.05, "width": 1.05},
@@ -783,10 +798,10 @@ class TestRates:
         assert not report_path.exists()
 
     def test_solver_failure_exit_4(self, tmp_path, monkeypatch, capsys):
-        # the linear engine solves only for the triad, so the failure reaches
-        # main; the single mode's exterior solve takes 2 iterations
+        # only the nonlinear engine solves: the single mode's exterior solve
+        # takes 2 iterations, so the first step fails and ends the run
         monkeypatch.setattr(field, "GMRES_MAX_ITERATIONS", 1)
-        path, _ = small_config(tmp_path)
+        path, _ = small_config(tmp_path, evolution={"engine": "nonlinear"})
         report_path = tmp_path / "rates.json"
         assert main(["rates", "--config", str(path), "--out", str(report_path)]) == 4
         assert "solver failure" in capsys.readouterr().err

@@ -334,10 +334,19 @@ class TestRunSolvesOnlyWhatIsRead:
         assert len(traj) == 3 and len(traj.iterations) == self.N_STEPS
         assert all(state.exterior for state in traj.states)
 
-    def test_linear_engine_solves_nothing(self, state0):
+    def test_linear_engine_solves_nothing(self, state0, monkeypatch):
+        # every kept state carries its own flow's response, which the triad reads
+        def no_solve(state):
+            raise AssertionError("a linear run makes no exterior solve")
+
+        monkeypatch.setattr(field, "_solve", no_solve)
         traj = run(state0.h, self.config(state0, 5, engine="linear"))
-        assert len(traj) == 4
-        assert not any(state.exterior for state in traj.states)
+        assert traj.status == "completed" and len(traj) == 4
+        for state in traj.states:
+            (response,) = state.exterior
+            assert (response.iterations, response.residual, response.tail) == (0, 0.0, 0.0)
+        assert [s.D for s in triad_series(traj)] == [state.exterior[0].dissipation for state in traj.states]
+        assert traj.iterations == traj.residuals == traj.tails == []
 
 
 class TestKernelMask:
