@@ -34,6 +34,7 @@ from .config import _parse_grid, build_initial_profile, load_config
 from .diagnostics import TRIAD_FIELDS, TriadSample, run_named_checks, triad_series
 from .errors import ConfigError, InsufficientSamples, SlopeBlowup, SolverDivergence
 from .evolution import kernel_mask, run, snapshot_steps
+from .field import MAX_POINTS
 from .spectral import seminorm
 
 EXIT_OK = 0
@@ -87,11 +88,12 @@ def _trajectory_csv(traj, grid):
 
 
 def _solver_csv(traj, dt):
-    """GMRES iterations, max-norm residual and resolution tail of every nonlinear step."""
-    lines = ["step,t,iterations,residual,tail"]
-    rows = zip(traj.iterations, traj.residuals, traj.tails)
-    for step, (iterations, residual, tail) in enumerate(rows, start=1):
-        lines.append(",".join([str(step), _fmt(step * dt), str(iterations), _fmt(residual), _fmt(tail)]))
+    """GMRES iterations, max-norm residual, resolution tail and solve grid
+    size of every nonlinear step."""
+    lines = ["step,t,iterations,residual,tail,points"]
+    rows = zip(traj.iterations, traj.residuals, traj.tails, traj.points)
+    for step, (iterations, residual, tail, points) in enumerate(rows, start=1):
+        lines.append(",".join([str(step), _fmt(step * dt), str(iterations), _fmt(residual), _fmt(tail), str(points)]))
     return "\n".join(lines) + "\n"
 
 
@@ -173,10 +175,27 @@ def _report_json(reports, extra=None):
     return payload
 
 
+def _require_schedule(samples, cfg):
+    """The triad's t column must hold the times of :func:`snapshot_steps`,
+    to 1e-12 of t_end: a file of a run that was cut short, or of another
+    configuration, raises ConfigError naming the first time it misses."""
+    times = [sample.t for sample in samples]
+    steps = snapshot_steps(cfg)
+    tolerance = 1e-12 * steps[-1] * cfg.dt
+    for i, step in enumerate(steps):
+        if i >= len(times) or abs(times[i] - step * cfg.dt) > tolerance:
+            raise ConfigError("<traj>", f"no row at t = {_fmt(step * cfg.dt)} (step {step}) of the configured run")
+    if len(times) > len(steps):
+        raise ConfigError("<traj>", f"row at t = {_fmt(times[len(steps)])} lies past the configured run")
+
+
 def cmd_verify(args):
+    """Check the triad CSV against the configured checks; the file's own
+    faults are named before a mismatch with the configured schedule."""
     config = load_config(args.config)
     samples = _parse_triad_csv(args.traj)
     reports = run_named_checks(samples, config.checks)
+    _require_schedule(samples, config.evolution)
     payload = _report_json(reports)
     _atomic_write(args.out, json.dumps(payload, indent=2) + "\n")
     for r in reports:
@@ -234,6 +253,13 @@ def cmd_rates(args):
 
 
 def cmd_kernel(args):
+    # the mask makes no exterior solve, but it shares the grids of a run
+    if args.n > MAX_POINTS:
+        raise ConfigError(
+            "kernel --n",
+            f"{args.n} points exceed the limit of {MAX_POINTS}, the largest grid a run may use, "
+            "on which the mask is tabulated",
+        )
     grid = _parse_grid({"length": args.length, "num_points": args.n}, "kernel")
     mask = kernel_mask(grid)
     shift = args.n // 2

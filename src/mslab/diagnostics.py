@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import InsufficientSamples, RegimeNeverEntered
 from .field import exterior_response
-from .geometry import energy, sup_height, sup_slope, to_arclength
-from .spectral import derivative, seminorm
+from .geometry import build_state, energy, sup_height, sup_slope, to_arclength
+from .spectral import derivative, resample, resolved_grid, seminorm
 
 #: a sample whose rhs is finite and at most RHS_FLOOR times the largest finite
 #: |rhs| of its check is left out, so an equilibrium gives no 0/0; relative to
@@ -175,7 +175,8 @@ def compute_H(states):
     pass the carry on unchanged.  The panel transforms are built
     max(1, :data:`_H_BLOCK_ENTRIES` // (stack N)) rows at a time, so time is
     O(N^2) per state and memory O(_H_BLOCK N).  Returns a float64 array,
-    one H per state.
+    one H per state, each computed on the grid of its input state:
+    :func:`triad_series` chooses that grid.
     """
     states = list(states)
     out = np.empty(len(states))
@@ -262,12 +263,17 @@ def triad_series(traj, strip=None):
     the run and D the rate at which that flow lowers E.  Every column is
     one formula for both engines; D, E2D and intVs2 depend on the engine
     through V alone.  int V_s^2 ds is
-    evaluated on the x-grid as int V_x^2/sqrt(1+h_x^2) dx, and H of every
-    snapshot comes from one :func:`compute_H` call.  ``strip`` is
-    not read; it stays only because the benchmark passes it.
+    evaluated on the x-grid as int V_x^2/sqrt(1+h_x^2) dx.  H of every
+    snapshot comes from one :func:`compute_H` call on one grid, the largest
+    :func:`~mslab.spectral.resolved_grid` of the snapshots' h, to which each
+    h is truncated, so dH/dt never crosses a change of grid.  Every other
+    column is computed on the state's own grid.  ``strip`` is not read; it
+    stays only because the benchmark passes it.
     """
+    grid = max((resolved_grid(state.h) for state in traj.states), key=lambda g: g.num_points, default=None)
+    resolved = [state if state.grid == grid else build_state(resample(state.h, grid)) for state in traj.states]
     out = []
-    for t, state, distance in zip(traj.times, traj.states, compute_H(traj.states).tolist()):
+    for t, state, distance in zip(traj.times, traj.states, compute_H(resolved).tolist()):
         e = energy(state)
         response = exterior_response(state)
         d = response.dissipation

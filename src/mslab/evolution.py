@@ -79,10 +79,10 @@ class Trajectory:
 
     ``failure`` is the SlopeBlowup or SolverDivergence that ended the run,
     or None; it is kept without its traceback, whose frames would hold the
-    failed solve's N x N kernel.  ``iterations``, ``residuals`` and
-    ``tails`` hold the GMRES iteration count, the max-norm residual and the
-    resolution signal of the exterior solve behind every nonlinear step,
-    snapshot or not.
+    failed solve's N x N kernel.  ``iterations``, ``residuals``, ``tails``
+    and ``points`` hold the GMRES iteration count, the max-norm residual,
+    the resolution signal and the grid size of the exterior solve behind
+    every nonlinear step, snapshot or not.
     """
 
     times: list = dataclass_field(default_factory=list)
@@ -91,6 +91,7 @@ class Trajectory:
     iterations: list = dataclass_field(default_factory=list)
     residuals: list = dataclass_field(default_factory=list)
     tails: list = dataclass_field(default_factory=list)
+    points: list = dataclass_field(default_factory=list)
 
     @property
     def status(self):
@@ -172,11 +173,11 @@ def run(h0, cfg):
     linear run makes no exterior solve and cannot fail one.  The nonlinear
     engine steps with :func:`nonlinear_step`, which solves the state it
     steps from; the loop then keeps that state and records the solve's
-    statistics in ``Trajectory.iterations``, ``Trajectory.residuals`` and
-    ``Trajectory.tails``.  The final state is kept after its own solve.
-    A slope past the gate after a step, or a failed solve (an unresolved
-    state included), ends the run in ``Trajectory.failure`` instead of
-    raising.  A profile that passes the
+    statistics in ``Trajectory.iterations``, ``Trajectory.residuals``,
+    ``Trajectory.tails`` and ``Trajectory.points``.  The final state is
+    kept after its own solve.  A slope past the gate after a step, or a
+    failed solve (an unresolved state included), ends the run in
+    ``Trajectory.failure`` instead of raising.  A profile that passes the
     mean-zero gate is projected to an exact zero mode before the first
     state is built.
     """
@@ -214,6 +215,7 @@ def run(h0, cfg):
             traj.iterations.append(response.iterations)
             traj.residuals.append(response.residual)
             traj.tails.append(response.tail)
+            traj.points.append(response.points)
         exterior_response(state)
         traj.append(steps[-1] * cfg.dt, state)
     except (SlopeBlowup, SolverDivergence) as exc:

@@ -19,7 +19,9 @@ GMRES solves it unpreconditioned from zero in a handful of iterations.
 The share of the spectral energy of psi above the 2/3 cut is the
 resolution signal: past :data:`RESOLUTION_TAIL_MAX` the solve raises
 :class:`~mslab.errors.SolverDivergence`, as on a GMRES or residual
-failure, so every state the flow solves is resolved.
+failure, so every state the flow solves is resolved.  The solve runs on
+the :func:`~mslab.spectral.resolved_grid` of the curvature, its data, and
+V returns to the state's grid by zero-padding.
 
 A second-order straightened strip, which no command runs, is the
 reference the tests hold the integral against: each phase mapped
@@ -44,8 +46,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import SlopeGateViolation, SolverDivergence
-from .geometry import sup_slope
-from .spectral import SpectralProfile, derivative
+from .geometry import build_state, sup_slope
+from .spectral import SpectralProfile, derivative, resample, resolved_grid
 
 #: GMRES stops once the 2-norm residual falls to this fraction of |b|, and a
 #: solve raises on a max-norm residual above ten times that
@@ -416,10 +418,12 @@ class ExteriorResponse(NamedTuple):
     the resolution signal: the share of the spectral energy of psi (its
     mean left out) in the modes outside the 2/3 cut
     :attr:`~mslab.spectral.Grid.dealiased`, which the nonlinear step
-    discards; it is at most :data:`RESOLUTION_TAIL_MAX`.  A flow that gives
-    V itself (:func:`prescribed_response`, the linear engine) makes no
-    solve, and records ``iterations`` 0, ``residual`` 0.0 and ``tail`` 0.0.
-    No array of more than N values is kept.
+    discards; it is at most :data:`RESOLUTION_TAIL_MAX`.  ``points`` is the
+    size of the grid the solve ran on, which :func:`exterior_response`
+    chooses.  A flow that gives V itself (:func:`prescribed_response`, the
+    linear engine) makes no solve, and records ``iterations`` 0,
+    ``residual`` 0.0, ``tail`` 0.0 and ``points`` 0.  No array of more
+    than N values is kept.
     """
 
     velocity: SpectralProfile
@@ -427,13 +431,14 @@ class ExteriorResponse(NamedTuple):
     iterations: int
     residual: float
     tail: float
+    points: int
 
 
 def prescribed_response(state, v):
     """The :class:`ExteriorResponse` of a flow that gives its own normal
     velocity samples ``v``: D is the boundary pairing of ``v``, as for a
     solved state, and the statistics are those of no solve."""
-    return ExteriorResponse(SpectralProfile.from_samples(state.grid, v), _boundary_pairing(state, v), 0, 0.0, 0.0)
+    return ExteriorResponse(SpectralProfile.from_samples(state.grid, v), _boundary_pairing(state, v), 0, 0.0, 0.0, 0)
 
 
 def _log_kernel(state):
@@ -507,19 +512,28 @@ def _solve(state):
         )
     v = -density(psi) / state.line_element
     return ExteriorResponse(
-        SpectralProfile.from_samples(grid, v), _boundary_pairing(state, v), iterations, residual, tail
+        SpectralProfile.from_samples(grid, v), _boundary_pairing(state, v), iterations, residual, tail, n
     )
 
 
 def exterior_response(state):
     """V, D and the solver statistics of a state, from one boundary-integral solve.
 
-    The response is kept on the state, so the step that leaves a state and
-    the diagnostics that read it share one solve; a state whose flow gave
-    its response (:func:`prescribed_response`) is not solved.  A failed solve, the
-    resolution check included, raises
+    The solve's data is the curvature, so it runs on the curvature's
+    :func:`~mslab.spectral.resolved_grid`: the state is rebuilt from h
+    truncated to that grid, V is zero-padded back to the state's grid, and
+    D is the boundary pairing there, as for :func:`prescribed_response`.
+    A curvature that its own grid does not resolve is solved there, and
+    the resolution check decides.  The response is kept on the state, so
+    the step that leaves a state and the diagnostics that read it share one
+    solve; a state whose flow gave its response is not solved.  A failed
+    solve, the resolution check included, raises
     :class:`~mslab.errors.SolverDivergence` and keeps nothing.
     """
     if not state.exterior:
-        state.exterior.append(_solve(state))
+        grid = resolved_grid(state.curvature)
+        solved = _solve(state if grid == state.grid else build_state(resample(state.h, grid)))
+        velocity = resample(solved.velocity, state.grid)
+        pairing = _boundary_pairing(state, velocity.samples)
+        state.exterior.append(solved._replace(velocity=velocity, dissipation=pairing))
     return state.exterior[0]

@@ -15,6 +15,10 @@ The zero mode of every fractional operator ``|d/dx|**sigma`` is mapped to
 zero; negative orders additionally require a mean-zero profile.  Every
 mean-zero gate of the package is :meth:`SpectralProfile.require_mean_zero`,
 which raises :class:`~mslab.errors.ZeroModeNonzero`.
+
+A profile moves between grids of one cell only by :func:`resample`, exact
+truncation or zero-padding of its coefficients, and :func:`resolved_grid`
+is the package's one rule for the smallest grid that holds a profile.
 """
 
 from dataclasses import dataclass
@@ -27,6 +31,11 @@ from .errors import ZeroModeNonzero
 #: a profile is mean-zero when |c_0| <= MEAN_ZERO_RTOL max|c_m|; the test is
 #: relative at every amplitude, and a profile that is zero throughout passes it
 MEAN_ZERO_RTOL = 1e-12
+
+#: a coefficient above RESOLUTION_RTOL max|c_m| is content that a grid must
+#: hold inside its 2/3 cut (:func:`resolved_grid`); at 1e-13 the round-off
+#: floor of a curvature already reaches the Nyquist mode
+RESOLUTION_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -191,3 +200,48 @@ def seminorm(p, sigma):
     nz = k != 0.0
     weights = np.abs(k[nz]) ** (2.0 * sigma)
     return float(np.sqrt(p.grid.length * np.sum(weights * np.abs(p.coeffs[nz]) ** 2)))
+
+
+def resample(p, grid):
+    """The profile on ``grid``, a grid of the same cell, by exact truncation
+    or zero-padding of its Fourier coefficients.
+
+    On the smaller of the two grids the Nyquist mode -M/2 stands for the
+    pair +-M/2: truncation folds the pair into it and padding splits it in
+    halves, so padding then truncating gives back the coefficients bit for
+    bit.  Every other mode is copied, c_0 included, so a mean-zero profile
+    stays exactly mean-zero.  A profile already on ``grid`` is returned as it is.
+    """
+    if grid == p.grid:
+        return p
+    if grid.length != p.grid.length:
+        raise ValueError("resampling keeps the cell length")
+    n, m = p.grid.num_points, grid.num_points
+    half = min(n, m) // 2
+    out = np.zeros(m, dtype=complex)
+    out[:half] = p.coeffs[:half]
+    out[m - half + 1 :] = p.coeffs[n - half + 1 :]
+    if m < n:
+        out[half] = p.coeffs[half] + p.coeffs[n - half]
+    else:
+        out[half] = out[m - half] = 0.5 * p.coeffs[half]
+    return SpectralProfile.from_coeffs(grid, out)
+
+
+def resolved_grid(p):
+    """The smallest power-of-two grid of the cell, at most the profile's own,
+    whose 2/3 cut :attr:`Grid.dealiased` holds every coefficient above
+    :data:`RESOLUTION_RTOL` max|c_m|.
+
+    The test is relative, so h -> lambda h(x/lambda) keeps the grid, and a
+    profile that is zero throughout gets the smallest grid, 8 points.
+    """
+    grid = p.grid
+    magnitude = np.abs(p.coeffs)
+    modes = np.abs(np.fft.fftfreq(grid.num_points, d=1.0 / grid.num_points))
+    # a NaN coefficient is never below the bound, so it keeps the profile's grid
+    top = modes[~(magnitude <= RESOLUTION_RTOL * magnitude.max())].max(initial=0.0)
+    n = 8
+    while n // 3 < top and n < grid.num_points:
+        n *= 2
+    return Grid(grid.length, n)

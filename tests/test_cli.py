@@ -278,7 +278,7 @@ class TestSimulate:
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
         rows = (out / "solver.csv").read_text().strip().splitlines()
-        assert rows[0] == "step,t,iterations,residual,tail"
+        assert rows[0] == "step,t,iterations,residual,tail,points"
         config = load_config(path)
         traj = run(build_initial_profile(config.evolution.grid, config.initial_data), config.evolution)
         assert len(rows) - 1 == len(traj.iterations) == 5
@@ -288,13 +288,14 @@ class TestSimulate:
             assert int(parts[2]) == traj.iterations[step - 1] > 0
             assert float(parts[3]) == traj.residuals[step - 1]
             assert float(parts[4]) == traj.tails[step - 1]
+            assert int(parts[5]) == traj.points[step - 1] == 64
 
     def test_solver_csv_is_only_a_header_on_the_linear_engine(self, tmp_path):
         path, _ = small_config(tmp_path)
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
         text = (out / "solver.csv").read_text()
-        assert text == "step,t,iterations,residual,tail\n"
+        assert text == "step,t,iterations,residual,tail,points\n"
 
     def test_mode_linear_matches_observables(self, tmp_path):
         path, raw = small_config(tmp_path)
@@ -629,6 +630,40 @@ class TestVerify:
         assert code == (0 if all(ran) else 5)
         assert "SKIP lyapunov_e2d" in capsys.readouterr().out
 
+    def test_triad_of_a_cut_run_exit_2(self, tmp_path, capsys):
+        # the slope blow-up of test_slope_blowup_exit_code at output_every 1
+        # keeps 7 snapshots, evenly spaced: every check could run on them
+        path, _ = small_config(
+            tmp_path,
+            initial_data={"preset": "gaussian_bump", "amplitude": 1.1, "width": 1.0},
+            evolution={
+                "engine": "nonlinear",
+                "grid": {"length": 16.0, "num_points": 128},
+                "strip": {"num_layers": 48},
+                "dt": 2e-4, "t_end": 0.03, "output_every": 1,
+                "slope_gate": 0.942,
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 3
+        rows = (out / "triad.csv").read_text().strip().splitlines()
+        assert len(rows) == 1 + 7
+        capsys.readouterr()
+        code, report_path = self._verify(tmp_path, path, rows)
+        assert code == 2
+        assert "no row at t = 0.0014 (step 7) of the configured run" in capsys.readouterr().err
+        assert not report_path.exists()
+
+    def test_triad_past_the_schedule_exit_2(self, tmp_path, triad_csv, capsys):
+        # the file of a longer run: every configured time is there, and more
+        config_path, csv_path = triad_csv
+        rows = csv_path.read_text().strip().splitlines()
+        short, _ = small_config(tmp_path, evolution={"t_end": 0.02})
+        code, report_path = self._verify(tmp_path, short, rows)
+        assert code == 2
+        assert "row at t = 0.024 lies past the configured run" in capsys.readouterr().err
+        assert not report_path.exists()
+
     def test_off_cadence_end_verifies(self, tmp_path):
         # t_end/dt = 21 steps with output_every = 5: the last interval is 1 step
         path, _ = small_config(
@@ -745,6 +780,18 @@ class TestKernelCommand:
                           ("4611686018427387904", "1"), ("8192", "1")]:
             assert main(["kernel", "--n", n, "--length", length, "--out", str(out)]) == 2
             assert not out.exists()
+
+    def test_grid_above_the_cap_names_the_kernel_grid(self, tmp_path, capsys):
+        # the kernel command makes no exterior solve, so its refusal speaks
+        # of its own grid
+        out = tmp_path / "k.csv"
+        assert main(["kernel", "--n", "8192", "--length", "20", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "config error at kernel --n: 8192 points exceed the limit of 4096, "
+            "the largest grid a run may use, on which the mask is tabulated\n"
+        )
+        assert not out.exists()
 
     def test_module_entry_point(self, tmp_path):
         # python -m mslab runs __main__.py, which passes main's code to the shell

@@ -31,7 +31,7 @@ from mslab.evolution import EvolutionConfig, Trajectory, run
 from mslab.config import build_initial_profile
 from mslab.field import StripConfig, exterior_response
 from mslab.geometry import build_state, sup_slope, to_arclength
-from mslab.spectral import Grid, SpectralProfile, seminorm
+from mslab.spectral import Grid, SpectralProfile, resample, seminorm
 from conftest import (
     bump_state,
     check_curvature_evolution,
@@ -220,12 +220,34 @@ class TestTriadSeries:
             return original(states)
 
         monkeypatch.setattr(diagnostics, "compute_H", counting)
-        grid = Grid(16.0, 64)
+        # the bump's h is resolved on 128 of its 256 points at every snapshot
+        grid = Grid(16.0, 256)
         cfg = EvolutionConfig("linear", dt=1e-3, t_end=0.045, grid=grid)
-        traj = run(bump_state(64).h, cfg)
+        traj = run(bump_state(256).h, cfg)
         samples = triad_series(traj)
-        assert len(calls) == 1 and calls[0] == traj.states and len(traj) == 46
-        assert [s.H for s in samples] == original(traj.states).tolist()
+        assert len(calls) == 1 and len(calls[0]) == len(traj) == 46
+        coarse = Grid(16.0, 128)
+        for resolved, state in zip(calls[0], traj.states):
+            assert resolved.grid == coarse
+            assert np.array_equal(resolved.h.coeffs, resample(state.h, coarse).coeffs)
+        assert [s.H for s in samples] == original(calls[0]).tolist()
+
+    @pytest.mark.parametrize(
+        "engine, n, dt, steps, every, bound",
+        [("nonlinear", 512, 6e-4, 35, 5, 5e-9), ("linear", 1024, 2e-3, 9, 1, 3e-8)],
+        ids=["bump_relax", "linear_cli"],
+    )
+    def test_resolved_H_against_the_config_grid(self, engine, n, dt, steps, every, bound):
+        # the workloads' shapes, where H runs on 256 and on 128 points; the
+        # bounds come from the N-vs-2N table of H (ROADMAP item 15, standard
+        # bump): 1.1e-9 from 256 to 512, and 5.5e-9 summed from 128 to 1024
+        # next to 1.4e-8 from 64 to 128.  Measured 1.2e-9 and 1.3e-8 relative
+        cfg = EvolutionConfig(engine, dt=dt, t_end=steps * dt, grid=Grid(16.0, n), output_every=every)
+        traj = run(bump_state(n).h, cfg)
+        assert traj.status == "completed"
+        resolved = np.array([s.H for s in triad_series(traj)])
+        own = compute_H(traj.states)
+        assert np.abs(resolved / own - 1.0).max() <= bound
 
     def test_linear_mode_matches_observables_with_dictionary(self):
         # physical E is half the linear-section proxy, physical D twice it

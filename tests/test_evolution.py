@@ -208,6 +208,9 @@ class TestRun:
         )
         traj = run(h0, cfg)
         assert traj.status == "slope_blowup"
+        # the solve keys on the curvature, which needs the whole grid; the
+        # two-mode h alone would be resolved on 16 points
+        assert traj.points and set(traj.points) == {128}
 
     def test_initial_gate_violation_raises(self):
         grid = Grid(L, 64)

@@ -447,8 +447,11 @@ class TestBoundaryIntegral:
 
     @pytest.mark.parametrize("make, n", [(bump_state, 512), (wavelet_state, 256)], ids=["bump", "wavelet"])
     def test_n_against_2n(self, make, n):
-        # measured 1.3e-10 (bump) and 5.2e-10 (wavelet at sup|h_x| = 0.9) in V
-        coarse, fine = exterior_response(make(n)), exterior_response(make(2 * n))
+        # measured 1.3e-10 (bump) and 5.2e-10 (wavelet at sup|h_x| = 0.9) in V;
+        # field._solve solves each state on its own grid, where
+        # exterior_response could give both the same resolved grid
+        coarse, fine = field_module._solve(make(n)), field_module._solve(make(2 * n))
+        assert (coarse.points, fine.points) == (n, 2 * n)
         v_coarse, v_fine = coarse.velocity.samples, fine.velocity.samples[::2]
         assert np.abs(v_coarse - v_fine).max() <= 1e-8 * np.abs(v_fine).max()
         assert coarse.dissipation == pytest.approx(fine.dissipation, rel=1e-8, abs=0.0)
@@ -484,6 +487,41 @@ class TestBoundaryIntegral:
         assert errors[0] <= 2e-3 and errors[1] <= 5e-4 and errors[2] <= 3.2e-4
         assert errors[0] > errors[1] > errors[2]
         assert errors[0] / errors[1] >= 3.5
+
+
+class TestResolvedSolve:
+    """exterior_response solves on the resolved grid of the curvature."""
+
+    def test_bump_is_solved_on_half_its_grid(self):
+        # the N = 512 bump against its own-grid solve: D measured to 2.2e-16.
+        # V agrees to 4.5e-16 of max|V| on the modes both grids hold; above
+        # them the own-grid V carries only GMRES noise, 1.3e-12 of max|V| per
+        # coefficient, which the padding drops: 1.2e-11 in the samples, where
+        # the own-grid solves at N = 512 and 1024 differ by 1.3e-10
+        state = bump_state(512)
+        response = exterior_response(state)
+        own = field_module._solve(bump_state(512))
+        assert (response.points, own.points) == (256, 512)
+        assert response.velocity.grid == state.grid
+        v = response.velocity.samples
+        scale = np.abs(own.velocity.samples).max()
+        held = np.abs(np.fft.fftfreq(512, d=1.0 / 512)) < 128
+        assert np.abs(response.velocity.coeffs - own.velocity.coeffs)[held].max() <= 1e-13 * scale
+        assert np.abs(v - own.velocity.samples).max() <= 1e-10 * scale
+        assert response.dissipation == pytest.approx(own.dissipation, rel=1e-13, abs=0.0)
+        assert response.dissipation == -state.grid.spacing * np.sum(state.curvature.samples * v * state.line_element)
+        # V is zero-padded: nothing above the solve grid's Nyquist mode
+        assert np.all(response.velocity.coeffs[129:-128] == 0.0)
+
+    def test_steep_wavelet_keeps_its_grid(self):
+        # at sup|h_x| = 0.9 the curvature's content reaches past 256/3
+        assert exterior_response(wavelet_state(256)).points == 256
+
+    def test_flat_state_is_solved_on_eight_points(self):
+        grid = Grid(16.0, 256)
+        response = exterior_response(make_state(grid, np.zeros(256)))
+        assert response.points == 8 and response.iterations == 0
+        assert response.dissipation == 0.0 and not np.any(response.velocity.samples)
 
 
 class TestFieldInvariants:

@@ -2,10 +2,13 @@
 
 Under ``sys.setprofile`` the test drives ``simulate``, ``verify`` and
 ``rates`` through ``cli.main`` on one nonlinear and one linear
-configuration (N = 64, 10 steps), then ``kernel`` and one
+configuration (N = 512, 10 steps), then ``kernel`` and one
 invalid configuration, and records every code object of the package that
-is entered.  Every ``def`` in ``src/mslab``, found with ``ast``, must be
-among them, except the entries of :data:`ALLOWED`, each with its reason.
+is entered.  At N = 512 the bump's curvature is resolved on 256 points and
+its h on fewer, so the exterior solve and H both run on a coarser grid,
+and the resampling is entered as the commands use it.  Every ``def`` in
+``src/mslab``, found with ``ast``, must be among them, except the entries
+of :data:`ALLOWED`, each with its reason.
 A function that no command runs belongs in ``tests/conftest.py``, or
 nowhere.
 """
@@ -69,7 +72,7 @@ def config(tmp_path, engine):
         "initial_data": {"preset": "gaussian_bump", "amplitude": 0.1, "width": 1.0},
         "evolution": {
             "engine": engine, "dt": 1e-3, "t_end": 1e-2, "output_every": 2,
-            "grid": {"length": 16.0, "num_points": 64}, "strip": {"num_layers": 16},
+            "grid": {"length": 16.0, "num_points": 512}, "strip": {"num_layers": 16},
         },
     }
     path = tmp_path / f"{engine}.json"
@@ -116,6 +119,8 @@ def test_commands_enter_every_def(tmp_path, capsys):
     assert codes[0] == 0 and codes[1] in (0, 5) and codes[2] in (0, 5), codes[:3]
     assert codes[3] == 0 and codes[4] in (0, 5) and codes[5] in (0, 5), codes[3:6]
     assert codes[6:] == [0, 2], codes[6:]
+    points = (tmp_path / "nonlinear" / "solver.csv").read_text().splitlines()[1:]
+    assert {row.split(",")[-1] for row in points} == {"256"}
     unrun = {name for key, name in defs.items() if key not in entered}
     assert unrun - set(ALLOWED) == set(), sorted(unrun - set(ALLOWED))
     assert set(ALLOWED) <= unrun, sorted(set(ALLOWED) - unrun)

@@ -8,6 +8,8 @@ from mslab.spectral import (
     SpectralProfile,
     derivative,
     fractional_operator,
+    resample,
+    resolved_grid,
     seminorm,
 )
 from conftest import band_limited_profile, dft_oracle, harmonic_extension, strip_levels
@@ -94,6 +96,57 @@ class TestProfile:
         p = band_limited_profile(grid, rng)
         vals = p.evaluate(grid.nodes[::5])
         assert np.abs(vals - p.samples[::5]).max() <= 1e-12
+
+
+class TestResampling:
+    def test_pad_then_truncate_is_bit_identical(self, grid, rng):
+        # max_mode N/2 fills the Nyquist mode, which padding splits in halves
+        p = band_limited_profile(grid, rng, max_mode=grid.num_points // 2)
+        for n in (128, 1024):
+            padded = resample(p, Grid(grid.length, n))
+            assert padded.coeffs[0] == 0.0
+            back = resample(padded, grid)
+            assert np.array_equal(back.coeffs, p.coeffs) and np.array_equal(back.samples, p.samples)
+            assert back.coeffs[0] == 0.0
+        assert resample(p, grid) is p
+
+    def test_truncation_keeps_a_resolved_profile(self, grid, rng):
+        p = band_limited_profile(grid, rng, max_mode=10)
+        coarse = resample(p, Grid(grid.length, 32))
+        assert coarse.coeffs[0] == 0.0
+        assert np.abs(coarse.samples - p.samples[::2]).max() <= 1e-14 * np.abs(p.samples).max()
+        with pytest.raises(ValueError):
+            resample(p, Grid(2.0 * grid.length, 32))
+
+    @staticmethod
+    def mode(n, m, amplitude=1.0, length=2.0 * np.pi):
+        coeffs = np.zeros(n, dtype=complex)
+        coeffs[m] = coeffs[-m] = 0.5 * amplitude
+        return SpectralProfile.from_coeffs(Grid(length, n), coeffs)
+
+    @pytest.mark.parametrize("n", [8, 64, 512])
+    def test_two_thirds_cut_decides_the_grid(self, n):
+        assert resolved_grid(self.mode(4 * n, n // 3)).num_points == n
+        assert resolved_grid(self.mode(4 * n, n // 3 + 1)).num_points == 2 * n
+        # never finer than the profile's own grid, resolved or not
+        assert resolved_grid(self.mode(n, n // 3 + 1)).num_points == n
+
+    def test_flat_and_scaled_profiles(self, grid, rng):
+        assert resolved_grid(SpectralProfile.from_samples(grid, np.zeros(64))) == Grid(grid.length, 8)
+        p = band_limited_profile(Grid(grid.length, 512), rng, max_mode=40, decay=30.0)
+        chosen = resolved_grid(p)
+        assert 64 <= chosen.num_points < 512
+        # h -> 2 h(x/2) scales every coefficient by 2 and keeps the modes
+        scaled = SpectralProfile.from_coeffs(Grid(2.0 * grid.length, 512), 2.0 * p.coeffs)
+        assert resolved_grid(scaled) == Grid(2.0 * grid.length, chosen.num_points)
+
+    def test_rounding_noise_below_the_tolerance_is_not_content(self, grid):
+        p = self.mode(256, 5)
+        coeffs = p.coeffs + 1e-13 * np.exp(1j * np.arange(256))
+        noisy = SpectralProfile.from_coeffs(p.grid, coeffs)
+        assert resolved_grid(noisy).num_points == 16
+        nan = SpectralProfile.from_coeffs(p.grid, np.where(np.arange(256) == 3, np.nan, p.coeffs))
+        assert resolved_grid(nan).num_points == 256
 
 
 class TestFractionalOperator:
