@@ -35,6 +35,7 @@ from .geometry import (
 from .field import (
     ExteriorResponse,
     HalfStripField,
+    SolveRecord,
     StripConfig,
     default_strip_config,
     dissipation,

@@ -34,7 +34,7 @@ from .config import _parse_grid, build_initial_profile, load_config
 from .diagnostics import TRIAD_FIELDS, TriadSample, run_named_checks, triad_series
 from .errors import ConfigError, InsufficientSamples, SlopeBlowup, SolverDivergence
 from .evolution import kernel_mask, run, snapshot_steps
-from .field import MAX_POINTS
+from .field import MAX_POINTS, SolveRecord
 from .spectral import seminorm
 
 EXIT_OK = 0
@@ -88,12 +88,10 @@ def _trajectory_csv(traj, grid):
 
 
 def _solver_csv(traj, dt):
-    """GMRES iterations, max-norm residual, resolution tail and solve grid
-    size of every nonlinear step."""
-    lines = ["step,t,iterations,residual,tail,points"]
-    rows = zip(traj.iterations, traj.residuals, traj.tails, traj.points)
-    for step, (iterations, residual, tail, points) in enumerate(rows, start=1):
-        lines.append(",".join([str(step), _fmt(step * dt), str(iterations), _fmt(residual), _fmt(tail), str(points)]))
+    """The step, its time and the :class:`~mslab.field.SolveRecord` of
+    every nonlinear step."""
+    lines = [",".join(("step", "t") + SolveRecord._fields)]
+    lines += [_csv_row([step, step * dt, *record]) for step, record in enumerate(traj.solves, start=1)]
     return "\n".join(lines) + "\n"
 
 

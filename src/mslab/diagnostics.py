@@ -15,8 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import InsufficientSamples, RegimeNeverEntered
-from .field import exterior_response
-from .geometry import build_state, energy, sup_height, sup_slope, to_arclength
+from .geometry import energy, sup_height, sup_slope, to_arclength
 from .spectral import derivative, resample, resolved_grid, seminorm
 
 #: a sample whose rhs is finite and at most RHS_FLOOR times the largest finite
@@ -150,8 +149,9 @@ _H_BLOCK = 64
 _H_BLOCK_ENTRIES = 2**14
 
 
-def compute_H(states):
-    """Squared gradient-flow distance to the flat interface, one per state.
+def compute_H(profiles):
+    """Squared gradient-flow distance to the flat interface, one per height
+    profile.
 
     H is the Dirichlet energy of the potential of the signed indicator
     chi of the region between the graph and the flat line.  It is
@@ -167,35 +167,35 @@ def compute_H(states):
     carry_{p+1} = e^{-k w_p} carry_p + conj(c_p) (1 - e^{-k w_p}); every
     factor is at most one.
 
-    ``states`` share one grid, and one sweep serves a stack of up to
+    ``profiles`` share one grid, and one sweep serves a stack of up to
     :data:`_H_BLOCK` of them, so the recursion runs once per panel row for
-    the whole stack.  Each array has a leading state axis, and a state with
-    fewer panels than the stack's most is padded with zero-width panels,
+    the whole stack.  Each array has a leading profile axis, and a profile
+    with fewer panels than the stack's most is padded with zero-width panels,
     for which e^{-k w} = 1 and 1 - e^{-k w} = 0: they add exact zeros and
     pass the carry on unchanged.  The panel transforms are built
     max(1, :data:`_H_BLOCK_ENTRIES` // (stack N)) rows at a time, so time is
-    O(N^2) per state and memory O(_H_BLOCK N).  Returns a float64 array,
-    one H per state, each computed on the grid of its input state:
+    O(N^2) per profile and memory O(_H_BLOCK N).  Returns a float64 array,
+    one H per profile, each computed on the grid of its input profile:
     :func:`triad_series` chooses that grid.
     """
-    states = list(states)
-    out = np.empty(len(states))
-    for start in range(0, len(states), _H_BLOCK):
-        out[start:start + _H_BLOCK] = _stacked_H(states[start:start + _H_BLOCK])
+    profiles = list(profiles)
+    out = np.empty(len(profiles))
+    for start in range(0, len(profiles), _H_BLOCK):
+        out[start:start + _H_BLOCK] = _stacked_H(profiles[start:start + _H_BLOCK])
     return out
 
 
 def _stacked_H(stack):
-    """H of each state of ``stack`` by one sweep over its padded panels."""
+    """H of each profile of ``stack`` by one sweep over its padded panels."""
     grid = stack[0].grid
     n, count = grid.num_points, len(stack)
     panels = []
-    for state in stack:
-        if state.grid != grid:
-            raise ValueError("compute_H needs states of one grid")
-        state.h.require_mean_zero("H")
-        panels.append(np.unique(np.concatenate(([0.0], state.h.samples))))
-    samples = np.array([state.h.samples for state in stack])
+    for h in stack:
+        if h.grid != grid:
+            raise ValueError("compute_H needs profiles of one grid")
+        h.require_mean_zero("H")
+        panels.append(np.unique(np.concatenate(([0.0], h.samples))))
+    samples = np.array([h.samples for h in stack])
     rows = max(len(breaks) for breaks in panels) - 1
     # padding panels have width 0 and chi = 0, so no column is active there
     widths = np.zeros((count, rows))
@@ -257,25 +257,24 @@ def _stacked_H(stack):
 def triad_series(traj, strip=None):
     """Compute one :class:`TriadSample` per snapshot of a trajectory.
 
-    V and D come from :func:`mslab.field.exterior_response`: the response
-    :func:`mslab.evolution.run` kept on each state is read, and a state
-    without one is solved.  V is thus the velocity of the engine that made
-    the run and D the rate at which that flow lowers E.  Every column is
-    one formula for both engines; D, E2D and intVs2 depend on the engine
-    through V alone.  int V_s^2 ds is
-    evaluated on the x-grid as int V_x^2/sqrt(1+h_x^2) dx.  H of every
-    snapshot comes from one :func:`compute_H` call on one grid, the largest
+    V and D are read from ``traj.responses``, the response of the engine's
+    flow that :func:`mslab.evolution.run` kept with each state, so no state
+    is solved.  V is thus the velocity of the engine that made the run and
+    D the rate at which that flow lowers E.  Every column is one formula
+    for both engines; D, E2D and intVs2 depend on the engine through V
+    alone.  int V_s^2 ds is evaluated on the x-grid as
+    int V_x^2/sqrt(1+h_x^2) dx.  H of every snapshot comes from one
+    :func:`compute_H` call on one grid, the largest
     :func:`~mslab.spectral.resolved_grid` of the snapshots' h, to which each
     h is truncated, so dH/dt never crosses a change of grid.  Every other
     column is computed on the state's own grid.  ``strip`` is not read; it
     stays only because the benchmark passes it.
     """
     grid = max((resolved_grid(state.h) for state in traj.states), key=lambda g: g.num_points, default=None)
-    resolved = [state if state.grid == grid else build_state(resample(state.h, grid)) for state in traj.states]
+    distances = compute_H([resample(state.h, grid) for state in traj.states]).tolist()
     out = []
-    for t, state, distance in zip(traj.times, traj.states, compute_H(resolved).tolist()):
+    for t, state, response, distance in zip(traj.times, traj.states, traj.responses, distances):
         e = energy(state)
-        response = exterior_response(state)
         d = response.dissipation
         v_x = derivative(response.velocity, 1).samples
         kappa_arc = to_arclength(state, state.curvature).without_mean()

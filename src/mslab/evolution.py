@@ -6,8 +6,10 @@ flow h_t = -sqrt(1+h_x^2) V is advanced with a first-order IMEX step that
 treats its own small-slope linearisation -LINEAR_RATE*|k|^3 implicitly.
 The mobility is a parameter of the linear engine only; the nonlinear flow
 has none.  :func:`run` is the flow's one mean-zero gate, and both engines
-then hold c_0 = 0 exactly.  The module also provides the self-similar
-kernel mask of the linear flow.
+then hold c_0 = 0 exactly.  A :class:`Trajectory` keeps each snapshot with
+the response of its engine's flow at it, and one solve record per
+nonlinear step.  The module also provides the self-similar kernel mask of
+the linear flow.
 """
 
 from dataclasses import dataclass, field as dataclass_field
@@ -77,21 +79,20 @@ class EvolutionConfig:
 class Trajectory:
     """Time-ordered snapshots plus the failure that ended the run.
 
-    ``failure`` is the SlopeBlowup or SolverDivergence that ended the run,
-    or None; it is kept without its traceback, whose frames would hold the
-    failed solve's N x N kernel.  ``iterations``, ``residuals``, ``tails``
-    and ``points`` hold the GMRES iteration count, the max-norm residual,
-    the resolution signal and the grid size of the exterior solve behind
-    every nonlinear step, snapshot or not.
+    ``responses`` holds the :class:`~mslab.field.ExteriorResponse` of the
+    engine's flow at each kept state, in step with ``states``.  ``solves``
+    holds the :class:`~mslab.field.SolveRecord` of the exterior solve
+    behind every completed nonlinear step, snapshot or not.  ``failure``
+    is the SlopeBlowup or SolverDivergence that ended the run, or None; it
+    is kept without its traceback, whose frames would hold the failed
+    solve's N x N kernel.
     """
 
     times: list = dataclass_field(default_factory=list)
     states: list = dataclass_field(default_factory=list)
+    responses: list = dataclass_field(default_factory=list)
+    solves: list = dataclass_field(default_factory=list)
     failure: Exception = None
-    iterations: list = dataclass_field(default_factory=list)
-    residuals: list = dataclass_field(default_factory=list)
-    tails: list = dataclass_field(default_factory=list)
-    points: list = dataclass_field(default_factory=list)
 
     @property
     def status(self):
@@ -100,11 +101,12 @@ class Trajectory:
             return "completed"
         return "slope_blowup" if isinstance(self.failure, SlopeBlowup) else "solver_failure"
 
-    def append(self, t, state):
+    def append(self, t, state, response):
         if self.times and t <= self.times[-1]:
             raise ValueError("snapshot times must be strictly increasing")
         self.times.append(float(t))
         self.states.append(state)
+        self.responses.append(response)
 
     def __len__(self):
         return len(self.times)
@@ -134,26 +136,27 @@ def linear_response(state, mobility):
 
 
 def nonlinear_step(state, cfg):
-    """One IMEX step of the full flow.
+    """One IMEX step of the full flow: the exterior response of ``state``
+    and the state the step leads to.
 
     The stiff multiplier LINEAR_RATE*|k|^3, the flow's own small-slope
     linearisation, is treated implicitly; the remainder
     N(h) = -sqrt(1+h_x^2) V + LINEAR_RATE*|d/dx|^3 h is evaluated
-    explicitly from the exterior response of ``state``, which stays on the
-    state for the diagnostics to read.  Products are dealiased with the
-    2/3 rule of :attr:`~mslab.spectral.Grid.dealiased`, and the result is
-    re-projected to mean zero.  The step gates no slope: :func:`run` gates
-    the state it starts from and every state a step returns.
+    explicitly from the exterior response of ``state``.  Products are
+    dealiased with the 2/3 rule of :attr:`~mslab.spectral.Grid.dealiased`,
+    and the result is re-projected to mean zero.  The step gates no slope:
+    :func:`run` gates the state it starts from and every state a step
+    returns.
     """
     grid = state.grid
-    v = exterior_response(state).velocity
+    response = exterior_response(state)
     stiff = fractional_operator(state.h, 3.0)
-    remainder = -state.line_element * v.samples + LINEAR_RATE * stiff.samples
+    remainder = -state.line_element * response.velocity.samples + LINEAR_RATE * stiff.samples
     nhat = np.where(grid.dealiased, np.fft.fft(remainder) / grid.num_points, 0.0)
     k = np.abs(grid.wavenumbers)
     new_coeffs = (state.h.coeffs + cfg.dt * nhat) / (1.0 + cfg.dt * LINEAR_RATE * k**3)
     new_coeffs[0] = 0.0
-    return build_state(SpectralProfile.from_coeffs(grid, new_coeffs))
+    return response, build_state(SpectralProfile.from_coeffs(grid, new_coeffs))
 
 
 def snapshot_steps(cfg):
@@ -166,20 +169,18 @@ def snapshot_steps(cfg):
 def run(h0, cfg):
     """Advance h0 to t_end, keeping the snapshots of :func:`snapshot_steps`.
 
-    Every kept state carries the response of its engine's flow in
-    ``InterfaceState.exterior``, so the diagnostics solve nothing.  The
+    Every kept state is kept with the response of its engine's flow, in
+    ``Trajectory.responses``, so the diagnostics solve nothing.  The
     linear engine evaluates the exact mode solution at the snapshot times
-    and stores the response of that flow (:func:`linear_response`): a
+    and keeps the response of that flow (:func:`linear_response`): a
     linear run makes no exterior solve and cannot fail one.  The nonlinear
     engine steps with :func:`nonlinear_step`, which solves the state it
-    steps from; the loop then keeps that state and records the solve's
-    statistics in ``Trajectory.iterations``, ``Trajectory.residuals``,
-    ``Trajectory.tails`` and ``Trajectory.points``.  The final state is
-    kept after its own solve.  A slope past the gate after a step, or a
-    failed solve (an unresolved state included), ends the run in
-    ``Trajectory.failure`` instead of raising.  A profile that passes the
-    mean-zero gate is projected to an exact zero mode before the first
-    state is built.
+    steps from; the loop keeps that state with its response and records
+    the solve in ``Trajectory.solves``.  The final state is kept after its
+    own solve.  A slope past the gate after a step, or a failed solve (an
+    unresolved state included), ends the run in ``Trajectory.failure``
+    instead of raising.  A profile that passes the mean-zero gate is
+    projected to an exact zero mode before the first state is built.
     """
     h0.require_mean_zero("the flow")
     h0 = h0.without_mean()
@@ -197,27 +198,22 @@ def run(h0, cfg):
         for step in steps:
             if step:
                 state = build_state(linear_solve_exact(h0, step * cfg.dt, cfg.mobility))
-            state.exterior.append(linear_response(state, cfg.mobility))
-            traj.append(step * cfg.dt, state)
+            traj.append(step * cfg.dt, state, linear_response(state, cfg.mobility))
         return traj
 
     kept = set(steps)
     try:
         for step in range(1, steps[-1] + 1):
-            previous, state = state, nonlinear_step(state, cfg)
+            previous = state
+            response, state = nonlinear_step(previous, cfg)
             if step - 1 in kept:
-                traj.append((step - 1) * cfg.dt, previous)
+                traj.append((step - 1) * cfg.dt, previous, response)
             if sup_slope(state) > cfg.slope_gate:
                 raise SlopeBlowup(
                     f"slope {sup_slope(state):.6f} exceeds gate {cfg.slope_gate} after step"
                 )
-            response = exterior_response(previous)  # the solve the step made
-            traj.iterations.append(response.iterations)
-            traj.residuals.append(response.residual)
-            traj.tails.append(response.tail)
-            traj.points.append(response.points)
-        exterior_response(state)
-        traj.append(steps[-1] * cfg.dt, state)
+            traj.solves.append(response.solve)
+        traj.append(steps[-1] * cfg.dt, state, exterior_response(state))
     except (SlopeBlowup, SolverDivergence) as exc:
         traj.failure = exc.with_traceback(None)
     return traj

@@ -21,7 +21,8 @@ resolution signal: past :data:`RESOLUTION_TAIL_MAX` the solve raises
 :class:`~mslab.errors.SolverDivergence`, as on a GMRES or residual
 failure, so every state the flow solves is resolved.  The solve runs on
 the :func:`~mslab.spectral.resolved_grid` of the curvature, its data, and
-V returns to the state's grid by zero-padding.
+V returns to the state's grid by zero-padding.  The solve keeps nothing:
+a run keeps each state's response beside the state, in its trajectory.
 
 A second-order straightened strip, which no command runs, is the
 reference the tests hold the integral against: each phase mapped
@@ -407,38 +408,45 @@ def dissipation(fields, state):
     return _boundary_pairing(state, normal_velocity(fields, state).samples)
 
 
-class ExteriorResponse(NamedTuple):
-    """What the flow and the diagnostics read about the motion of one state.
+class SolveRecord(NamedTuple):
+    """Statistics of one boundary-integral solve.
 
-    ``velocity`` is the normal speed V of the engine's flow and
-    ``dissipation`` the pairing D = -integral kappa V ds, the rate at which
-    that flow lowers the energy.  On the nonlinear engine V comes from the
-    boundary-integral solve: ``iterations`` and ``residual`` are the GMRES
-    iteration count and the max-norm residual of the solve, and ``tail`` is
-    the resolution signal: the share of the spectral energy of psi (its
-    mean left out) in the modes outside the 2/3 cut
-    :attr:`~mslab.spectral.Grid.dealiased`, which the nonlinear step
-    discards; it is at most :data:`RESOLUTION_TAIL_MAX`.  ``points`` is the
-    size of the grid the solve ran on, which :func:`exterior_response`
-    chooses.  A flow that gives V itself (:func:`prescribed_response`, the
-    linear engine) makes no solve, and records ``iterations`` 0,
-    ``residual`` 0.0, ``tail`` 0.0 and ``points`` 0.  No array of more
-    than N values is kept.
+    ``iterations`` and ``residual`` are the GMRES iteration count and the
+    max-norm residual.  ``tail`` is the resolution signal: the share of
+    the spectral energy of psi (its mean left out) in the modes outside
+    the 2/3 cut :attr:`~mslab.spectral.Grid.dealiased`, which the
+    nonlinear step discards; it is at most :data:`RESOLUTION_TAIL_MAX`.
+    ``points`` is the size of the grid the solve ran on, which
+    :func:`exterior_response` chooses.
     """
 
-    velocity: SpectralProfile
-    dissipation: float
     iterations: int
     residual: float
     tail: float
     points: int
 
 
+class ExteriorResponse(NamedTuple):
+    """What the flow and the diagnostics read about the motion of one state.
+
+    ``velocity`` is the normal speed V of the engine's flow and
+    ``dissipation`` the pairing D = -integral kappa V ds, the rate at which
+    that flow lowers the energy.  ``solve`` is the :class:`SolveRecord` of
+    the boundary-integral solve behind V, or None for a flow that gives V
+    itself (:func:`prescribed_response`, the linear engine).  No array of
+    more than N values is kept.
+    """
+
+    velocity: SpectralProfile
+    dissipation: float
+    solve: SolveRecord
+
+
 def prescribed_response(state, v):
     """The :class:`ExteriorResponse` of a flow that gives its own normal
     velocity samples ``v``: D is the boundary pairing of ``v``, as for a
-    solved state, and the statistics are those of no solve."""
-    return ExteriorResponse(SpectralProfile.from_samples(state.grid, v), _boundary_pairing(state, v), 0, 0.0, 0.0, 0)
+    solved state, and there is no solve to record."""
+    return ExteriorResponse(SpectralProfile.from_samples(state.grid, v), _boundary_pairing(state, v), None)
 
 
 def _log_kernel(state):
@@ -475,8 +483,9 @@ def _log_kernel(state):
 
 
 def _solve(state):
-    """The :class:`ExteriorResponse` of the second-kind equation
-    (I + M 2|D|) psi = kappa, solved by unpreconditioned GMRES from zero.
+    """V on the state's grid and the :class:`SolveRecord` of the
+    second-kind equation (I + M 2|D|) psi = kappa, solved by
+    unpreconditioned GMRES from zero.
 
     M = -(dx/4pi) log R is applied as the kernel of :func:`_log_kernel`
     times a scalar, and the kernel lives only for this solve.
@@ -511,29 +520,22 @@ def _solve(state):
             "resolve the interface"
         )
     v = -density(psi) / state.line_element
-    return ExteriorResponse(
-        SpectralProfile.from_samples(grid, v), _boundary_pairing(state, v), iterations, residual, tail, n
-    )
+    return SpectralProfile.from_samples(grid, v), SolveRecord(iterations, residual, tail, n)
 
 
 def exterior_response(state):
-    """V, D and the solver statistics of a state, from one boundary-integral solve.
+    """V, D and the :class:`SolveRecord` of a state, from one
+    boundary-integral solve; nothing is kept.
 
     The solve's data is the curvature, so it runs on the curvature's
     :func:`~mslab.spectral.resolved_grid`: the state is rebuilt from h
     truncated to that grid, V is zero-padded back to the state's grid, and
     D is the boundary pairing there, as for :func:`prescribed_response`.
     A curvature that its own grid does not resolve is solved there, and
-    the resolution check decides.  The response is kept on the state, so
-    the step that leaves a state and the diagnostics that read it share one
-    solve; a state whose flow gave its response is not solved.  A failed
-    solve, the resolution check included, raises
-    :class:`~mslab.errors.SolverDivergence` and keeps nothing.
+    the resolution check decides.  A failed solve, the resolution check
+    included, raises :class:`~mslab.errors.SolverDivergence`.
     """
-    if not state.exterior:
-        grid = resolved_grid(state.curvature)
-        solved = _solve(state if grid == state.grid else build_state(resample(state.h, grid)))
-        velocity = resample(solved.velocity, state.grid)
-        pairing = _boundary_pairing(state, velocity.samples)
-        state.exterior.append(solved._replace(velocity=velocity, dissipation=pairing))
-    return state.exterior[0]
+    grid = resolved_grid(state.curvature)
+    velocity, record = _solve(state if grid == state.grid else build_state(resample(state.h, grid)))
+    velocity = resample(velocity, state.grid)
+    return ExteriorResponse(velocity, _boundary_pairing(state, velocity.samples), record)

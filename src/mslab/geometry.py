@@ -1,13 +1,15 @@
 """Geometric quantities of the graph interface z = h(x).
 
-An :class:`InterfaceState` caches the slope, curvature and line element of
-the interface.  Seminorms along the curve reuse the flat spectral calculus
-on a profile re-expressed in arclength (:func:`to_arclength`): its Fourier
-coefficients are integrals over the x-grid after the change of variables
-s = s(x), valid while the slope stays bounded by one.  The x-nodes land at
-nonuniform points s(x_l), so the integrals form a type-1 nonuniform FFT,
-evaluated in O(N log N) by Gaussian gridding (Dutt & Rokhlin, SIAM J. Sci.
-Comput. 14, 1993; Greengard & Lee, SIAM Rev. 46, 2004).
+An :class:`InterfaceState` holds the height with the slope, curvature and
+line element built from it once, all read-only; the response of the flow
+at a state is kept beside it, in the trajectory.  Seminorms along the
+curve reuse the flat spectral calculus on a profile re-expressed in
+arclength (:func:`to_arclength`): its Fourier coefficients are integrals
+over the x-grid after the change of variables s = s(x), valid while the
+slope stays bounded by one.  The x-nodes land at nonuniform points s(x_l),
+so the integrals form a type-1 nonuniform FFT, evaluated in O(N log N) by
+Gaussian gridding (Dutt & Rokhlin, SIAM J. Sci. Comput. 14, 1993;
+Greengard & Lee, SIAM Rev. 46, 2004).
 """
 
 import numpy as np
@@ -22,14 +24,9 @@ _SPREAD_HALF_WIDTH = 14
 
 
 class InterfaceState:
-    """Height profile plus cached geometric fields of the interface.
+    """Height profile plus the read-only geometric fields of the interface."""
 
-    ``exterior`` holds the :class:`~mslab.field.ExteriorResponse` of the
-    state's flow once :func:`mslab.field.exterior_response` has solved it
-    or a linear run has stored it, and is empty before.
-    """
-
-    __slots__ = ("h", "slope", "curvature", "line_element", "exterior")
+    __slots__ = ("h", "slope", "curvature", "line_element")
 
     def __init__(self, h, slope, curvature, line_element):
         object.__setattr__(self, "h", h)
@@ -38,7 +35,6 @@ class InterfaceState:
         line_element = np.ascontiguousarray(line_element, dtype=float)
         line_element.setflags(write=False)
         object.__setattr__(self, "line_element", line_element)
-        object.__setattr__(self, "exterior", [])
 
     def __setattr__(self, name, value):
         raise AttributeError("InterfaceState is immutable")
@@ -49,7 +45,7 @@ class InterfaceState:
 
 
 def build_state(h):
-    """Populate all cached fields from a height profile.
+    """The state of a height profile, with its geometric fields.
 
     The slope is the exact spectral derivative of ``h``; the curvature is
     the spectral ``h_xx`` divided pointwise by the cubed line element.

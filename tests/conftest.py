@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mslab.diagnostics import RatioReport, _uniform_cadence
-from mslab.field import GRADING, exterior_response
+from mslab.field import GRADING
 from mslab.geometry import build_state, sup_slope
 from mslab.spectral import Grid, SpectralProfile, derivative
 
@@ -173,8 +173,9 @@ def check_curvature_evolution(traj):
     keep = max(2, grid.num_points // 8)
 
     sides = []
-    for prev, state, nxt in zip(traj.states, traj.states[1:count - 1], traj.states[2:count]):
-        v = exterior_response(state).velocity.samples
+    middle = zip(traj.states[1:count - 1], traj.responses[1:count - 1])
+    for prev, (state, response), nxt in zip(traj.states, middle, traj.states[2:count]):
+        v = response.velocity.samples
         kappa, ds = state.curvature, state.line_element
         kappa_t = (nxt.curvature.samples - prev.curvature.samples) / (2.0 * dt)
         lhs = kappa_t + v * state.slope.samples * derivative(kappa, 1).samples / ds

@@ -132,7 +132,7 @@ def test_criterion_3_linearization_consistency():
 
     dt = 1e-5
     cfg = EvolutionConfig("nonlinear", dt=dt, t_end=dt, grid=grid)
-    stepped = nonlinear_step(state, cfg)
+    _, stepped = nonlinear_step(state, cfg)
     exact = linear_solve_exact(h0, dt, 2.0)
     ok &= np.abs(stepped.h.samples - exact.samples).max() <= 1e-6 * h0.max_abs()
     report(3, "linearization consistency", ok)
@@ -297,15 +297,15 @@ def test_criterion_9_h_oracle():
         {"preset": "mode", "amplitude": 0.12, "wavenumber": 2},
     ):
         state = build_state(build_initial_profile(grid, initial))
-        (ours,) = compute_H([state])
+        (ours,) = compute_H([state.h])
         oracle = poisson_box_energy(state, n_x=128, n_z=640)
         ok &= abs(ours / oracle - 1.0) <= 0.03
 
     h = build_initial_profile(grid, {"preset": "wavelet", "amplitude": 0.2, "width": 1.0})
-    (base,) = compute_H([build_state(h)])
+    (base,) = compute_H([h])
     lam = 2.3
     scaled = SpectralProfile.from_samples(Grid(lam * 16.0, 256), lam * h.samples)
-    ok &= abs(compute_H([build_state(scaled)])[0] / (lam**4 * base) - 1.0) <= 1e-6
+    ok &= abs(compute_H([scaled])[0] / (lam**4 * base) - 1.0) <= 1e-6
     report(9, "squared-distance oracle and scaling", ok)
 
 

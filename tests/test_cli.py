@@ -281,14 +281,14 @@ class TestSimulate:
         assert rows[0] == "step,t,iterations,residual,tail,points"
         config = load_config(path)
         traj = run(build_initial_profile(config.evolution.grid, config.initial_data), config.evolution)
-        assert len(rows) - 1 == len(traj.iterations) == 5
-        for step, row in enumerate(rows[1:], start=1):
+        assert len(rows) - 1 == len(traj.solves) == 5
+        for step, (row, record) in enumerate(zip(rows[1:], traj.solves), start=1):
             parts = row.split(",")
             assert parts[0] == str(step) and float(parts[1]) == step * 1e-3
-            assert int(parts[2]) == traj.iterations[step - 1] > 0
-            assert float(parts[3]) == traj.residuals[step - 1]
-            assert float(parts[4]) == traj.tails[step - 1]
-            assert int(parts[5]) == traj.points[step - 1] == 64
+            assert int(parts[2]) == record.iterations > 0
+            assert float(parts[3]) == record.residual
+            assert float(parts[4]) == record.tail
+            assert int(parts[5]) == record.points == 64
 
     def test_solver_csv_is_only_a_header_on_the_linear_engine(self, tmp_path):
         path, _ = small_config(tmp_path)

@@ -73,15 +73,14 @@ def proxy_samples(ts, E, D, H=None, **extra):
 class TestComputeH:
     def test_flat_zero(self):
         grid = Grid(L, 64)
-        assert compute_H([build_state(make_state(grid, np.zeros(64)))]).tolist() == [0.0]
+        assert compute_H([make_state(grid, np.zeros(64))]).tolist() == [0.0]
 
     def test_small_mode_value_and_hhalf_ratio(self):
         # H -> eps^2 L/(4k); the ratio to the negative-half seminorm is 1/2
         grid = Grid(L, 256)
         eps, k = 1e-3, 2
         h = make_state(grid, eps * np.cos(k * grid.nodes))
-        state = build_state(h)
-        (value,) = compute_H([state])
+        (value,) = compute_H([h])
         assert value == pytest.approx(eps**2 * L / (4.0 * k), rel=5e-3)
         hhalf = seminorm(h, -0.5) ** 2
         assert value / hhalf == pytest.approx(0.5, rel=5e-3)
@@ -89,17 +88,17 @@ class TestComputeH:
     def test_quartic_scaling(self):
         grid = Grid(L, 128)
         h = make_state(grid, 0.2 * np.sin(grid.nodes) + 0.05 * np.cos(2 * grid.nodes))
-        (base,) = compute_H([build_state(h)])
+        (base,) = compute_H([h])
         lam = 2.3
         scaled = SpectralProfile.from_samples(Grid(lam * L, 128), lam * h.samples)
-        (value,) = compute_H([build_state(scaled)])
+        (value,) = compute_H([scaled])
         assert value == pytest.approx(lam**4 * base, rel=1e-6)
 
     def test_rejects_mass(self):
         grid = Grid(L, 64)
         h = SpectralProfile.from_samples(grid, 0.1 + 0.1 * np.cos(grid.nodes))
         with pytest.raises(ZeroModeNonzero):
-            compute_H([build_state(h)])
+            compute_H([h])
 
     @pytest.mark.parametrize(
         "make",
@@ -119,37 +118,37 @@ class TestComputeH:
         state = make()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            (value,) = compute_H([state])
+            (value,) = compute_H([state.h])
         assert value == pytest.approx(panel_sweep_H(state), rel=1e-12, abs=0.0)
 
     def test_bounded_memory(self):
         # the per-panel sweep holds whole (panels x modes) arrays: 50 MiB at N = 2048
-        state = bump_state(2048)
+        h = bump_state(2048).h
         tracemalloc.start()
         try:
-            compute_H([state])
+            compute_H([h])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 10 * 2**20
 
     def test_stack_matches_one_state_sweeps(self):
-        # padding to the stack's panel count adds exact zeros, so each state
-        # reads its own one-state H; the flat state reads exactly zero
+        # padding to the stack's panel count adds exact zeros, so each profile
+        # reads its own one-profile H; the flat profile reads exactly zero
         grid = Grid(16.0, 256)
         u = grid.nodes - 8.0
         stack = [
-            build_state(make_state(grid, 0.15 * np.exp(-(u**2)) + 0.06 * np.exp(-((u - 2.0) ** 2) / 0.3))),
-            bump_state(256),
-            wavelet_state(256),
-            build_state(make_state(grid, np.zeros(256))),
-            mode_state(grid, 1e-3, k=2.0 * np.pi * 2.0 / 16.0),
+            make_state(grid, 0.15 * np.exp(-(u**2)) + 0.06 * np.exp(-((u - 2.0) ** 2) / 0.3)),
+            bump_state(256).h,
+            wavelet_state(256).h,
+            make_state(grid, np.zeros(256)),
+            mode_state(grid, 1e-3, k=2.0 * np.pi * 2.0 / 16.0).h,
         ]
         values = compute_H(stack)
         assert values.dtype == np.float64 and values.shape == (len(stack),)
         assert values[3] == 0.0
-        for state, value in zip(stack, values):
-            (alone,) = compute_H([state])
+        for h, value in zip(stack, values):
+            (alone,) = compute_H([h])
             assert value == pytest.approx(alone, rel=1e-13, abs=0.0)
 
     def test_sweep_crosses_a_stack_boundary(self):
@@ -159,23 +158,20 @@ class TestComputeH:
             build_state(make_state(grid, a * np.exp(-(u**2)) + b * u * np.exp(-(u**2))))
             for a, b in zip(np.linspace(0.05, 0.3, 70), np.linspace(0.2, -0.2, 70))
         ]
-        values = compute_H(stack)
+        values = compute_H([state.h for state in stack])
         assert len(values) == 70
         for state, value in zip(stack, values):
             assert value == pytest.approx(panel_sweep_H(state), rel=1e-12, abs=0.0)
 
     def test_rejects_mixed_grids(self):
         with pytest.raises(ValueError, match="one grid"):
-            compute_H([bump_state(64), bump_state(128)])
+            compute_H([bump_state(64).h, bump_state(128).h])
 
     @pytest.mark.parametrize("count, n", [(64, 256), (10, 1024)])
     def test_stack_memory(self, count, n):
         grid = Grid(16.0, n)
         u = grid.nodes - 8.0
-        stack = [
-            build_state(make_state(grid, a * u * np.exp(-(u**2))))
-            for a in np.linspace(0.1, 0.3, count)
-        ]
+        stack = [make_state(grid, a * u * np.exp(-(u**2))) for a in np.linspace(0.1, 0.3, count)]
         tracemalloc.start()
         try:
             compute_H(stack)
@@ -189,7 +185,7 @@ class TestComputeH:
         u = grid.nodes - 8.0
         samples = 0.15 * np.exp(-(u**2))
         state = build_state(make_state(grid, samples))
-        (ours,) = compute_H([state])
+        (ours,) = compute_H([state.h])
         oracle = poisson_box_energy(state, n_x=128, n_z=640)
         assert ours == pytest.approx(oracle, rel=0.03)
 
@@ -205,7 +201,7 @@ class TestTriadSeries:
         state = build_state(make_state(grid, np.zeros(64)))
         traj = Trajectory()
         for t in (0.0, 0.1, 0.2):
-            traj.append(t, state) if t == 0.0 else traj.append(t, state)
+            traj.append(t, state, exterior_response(state))
         samples = triad_series(traj, strip)
         for s in samples:
             assert s.E == s.D == s.H == s.Hhalf == s.E2D == 0.0
@@ -215,9 +211,9 @@ class TestTriadSeries:
         calls = []
         original = diagnostics.compute_H
 
-        def counting(states):
-            calls.append(list(states))
-            return original(states)
+        def counting(profiles):
+            calls.append(list(profiles))
+            return original(profiles)
 
         monkeypatch.setattr(diagnostics, "compute_H", counting)
         # the bump's h is resolved on 128 of its 256 points at every snapshot
@@ -229,7 +225,7 @@ class TestTriadSeries:
         coarse = Grid(16.0, 128)
         for resolved, state in zip(calls[0], traj.states):
             assert resolved.grid == coarse
-            assert np.array_equal(resolved.h.coeffs, resample(state.h, coarse).coeffs)
+            assert np.array_equal(resolved.coeffs, resample(state.h, coarse).coeffs)
         assert [s.H for s in samples] == original(calls[0]).tolist()
 
     @pytest.mark.parametrize(
@@ -246,7 +242,7 @@ class TestTriadSeries:
         traj = run(bump_state(n).h, cfg)
         assert traj.status == "completed"
         resolved = np.array([s.H for s in triad_series(traj)])
-        own = compute_H(traj.states)
+        own = compute_H([state.h for state in traj.states])
         assert np.abs(resolved / own - 1.0).max() <= bound
 
     def test_linear_mode_matches_observables_with_dictionary(self):
@@ -285,10 +281,11 @@ class TestTriadSeries:
         )
         state = build_state(h)
         assert sup_slope(state) == pytest.approx(0.9, rel=1e-12)
+        response = exterior_response(state)
         traj = Trajectory()
-        traj.append(0.0, state)
+        traj.append(0.0, state, response)
         (sample,) = triad_series(traj)
-        v = exterior_response(state).velocity
+        v = response.velocity
         reference = seminorm(to_arclength(state, v).without_mean(), 1.0) ** 2
         assert sample.intVs2 == pytest.approx(reference, rel=1e-9)
 
@@ -303,7 +300,7 @@ class TestTriadSeries:
         )
         state = build_state(h)
         traj = Trajectory()
-        traj.append(0.0, state)
+        traj.append(0.0, state, exterior_response(state))
         (sample,) = triad_series(traj)
         kappa_arc = dense_arclength(state, state.curvature).without_mean()
         assert sample.kappa_half_sq == pytest.approx(seminorm(kappa_arc, 0.5) ** 2, rel=1e-12)
@@ -338,9 +335,23 @@ class TestOneSolvePerState:
         # fresh states of the same profiles are solved again, to the same triad
         fresh = Trajectory()
         for t, state in zip(traj.times, traj.states):
-            fresh.append(t, build_state(state.h))
+            fresh_state = build_state(state.h)
+            fresh.append(t, fresh_state, exterior_response(fresh_state))
         assert triad_series(fresh) == samples
         assert solves[0] == 2 * (n_steps + 1)
+
+    @pytest.mark.parametrize("engine", ["linear", "nonlinear"])
+    def test_triad_series_solves_nothing(self, solves, engine):
+        # the triad reads the responses the run kept with its states
+        grid = Grid(L, 64)
+        n_steps = 4
+        cfg = EvolutionConfig(engine, dt=5e-4, t_end=n_steps * 5e-4, grid=grid, output_every=1)
+        traj = run(make_state(grid, 0.2 * np.cos(grid.nodes)), cfg)
+        assert solves[0] == (n_steps + 1 if engine == "nonlinear" else 0)
+        before = solves[0]
+        samples = triad_series(traj)
+        assert solves[0] == before
+        assert [s.D for s in samples] == [response.dissipation for response in traj.responses]
 
     def test_unresolved_state_ends_the_run(self, tmp_path, capsys):
         # mode 22 lies above the 2/3 cut of N = 64: the solve of the initial
@@ -351,7 +362,7 @@ class TestOneSolvePerState:
         traj = run(make_state(grid, 1e-3 / 22.0 * np.cos(22.0 * grid.nodes)), cfg)
         assert traj.status == "solver_failure" and len(traj) == 0
         assert isinstance(traj.failure, SolverDivergence) and traj.failure.__traceback__ is None
-        assert traj.iterations == traj.residuals == traj.tails == []
+        assert traj.solves == []
         path = tmp_path / "config.json"
         path.write_text(json.dumps({
             "initial_data": {"preset": "mode", "amplitude": 1e-3 / 22.0, "wavenumber": 22},
@@ -376,7 +387,7 @@ class TestCheckAlgebraic:
         state = build_state(make_state(grid, np.zeros(64)))
         traj = Trajectory()
         for t in (0.0, 0.1, 0.2):
-            traj.append(t, state)
+            traj.append(t, state, exterior_response(state))
         reports = check_algebraic(triad_series(traj, strip))
         assert all(r.passed for r in reports)
         assert all(r.empirical_sup == 0.0 for r in reports)
@@ -569,7 +580,7 @@ class TestCurvatureEvolution:
         state = build_state(make_state(grid, np.zeros(64)))
         traj = Trajectory()
         for t in (0.0, 0.1, 0.2):
-            traj.append(t, state)
+            traj.append(t, state, exterior_response(state))
         report = check_curvature_evolution(traj)
         assert report.passed and report.empirical_sup == 0.0
 
@@ -587,7 +598,8 @@ class TestCurvatureEvolution:
     def test_insufficient_samples(self, strip):
         grid = Grid(L, 64)
         traj = Trajectory()
-        traj.append(0.0, build_state(make_state(grid, np.zeros(64))))
+        flat = build_state(make_state(grid, np.zeros(64)))
+        traj.append(0.0, flat, exterior_response(flat))
         with pytest.raises(InsufficientSamples):
             check_curvature_evolution(traj)
 
@@ -739,9 +751,10 @@ class TestCadence:
         grid = Grid(L, 64)
         flat = build_state(make_state(grid, np.zeros(64)))
         traj = Trajectory()
+        response = exterior_response(flat)
         for t in (0.0, 0.1, 0.2, 0.25):
-            traj.append(t, flat)
+            traj.append(t, flat, response)
         assert check_curvature_evolution(traj).passed
-        traj.append(0.5, flat)
+        traj.append(0.5, flat, response)
         with pytest.raises(InsufficientSamples):
             check_curvature_evolution(traj)

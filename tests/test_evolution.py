@@ -72,14 +72,14 @@ class TestNonlinearStep:
         grid = Grid(L, 64)
         cfg = EvolutionConfig("nonlinear", dt=1e-3, t_end=1e-3, grid=grid, strip=strip)
         state = build_state(SpectralProfile.from_samples(grid, np.zeros(64)))
-        out = nonlinear_step(state, cfg)
+        _, out = nonlinear_step(state, cfg)
         assert out.h.max_abs() == 0.0
 
     def test_small_amplitude_matches_exact_linear(self, strip):
         grid = Grid(L, 256)
         h0 = mode_profile(grid, 2, 1e-3)
         cfg = EvolutionConfig("nonlinear", dt=1e-5, t_end=1e-5, grid=grid, strip=strip)
-        stepped = nonlinear_step(build_state(h0), cfg)
+        _, stepped = nonlinear_step(build_state(h0), cfg)
         exact = linear_solve_exact(h0, 1e-5, 2.0)
         assert np.abs(stepped.h.samples - exact.samples).max() <= 1e-6 * h0.max_abs()
 
@@ -114,9 +114,7 @@ class TestRun:
         for t, state in zip(traj.times, traj.states):
             exact = linear_solve_exact(h0, t, 2.0)
             assert np.abs(state.h.samples - exact.samples).max() <= 1e-13
-        assert traj.iterations == []
-        assert traj.residuals == []
-        assert traj.tails == []
+        assert traj.solves == []
 
     @pytest.mark.parametrize("engine", ["linear", "nonlinear"])
     def test_snapshot_rule_with_off_cadence_end(self, engine, strip):
@@ -210,7 +208,7 @@ class TestRun:
         assert traj.status == "slope_blowup"
         # the solve keys on the curvature, which needs the whole grid; the
         # two-mode h alone would be resolved on 16 points
-        assert traj.points and set(traj.points) == {128}
+        assert traj.solves and {record.points for record in traj.solves} == {128}
 
     def test_initial_gate_violation_raises(self):
         grid = Grid(L, 64)
@@ -252,22 +250,22 @@ class TestRun:
         traj = run(state0.h, cfg)
         stepped = Trajectory()
         state = build_state(state0.h.without_mean())
-        stepped.append(0.0, state)
-        for step in range(1, n_steps + 1):
-            state = nonlinear_step(state, cfg)
-            stepped.append(step * cfg.dt, state)
+        for step in range(n_steps):
+            response, following = nonlinear_step(state, cfg)
+            stepped.append(step * cfg.dt, state, response)
+            state = following
+        stepped.append(n_steps * cfg.dt, state, exterior_response(state))
         assert traj.status == "completed" and traj.times == stepped.times
         for a, b in zip(traj.states, stepped.states):
             assert np.array_equal(a.h.samples, b.h.samples)
         assert triad_series(traj) == triad_series(stepped)
-        assert traj.iterations == [s.exterior[0].iterations for s in stepped.states[:-1]]
+        assert traj.solves == [response.solve for response in stepped.responses[:-1]]
 
     def test_runs_are_bit_identical(self):
         state0 = wavelet_state(128, slope=0.9)
         cfg = EvolutionConfig("nonlinear", dt=2e-4, t_end=1.2e-3, grid=state0.grid)
         first, second = run(state0.h, cfg), run(state0.h, cfg)
-        assert first.times == second.times and first.iterations == second.iterations
-        assert first.residuals == second.residuals and first.tails == second.tails
+        assert first.times == second.times and first.solves == second.solves
         for a, b in zip(first.states, second.states):
             assert np.array_equal(a.h.samples, b.h.samples)
         assert triad_series(first) == triad_series(second)
@@ -290,12 +288,11 @@ class TestRunSolvesOnlyWhatIsRead:
 
     def test_final_state_is_solved(self, state0):
         traj = run(state0.h, self.config(state0, 5))
-        final = traj.states[-1]
-        (response,) = final.exterior
+        final, response = traj.states[-1], traj.responses[-1]
         fresh = exterior_response(build_state(final.h))
         assert np.array_equal(response.velocity.samples, fresh.velocity.samples)
         assert response[1:] == fresh[1:]
-        assert len(traj.iterations) == len(traj.residuals) == len(traj.tails) == self.N_STEPS
+        assert len(traj.solves) == self.N_STEPS
 
     def test_every_step_solve_runs_inside_the_step(self, state0, monkeypatch):
         # the step's own span then holds its solve; only the final state is
@@ -334,8 +331,8 @@ class TestRunSolvesOnlyWhatIsRead:
         monkeypatch.setattr(field, "_solve", failing_last)
         traj = run(state0.h, self.config(state0, 5))
         assert traj.status == "solver_failure"
-        assert len(traj) == 3 and len(traj.iterations) == self.N_STEPS
-        assert all(state.exterior for state in traj.states)
+        assert len(traj) == 3 and len(traj.solves) == self.N_STEPS
+        assert len(traj.responses) == 3 and all(response.solve for response in traj.responses)
 
     def test_linear_engine_solves_nothing(self, state0, monkeypatch):
         # every kept state carries its own flow's response, which the triad reads
@@ -345,11 +342,9 @@ class TestRunSolvesOnlyWhatIsRead:
         monkeypatch.setattr(field, "_solve", no_solve)
         traj = run(state0.h, self.config(state0, 5, engine="linear"))
         assert traj.status == "completed" and len(traj) == 4
-        for state in traj.states:
-            (response,) = state.exterior
-            assert (response.iterations, response.residual, response.tail) == (0, 0.0, 0.0)
-        assert [s.D for s in triad_series(traj)] == [state.exterior[0].dissipation for state in traj.states]
-        assert traj.iterations == traj.residuals == traj.tails == []
+        assert len(traj.responses) == 4 and all(response.solve is None for response in traj.responses)
+        assert [s.D for s in triad_series(traj)] == [response.dissipation for response in traj.responses]
+        assert traj.solves == []
 
 
 class TestKernelMask:

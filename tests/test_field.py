@@ -12,10 +12,11 @@ from mslab.field import (
     dissipation,
     exterior_response,
     normal_velocity,
+    prescribed_response,
     solve_exterior_fields,
     solve_strip,
 )
-from mslab.geometry import build_state, to_arclength
+from mslab.geometry import InterfaceState, build_state, to_arclength
 from mslab.spectral import Grid, SpectralProfile, derivative, fractional_operator, seminorm
 from conftest import bump_state, strip_levels, wavelet_state
 
@@ -25,6 +26,13 @@ L = 2.0 * np.pi
 
 def make_state(grid, samples):
     return build_state(SpectralProfile.from_samples(grid, samples))
+
+
+def own_grid_response(state):
+    """The response of the solve on the state's own grid, where
+    exterior_response may choose a coarser resolved grid."""
+    velocity, record = field_module._solve(state)
+    return prescribed_response(state, velocity.samples)._replace(solve=record)
 
 
 def flat_mode_solution(grid, strip, k):
@@ -355,7 +363,7 @@ class TestNormalVelocity:
         scale = np.abs(up.velocity.samples).max()
         assert np.abs(down.velocity.samples + up.velocity.samples).max() <= 1e-13 * scale
         assert down.dissipation == pytest.approx(up.dissipation, rel=1e-13, abs=0.0)
-        assert down.iterations == up.iterations
+        assert down.solve.iterations == up.solve.iterations
 
 
 class TestDissipation:
@@ -394,8 +402,7 @@ class TestDissipation:
         with pytest.raises(SolverDivergence, match="above the 2/3 cut") as err:
             exterior_response(state)
         assert float(str(err.value).split()[0]) >= 0.99 > RESOLUTION_TAIL_MAX
-        assert state.exterior == []
-        assert exterior_response(make_state(grid, 1e-3 / 21 * np.cos(21 * grid.nodes))).tail <= 1e-20
+        assert exterior_response(make_state(grid, 1e-3 / 21 * np.cos(21 * grid.nodes))).solve.tail <= 1e-20
 
     def test_depth_doubling_is_converged(self):
         # truncation-depth error is controlled empirically
@@ -426,8 +433,16 @@ class TestExteriorResponse:
         scale = np.abs(v).max()
         assert np.abs(response.velocity.samples - v).max() <= 2e-3 * scale
         assert response.dissipation == pytest.approx(dissipation(fields, state), rel=5e-3)
-        assert exterior_response(state) is response
-        assert state.exterior == [response]
+
+    def test_is_pure(self):
+        # the state has no slot for a response, and a second call solves
+        # again, to the same response
+        assert InterfaceState.__slots__ == ("h", "slope", "curvature", "line_element")
+        state = wavelet_state(128)
+        first, second = exterior_response(state), exterior_response(state)
+        assert first is not second
+        assert np.array_equal(first.velocity.samples, second.velocity.samples)
+        assert first[1:] == second[1:]
 
     def test_keeps_no_field_array(self):
         grid = Grid(L, 64)
@@ -437,7 +452,7 @@ class TestExteriorResponse:
         arrays = [response.velocity.samples, response.velocity.coeffs]
         arrays += [v for v in response if isinstance(v, np.ndarray)]
         assert max(np.size(a) for a in arrays) <= grid.num_points
-        scalars = (response.dissipation, response.iterations, response.residual, response.tail)
+        scalars = (response.dissipation, *response.solve)
         assert all(np.ndim(v) == 0 for v in scalars)
 
 
@@ -448,10 +463,10 @@ class TestBoundaryIntegral:
     @pytest.mark.parametrize("make, n", [(bump_state, 512), (wavelet_state, 256)], ids=["bump", "wavelet"])
     def test_n_against_2n(self, make, n):
         # measured 1.3e-10 (bump) and 5.2e-10 (wavelet at sup|h_x| = 0.9) in V;
-        # field._solve solves each state on its own grid, where
-        # exterior_response could give both the same resolved grid
-        coarse, fine = field_module._solve(make(n)), field_module._solve(make(2 * n))
-        assert (coarse.points, fine.points) == (n, 2 * n)
+        # each state is solved on its own grid, where exterior_response
+        # could give both the same resolved grid
+        coarse, fine = own_grid_response(make(n)), own_grid_response(make(2 * n))
+        assert (coarse.solve.points, fine.solve.points) == (n, 2 * n)
         v_coarse, v_fine = coarse.velocity.samples, fine.velocity.samples[::2]
         assert np.abs(v_coarse - v_fine).max() <= 1e-8 * np.abs(v_fine).max()
         assert coarse.dissipation == pytest.approx(fine.dissipation, rel=1e-8, abs=0.0)
@@ -500,8 +515,8 @@ class TestResolvedSolve:
         # the own-grid solves at N = 512 and 1024 differ by 1.3e-10
         state = bump_state(512)
         response = exterior_response(state)
-        own = field_module._solve(bump_state(512))
-        assert (response.points, own.points) == (256, 512)
+        own = own_grid_response(bump_state(512))
+        assert (response.solve.points, own.solve.points) == (256, 512)
         assert response.velocity.grid == state.grid
         v = response.velocity.samples
         scale = np.abs(own.velocity.samples).max()
@@ -515,12 +530,12 @@ class TestResolvedSolve:
 
     def test_steep_wavelet_keeps_its_grid(self):
         # at sup|h_x| = 0.9 the curvature's content reaches past 256/3
-        assert exterior_response(wavelet_state(256)).points == 256
+        assert exterior_response(wavelet_state(256)).solve.points == 256
 
     def test_flat_state_is_solved_on_eight_points(self):
         grid = Grid(16.0, 256)
         response = exterior_response(make_state(grid, np.zeros(256)))
-        assert response.points == 8 and response.iterations == 0
+        assert response.solve.points == 8 and response.solve.iterations == 0
         assert response.dissipation == 0.0 and not np.any(response.velocity.samples)
 
 

@@ -65,9 +65,9 @@ class TestGmres:
         response = exterior_response(state)
         # measured: 5 iterations, and a residual of 1.5e-13 under the gate
         # 10 * GMRES_TOLERANCE * |kappa|
-        assert 0 < response.iterations <= 8
+        assert 0 < response.solve.iterations <= 8
         limit = 10.0 * field.GMRES_TOLERANCE * np.linalg.norm(state.curvature.samples)
-        assert 0.0 < response.residual <= limit
+        assert 0.0 < response.solve.residual <= limit
 
 
 class TestResidualGate:
