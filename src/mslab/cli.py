@@ -8,14 +8,18 @@ Commands::
     mslab kernel   --n 512 --length 200 --out kernel.csv
 
 Exit codes: 0 ok, 2 config or input error (including a triad CSV with a
-non-finite value, a negative value in any column but t, or too few evenly
-spaced rows, a simulation whose schedule keeps too few of them, and a
-grid, of a run or of the kernel, above :data:`mslab.field.MAX_POINTS`),
+non-finite value, a negative value in any column but t, fewer than 3 rows,
+or times that repeat or go back, a simulation whose schedule keeps fewer
+than 3 snapshots, a grid, of a run or of the kernel, above
+:data:`mslab.field.MAX_POINTS`, and an ``--out`` that cannot be written),
 3 slope blow-up, 4 solver failure (the exterior solve of a state failed:
 GMRES did not converge or missed its residual gate, or the grid does not
 resolve the state; only the nonlinear engine solves, so only a nonlinear
 run exits 4), 5 verification failure.  :func:`main` alone maps an
 error to its exit code, and prints the error's message.
+``verify`` takes the triad's rows at any increasing t: with gaps a before
+and b after a row, d/dt has the weights -b/(a(a+b)), (b-a)/(ab), a/(b(a+b))
+and Simpson's rule integrates D with (a+b)/6 [2-b/a, (a+b)^2/(ab), 2-a/b].
 All numbers are printed with 17 significant digits so CSV output
 round-trips doubles losslessly, and output files are written atomically
 (temp file plus rename) with the mode ``open()`` would give them.
@@ -55,44 +59,39 @@ def _csv_row(values):
 
 
 def _atomic_write(path, text):
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-mslab-")
     umask = os.umask(0)
     os.umask(umask)
+    tmp = None
     try:
-        os.fchmod(fd, 0o666 & ~umask)
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".tmp-mslab-")
         with os.fdopen(fd, "w") as handle:
+            os.fchmod(fd, 0o666 & ~umask)
             handle.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise ConfigError("<out>", f"cannot write {path}: {exc}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
-def _triad_csv(samples):
-    lines = [",".join(TRIAD_FIELDS)]
-    lines += [_csv_row(row) for row in diagnostics.triad_table(samples).tolist()]
-    return "\n".join(lines) + "\n"
+def _csv(header, rows):
+    """The header line, then one :func:`_csv_row` line per row."""
+    return "".join(f"{line}\n" for line in [",".join(header), *map(_csv_row, rows)])
 
 
 def _trajectory_csv(traj, grid):
     """Time and height samples of every kept state; the header names the
     N samples of the run's grid even when the run kept no state."""
-    n = grid.num_points
-    header = ",".join(["t"] + [f"h_{j}" for j in range(n)])
-    lines = [header]
-    for t, state in zip(traj.times, traj.states):
-        lines.append(_csv_row([t] + state.h.samples.tolist()))
-    return "\n".join(lines) + "\n"
+    header = ["t"] + [f"h_{j}" for j in range(grid.num_points)]
+    return _csv(header, ([t, *state.h.samples.tolist()] for t, state in zip(traj.times, traj.states)))
 
 
 def _solver_csv(traj, dt):
     """The step, its time and the :class:`~mslab.field.SolveRecord` of
     every nonlinear step."""
-    lines = [",".join(("step", "t") + SolveRecord._fields)]
-    lines += [_csv_row([step, step * dt, *record]) for step, record in enumerate(traj.solves, start=1)]
-    return "\n".join(lines) + "\n"
+    rows = ([step, step * dt, *record] for step, record in enumerate(traj.solves, start=1))
+    return _csv(("step", "t") + SolveRecord._fields, rows)
 
 
 def cmd_simulate(args):
@@ -100,22 +99,23 @@ def cmd_simulate(args):
     print the status line; the failure of a failed run then reaches :func:`main`."""
     config = load_config(args.config)
     cfg = config.evolution
-    # verify's centered differences need three snapshots on the output
-    # cadence; an off-cadence last snapshot does not count
+    # verify's three-point stencils need three snapshots
     steps = snapshot_steps(cfg)
-    even = sum(step % cfg.output_every == 0 for step in steps)
-    if even < 3:
+    if len(steps) < 3:
         raise ConfigError(
             "evolution",
             f"t_end/dt = {steps[-1]} with output_every = {cfg.output_every} "
-            f"keeps {even} evenly spaced snapshots; verify needs at least 3",
+            f"keeps {len(steps)} snapshots; verify needs at least 3",
         )
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("<out>", f"cannot write {args.out}: {exc}") from exc
     profile = build_initial_profile(cfg.grid, config.initial_data)
     traj = run(profile, cfg)
-    samples = triad_series(traj)
-    os.makedirs(args.out, exist_ok=True)
+    triad = diagnostics.triad_table(triad_series(traj)).tolist()
     _atomic_write(os.path.join(args.out, "trajectory.csv"), _trajectory_csv(traj, cfg.grid))
-    _atomic_write(os.path.join(args.out, "triad.csv"), _triad_csv(samples))
+    _atomic_write(os.path.join(args.out, "triad.csv"), _csv(TRIAD_FIELDS, triad))
     _atomic_write(os.path.join(args.out, "solver.csv"), _solver_csv(traj, cfg.dt))
     print(f"status: {traj.status}; {len(traj)} snapshots written to {args.out}")
     if traj.failure is not None:
@@ -152,25 +152,26 @@ def _parse_triad_csv(path):
     return samples
 
 
-def _report_json(reports, extra=None):
-    payload = {
-        "checks": [
-            {
-                "name": r.name,
-                "empirical_sup": r.empirical_sup,
-                "threshold": r.threshold,
-                "pass": r.passed,
-                "num_samples": r.num_samples,
-                "t_sup": r.t_sup,
-                "num_excluded": r.num_excluded,
-            }
-            for r in reports
-        ],
-        "overall_pass": all(r.passed for r in reports if r.passed is not None),
-    }
-    if extra:
-        payload.update(extra)
-    return payload
+def _write_report(path, reports, extra=None):
+    """Write the reports, then ``extra``, as JSON to ``path`` and return
+    whether every check that ran passed.  A non-finite sup is written as
+    null, so the file is strict JSON (RFC 8259)."""
+    passed = all(r.passed for r in reports if r.passed is not None)
+    checks = [
+        {
+            "name": r.name,
+            "empirical_sup": r.empirical_sup if np.isfinite(r.empirical_sup) else None,
+            "threshold": r.threshold,
+            "pass": r.passed,
+            "num_samples": r.num_samples,
+            "t_sup": r.t_sup,
+            "num_excluded": r.num_excluded,
+        }
+        for r in reports
+    ]
+    payload = {"checks": checks, "overall_pass": passed} | (extra or {})
+    _atomic_write(path, json.dumps(payload, indent=2, allow_nan=False) + "\n")
+    return passed
 
 
 def _require_schedule(samples, cfg):
@@ -194,15 +195,14 @@ def cmd_verify(args):
     samples = _parse_triad_csv(args.traj)
     reports = run_named_checks(samples, config.checks)
     _require_schedule(samples, config.evolution)
-    payload = _report_json(reports)
-    _atomic_write(args.out, json.dumps(payload, indent=2) + "\n")
+    passed = _write_report(args.out, reports)
     for r in reports:
         if r.passed is None:
             print(f"SKIP {r.name}: regime not entered")
             continue
         print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: "
               f"sup={r.empirical_sup:.6g} threshold={r.threshold:.6g}")
-    return EXIT_OK if payload["overall_pass"] else EXIT_VERIFY_FAILED
+    return EXIT_OK if passed else EXIT_VERIFY_FAILED
 
 
 def fit_loglog_slope(times, values):
@@ -241,13 +241,9 @@ def cmd_rates(args):
         name: fit_loglog_slope(columns.t[late], getattr(columns, name)[late])
         for name in ("E", "D", "sup_h", "sup_slope")
     }
-    payload = _report_json(
-        reports,
-        extra={"H0": h0_norm, "late_time_start": t_late, "slopes": slopes},
-    )
-    _atomic_write(args.out, json.dumps(payload, indent=2) + "\n")
+    passed = _write_report(args.out, reports, {"H0": h0_norm, "late_time_start": t_late, "slopes": slopes})
     print(json.dumps(slopes))
-    return EXIT_OK if payload["overall_pass"] else EXIT_VERIFY_FAILED
+    return EXIT_OK if passed else EXIT_VERIFY_FAILED
 
 
 def cmd_kernel(args):
@@ -263,8 +259,7 @@ def cmd_kernel(args):
     shift = args.n // 2
     x = np.concatenate((grid.nodes[shift:] - grid.length, grid.nodes[:shift]))
     g = np.concatenate((mask.samples[shift:], mask.samples[:shift]))
-    lines = ["x,G"] + [f"{_fmt(xi)},{_fmt(gi)}" for xi, gi in zip(x, g)]
-    _atomic_write(args.out, "\n".join(lines) + "\n")
+    _atomic_write(args.out, _csv(["x", "G"], zip(x, g)))
     print(f"kernel written to {args.out}; G(0) = {mask.samples[0]:.6f}")
     return EXIT_OK
 

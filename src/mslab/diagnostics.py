@@ -339,56 +339,55 @@ def check_algebraic(samples, thresholds=None):
     return _reports(sides, c.t, thresholds)
 
 
-def _uniform_cadence(times):
-    """Common time step of the snapshots and how many samples lie on it.
-
-    The short last interval of a run whose end is off its output cadence
-    (:func:`mslab.evolution.run`) is left out; other uneven spacing, and
-    times that repeat or go back, raise.
+def _three_point_stencils(times):
+    """The derivative and the two-panel mean of a column (time along its
+    last axis) at the interior samples of ``times``, from the gap a before
+    and the gap b after each: f' ~ [-b/(a(a+b)), (b-a)/(ab), a/(b(a+b))],
+    evaluated as the centered difference plus (b-a)/(a+b) times the
+    difference of the one-sided slopes, and by Simpson's rule for uneven
+    panels 1/(a+b) int f dt ~ [2-b/a, (a+b)^2/(ab), 2-a/b]/6.  With a = b
+    they are the centered difference and the 1-4-1 rule.  Times that repeat
+    or go back, or fewer than three, raise :class:`InsufficientSamples`.
     """
+    _check_usable(times, 3)
     gaps = np.diff(np.asarray(times, dtype=float))
     if not np.all(gaps > 0.0):
         raise InsufficientSamples("snapshot times must increase; found equal or decreasing t")
+    a, b = gaps[:-1], gaps[1:]
+    span = a + b
 
-    def uneven(g):
-        return np.ptp(g) > 1e-6 * g.mean()
+    def derivative(f):
+        before, mid, after = f[..., :-2], f[..., 1:-1], f[..., 2:]
+        return (after - before) / span + (b - a) / span * ((mid - before) / a - (after - mid) / b)
 
-    if len(gaps) > 2 and uneven(gaps) and not uneven(gaps[:-1]) and gaps[-1] < gaps[0]:
-        gaps = gaps[:-1]
-    if len(gaps) < 2:
-        raise InsufficientSamples("centered differences need >= 3 evenly spaced samples")
-    if uneven(gaps):
-        raise InsufficientSamples("centered differences need a uniform cadence")
-    return gaps.mean(), len(gaps) + 1
+    def mean(f):
+        before, mid, after = f[..., :-2], f[..., 1:-1], f[..., 2:]
+        return ((2.0 - b / a) * before + span * span / (a * b) * mid + (2.0 - a / b) * after) / 6.0
+
+    return derivative, mean
 
 
 @np.errstate(all="ignore")
 def check_differential(samples, thresholds=None):
-    """Verification of the differential relations on three-sample stencils.
+    """Verification of the differential relations on three-point stencils,
+    which :func:`_three_point_stencils` builds for any increasing times.
 
-    ``energy_dissipation`` measures the integrated identity
-    E(t+dt) - E(t-dt) = -int D dt with Simpson's rule for the integral,
-    |E_{i+1} - E_{i-1} + (dt/3)(D_{i-1} + 4 D_i + D_{i+1})| / (2 dt D_i),
-    so coarse snapshots do not add the O(dt^2) error of a difference
-    quotient.  ``dissipation_rate`` bounds (dD/dt + int V_s^2)/(D^{5/2} +
-    E D^3) from above and ``distance_rate`` does the same for dH/dt against
-    H^{1/2} E^{1/6} D^{7/12}, both with centered differences.  Only
-    interior samples enter, so there is no one-sided bias at the
-    trajectory ends.
+    ``energy_dissipation`` measures E(t_{i+1}) - E(t_{i-1}) = -int D dt in
+    integrated form, |(E_{i+1} - E_{i-1})/(a+b) + mean D| / D_i with
+    Simpson's rule for the mean, so coarse snapshots do not add the O(dt^2)
+    error of a difference quotient.  ``dissipation_rate`` bounds
+    (dD/dt + int V_s^2)/(D^{5/2} + E D^3) from above and ``distance_rate``
+    does the same for dH/dt against H^{1/2} E^{1/6} D^{7/12}.  Only interior
+    samples enter, so there is no one-sided bias at the trajectory ends.
     """
     c = triad_columns(samples)
-    dt, count = _uniform_cadence(c.t)
-    prev, mid, nxt = slice(0, count - 2), slice(1, count - 1), slice(2, count)
-    E, D, H = c.E, c.D, c.H
-
-    de = (E[nxt] - E[prev]) / (2.0 * dt)
-    d_simpson = (D[prev] + 4.0 * D[mid] + D[nxt]) / 6.0
-    ddis = (D[nxt] - D[prev]) / (2.0 * dt)
-    dhd = (H[nxt] - H[prev]) / (2.0 * dt)
+    derivative, mean = _three_point_stencils(c.t)
+    mid = slice(1, -1)
+    E, D = c.E[mid], c.D[mid]
     sides = {
-        "energy_dissipation": (np.abs(de + d_simpson), D[mid]),
-        "dissipation_rate": (ddis + c.intVs2[mid], _pow(D[mid], 2.5) + E[mid] * _pow(D[mid], 3)),
-        "distance_rate": (dhd, np.sqrt(H[mid]) * _pow(E[mid], 1.0 / 6.0) * _pow(D[mid], 7.0 / 12.0)),
+        "energy_dissipation": (np.abs((c.E[2:] - c.E[:-2]) / (c.t[2:] - c.t[:-2]) + mean(c.D)), D),
+        "dissipation_rate": (derivative(c.D) + c.intVs2[mid], _pow(D, 2.5) + E * _pow(D, 3)),
+        "distance_rate": (derivative(c.H), np.sqrt(c.H[mid]) * _pow(E, 1.0 / 6.0) * _pow(D, 7.0 / 12.0)),
     }
     return _reports(sides, c.t[mid], thresholds)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mslab.diagnostics import RatioReport, _uniform_cadence
+from mslab.diagnostics import RatioReport, _three_point_stencils
 from mslab.field import GRADING
 from mslab.geometry import build_state, sup_slope
 from mslab.spectral import Grid, SpectralProfile, derivative
@@ -161,23 +161,24 @@ def check_curvature_evolution(traj):
     """Material-derivative identity for the curvature along the flow.
 
     Along particle paths the curvature obeys Dkappa/dt = -V_ss - kappa^2 V.
-    The left side is reconstructed from centered time differences of kappa
-    at fixed x plus the convective correction V h_x kappa_x / sqrt(1+h_x^2)
-    (grid points travel vertically, particles travel along the normal).
+    The left side is reconstructed from the three-point time derivative of
+    kappa at fixed x (the stencil of ``check_differential``, on any
+    increasing snapshot times) plus the convective correction
+    V h_x kappa_x / sqrt(1+h_x^2) (grid points travel vertically,
+    particles travel along the normal).
     Both sides are low-pass filtered to the lowest N/8 modes before the
     relative L2 defect is taken, and the largest defect is held to
     :data:`CURVATURE_EVOLUTION_THRESHOLD`.
     """
-    dt, count = _uniform_cadence(traj.times)
+    time_derivative, _ = _three_point_stencils(traj.times)
     grid = traj.states[0].grid
     keep = max(2, grid.num_points // 8)
+    kappa_ts = time_derivative(np.array([state.curvature.samples for state in traj.states]).T).T
 
     sides = []
-    middle = zip(traj.states[1:count - 1], traj.responses[1:count - 1])
-    for prev, (state, response), nxt in zip(traj.states, middle, traj.states[2:count]):
+    for state, response, kappa_t in zip(traj.states[1:-1], traj.responses[1:-1], kappa_ts):
         v = response.velocity.samples
         kappa, ds = state.curvature, state.line_element
-        kappa_t = (nxt.curvature.samples - prev.curvature.samples) / (2.0 * dt)
         lhs = kappa_t + v * state.slope.samples * derivative(kappa, 1).samples / ds
         v_s = derivative(SpectralProfile.from_samples(grid, v), 1).samples / ds
         v_ss = derivative(SpectralProfile.from_samples(grid, v_s), 1).samples / ds
@@ -187,7 +188,7 @@ def check_curvature_evolution(traj):
 
     defect, scale = np.reshape(sides, (-1, 2)).T
     return RatioReport.from_sides(
-        "curvature_evolution", defect, scale, CURVATURE_EVOLUTION_THRESHOLD, traj.times[1:count - 1]
+        "curvature_evolution", defect, scale, CURVATURE_EVOLUTION_THRESHOLD, traj.times[1:-1]
     )
 
 

@@ -333,15 +333,26 @@ class TestSimulate:
             in_memory = [getattr(sample, name) for name in TRIAD_FIELDS]
             assert parsed == in_memory  # %.17g round-trips doubles exactly
 
-    @pytest.mark.parametrize("t_end, output_every", [(0.02, 10), (0.012, 5)])
+    @pytest.mark.parametrize("t_end, output_every", [(0.02, 10)])
     def test_too_few_snapshots_for_verify_exit_2(self, tmp_path, capsys, t_end, output_every):
-        # 10 steps every 10 keep t = 0 and 0.02; 6 steps every 5 keep t = 0,
-        # 0.01 and the off-cadence 0.012: verify rejects either triad.csv
+        # 10 steps every 10 keep t = 0 and 0.02: verify would reject the triad.csv
         path, _ = small_config(tmp_path, evolution={"t_end": t_end, "output_every": output_every})
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
-        assert "keeps 2 evenly spaced snapshots; verify needs at least 3" in capsys.readouterr().err
+        assert "keeps 2 snapshots; verify needs at least 3" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_three_off_cadence_snapshots_verify(self, tmp_path):
+        # 6 steps every 5 keep t = 0, 0.01 and the off-cadence 0.012
+        path, _ = small_config(tmp_path, evolution={"t_end": 0.012, "output_every": 5})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        assert len((out / "triad.csv").read_text().splitlines()) == 1 + 3
+        report_path = tmp_path / "report.json"
+        code = main(["verify", "--traj", str(out / "triad.csv"), "--config", str(path), "--out", str(report_path)])
+        assert code in (0, 5)
+        counts = {c["name"]: c["num_samples"] for c in json.loads(report_path.read_text())["checks"]}
+        assert counts["energy_dissipation"] == 1
 
     def test_slope_blowup_exit_code(self, tmp_path):
         path, _ = small_config(
@@ -530,6 +541,21 @@ class TestVerify:
         assert code == 5
         assert json.loads(report_path.read_text())["overall_pass"] is False
 
+    def test_non_finite_sup_is_null(self, tmp_path, triad_csv):
+        # curv_L2 = 1e308 over E^{1/3} D^{2/3} < 1 overflows curvature_l2 to inf
+        config_path, csv_path = triad_csv
+        rows, _ = self._edit_middle(csv_path, "curv_L2", "1e308")
+        code, report_path = self._verify(tmp_path, config_path, rows)
+        assert code == 5
+
+        def strict(token):
+            raise ValueError(f"{token} is not JSON")
+
+        payload = json.loads(report_path.read_text(), parse_constant=strict)
+        (check,) = [c for c in payload["checks"] if c["name"] == "curvature_l2"]
+        assert check["empirical_sup"] is None and check["pass"] is False
+        assert payload["overall_pass"] is False
+
     def test_single_cell_edits_exit_0_2_or_5(self, tmp_path, capsys):
         path, _ = small_config(tmp_path, evolution={"grid": {"length": 6.283185307179586, "num_points": 64}})
         out = tmp_path / "out"
@@ -597,7 +623,9 @@ class TestVerify:
         rows[2] = ",".join(parts)
         code, _ = self._verify(tmp_path, config_path, rows)
         assert code == 2
-        assert "cadence" in capsys.readouterr().err
+        # the checks take uneven times; the schedule guard refuses the file
+        err = capsys.readouterr().err
+        assert "no row at t = 0.004" in err and "(step 2) of the configured run" in err
 
     def test_shared_time_exit_2(self, tmp_path, triad_csv, capsys):
         # rows that all carry one t leave no time step to difference over
@@ -676,10 +704,10 @@ class TestVerify:
             "verify", "--traj", str(out / "triad.csv"), "--config", str(path),
             "--out", str(report_path),
         ])
-        assert code in (0, 5)
+        assert code == 0
         checks = json.loads(report_path.read_text())["checks"]
         counts = {c["name"]: c["num_samples"] for c in checks}
-        assert counts["energy_dissipation"] == 3  # interior of t = 0 .. 0.04
+        assert counts["energy_dissipation"] == 4  # interior of t = 0 .. 0.042
         assert counts["curvature_l2"] == 6  # every row, t = 0.042 included
 
     def test_exact_flow_at_coarse_cadence_verifies(self, tmp_path):
@@ -749,6 +777,30 @@ class TestOutputFiles:
 
         values = np.array([-0.0, 0.1, 1.0 / 3.0, 5e-324, -1e300, np.inf, np.nan])
         assert cli._csv_row(values.tolist()) == ",".join(f"{v:.17g}" for v in values)
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify", "rates", "kernel"])
+def test_unwritable_out_exit_2(tmp_path, capsys, monkeypatch, command):
+    # simulate's --out names an existing file, the others a file in a missing directory
+    path, _ = small_config(tmp_path)
+    triad = tmp_path / "run" / "triad.csv"
+    assert main(["simulate", "--config", str(path), "--out", str(triad.parent)]) == 0
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    bad = str(blocker) if command == "simulate" else str(tmp_path / "missing" / "x")
+    args = {
+        "simulate": ["--config", str(path)],
+        "verify": ["--traj", str(triad), "--config", str(path)],
+        "rates": ["--config", str(path)],
+        "kernel": ["--n", "64", "--length", "20"],
+    }[command]
+    if command == "simulate":
+        # a bad --out fails before any step
+        monkeypatch.setattr(cli, "run", lambda *a: pytest.fail("simulate stepped before making --out"))
+    capsys.readouterr()
+    assert main([command, *args, "--out", bad]) == 2
+    assert f"config error at <out>: cannot write {bad}" in capsys.readouterr().err
+    assert blocker.read_text() == "" and not (tmp_path / "missing").exists()
 
 
 class TestKernelCommand:

@@ -27,7 +27,7 @@ from mslab.errors import (
     SolverDivergence,
     ZeroModeNonzero,
 )
-from mslab.evolution import EvolutionConfig, Trajectory, run
+from mslab.evolution import EvolutionConfig, Trajectory, linear_response, linear_solve_exact, run
 from mslab.config import build_initial_profile
 from mslab.field import StripConfig, exterior_response
 from mslab.geometry import build_state, sup_slope, to_arclength
@@ -455,10 +455,10 @@ class TestCheckDifferential:
         with pytest.raises(InsufficientSamples):
             check_differential(proxy_samples([0.0, 1.0], lambda t: 1.0, lambda t: 1.0))
 
-    def test_nonuniform_cadence_rejected(self):
-        samples = proxy_samples([0.0, 0.1, 0.3], lambda t: 1.0, lambda t: 1.0)
-        with pytest.raises(InsufficientSamples):
-            check_differential(samples)
+    def test_times_must_increase(self):
+        for ts in ([0.0, 0.3, 0.1], [0.0, 0.1, 0.1]):
+            with pytest.raises(InsufficientSamples, match="equal or decreasing t"):
+                check_differential(proxy_samples(ts, lambda t: 1.0, lambda t: 1.0))
 
 
 def test_linear_engine_dissipates_its_own_d():
@@ -734,27 +734,84 @@ class TestNonFiniteSamples:
 
 
 class TestCadence:
-    def test_short_final_interval_left_out(self):
+    def test_short_final_interval_counted(self):
         # a run whose end is off its output cadence closes with a shorter interval
         ts = [0.0, 0.1, 0.2, 0.3, 0.32]
         decay = lambda t: np.exp(-t)  # noqa: E731
         reports = check_differential(proxy_samples(ts, decay, decay, H=decay))
-        assert all(r.num_samples == 2 for r in reports)
+        assert all(r.num_samples == 3 for r in reports)
 
-    def test_other_uneven_cadence_rejected(self):
+    def test_other_uneven_cadence_differenced(self):
+        # E = D = e^{-t} satisfies dE/dt = -D; on these gaps the uniform
+        # formulas over the mean gap read 0.11 and 0.16, these stencils 4.1e-5 and 1.6e-5
+        decay = lambda t: np.exp(-t)  # noqa: E731
         for ts in ([0.0, 0.1, 0.2, 0.3, 0.45], [0.0, 0.1, 0.15, 0.25, 0.35]):
-            samples = proxy_samples(ts, lambda t: 1.0, lambda t: 1.0)
-            with pytest.raises(InsufficientSamples):
-                check_differential(samples)
+            reports = {r.name: r for r in check_differential(proxy_samples(ts, decay, decay, H=decay))}
+            assert all(r.num_samples == 3 for r in reports.values())
+            assert reports["energy_dissipation"].empirical_sup <= 1e-4
 
     def test_curvature_evolution_shares_the_rule(self, strip):
         grid = Grid(L, 64)
         flat = build_state(make_state(grid, np.zeros(64)))
         traj = Trajectory()
         response = exterior_response(flat)
-        for t in (0.0, 0.1, 0.2, 0.25):
+        for t in (0.0, 0.1, 0.2, 0.25, 0.5):
             traj.append(t, flat, response)
-        assert check_curvature_evolution(traj).passed
-        traj.append(0.5, flat, response)
-        with pytest.raises(InsufficientSamples):
+        report = check_curvature_evolution(traj)
+        # the flat state's three interior samples are 0/0, so left out
+        assert report.passed and report.num_excluded == 3
+        traj.times[-1] = 0.25  # Trajectory.append refuses a repeated time
+        with pytest.raises(InsufficientSamples, match="equal or decreasing t"):
             check_curvature_evolution(traj)
+
+
+class TestUnevenStencils:
+    def test_exact_for_quadratics(self):
+        # f = 3t^2 - 2t + 1 on random increasing times, one column per row
+        t = np.cumsum(np.random.default_rng(5).uniform(0.01, 1.0, 12))
+        derivative, mean = diagnostics._three_point_stencils(t)
+        f = np.array([3 * t**2 - 2 * t + 1, t])
+        antiderivative = t**3 - t**2 + t
+        exact_mean = (antiderivative[2:] - antiderivative[:-2]) / (t[2:] - t[:-2])
+        np.testing.assert_allclose(derivative(f), [6 * t[1:-1] - 2, np.ones(10)], rtol=1e-12)
+        np.testing.assert_allclose(mean(f)[0], exact_mean, rtol=1e-12)
+        np.testing.assert_allclose(mean(f)[1], (t[:-2] + t[2:]) / 2, rtol=1e-12)
+
+    def test_log_spaced_exact_flow_passes(self):
+        # the exact linear flow at 40 times from 1e-3 to 1, each gap 19%
+        # longer than the one before; energy_dissipation was measured at
+        # 5.3e-4 (at t = 0.70) before this bound of 1e-3 was written
+        grid = Grid(16.0, 128)
+        h0 = build_initial_profile(grid, {"preset": "gaussian_bump", "amplitude": 0.15, "width": 1.0})
+        traj = Trajectory()
+        for t in np.geomspace(1e-3, 1.0, 40):
+            state = build_state(linear_solve_exact(h0, t, 2.0))
+            traj.append(t, state, linear_response(state, 2.0))
+        samples = triad_series(traj)
+        reports = {r.name: r for r in check_differential(samples)}
+        assert all(r.passed and r.num_samples == 38 for r in reports.values())
+        assert reports["energy_dissipation"].empirical_sup <= 1e-3
+        # the same triad with D doubled breaks dE/dt = -D by half of D
+        doubled = {r.name: r for r in check_differential([replace(s, D=2.0 * s.D) for s in samples])}
+        assert not doubled["energy_dissipation"].passed
+        assert doubled["energy_dissipation"].empirical_sup >= 0.4
+
+    def test_uniform_schedule_gives_the_closed_formulas(self):
+        # the centered differences and the 1-4-1 Simpson rule over 2 dt
+        grid = Grid(16.0, 128)
+        traj = run(
+            build_initial_profile(grid, {"preset": "gaussian_bump", "amplitude": 0.15, "width": 1.0}),
+            EvolutionConfig("linear", dt=2e-3, t_end=0.042, grid=grid),
+        )
+        samples = triad_series(traj)
+        c = diagnostics.triad_columns(samples)
+        dt = (c.t[-1] - c.t[0]) / (len(c.t) - 1)
+        E, D, H = c.E[1:-1], c.D[1:-1], c.H[1:-1]
+        closed = {
+            "energy_dissipation": np.abs((c.E[2:] - c.E[:-2]) / (2 * dt) + (c.D[:-2] + 4 * D + c.D[2:]) / 6) / D,
+            "dissipation_rate": ((c.D[2:] - c.D[:-2]) / (2 * dt) + c.intVs2[1:-1]) / (D**2.5 + E * D**3),
+            "distance_rate": (c.H[2:] - c.H[:-2]) / (2 * dt) / (np.sqrt(H) * E ** (1 / 6) * D ** (7 / 12)),
+        }
+        for r in check_differential(samples):
+            assert r.num_samples == len(samples) - 2
+            assert r.empirical_sup == pytest.approx(closed[r.name].max(), rel=1e-13, abs=0.0), r.name
