@@ -7,21 +7,25 @@ Commands::
     mslab rates    --config cfg.json --out report.json
     mslab kernel   --n 512 --length 200 --out kernel.csv
 
-Exit codes: 0 ok, 2 config or input error (including a triad CSV with a
-non-finite value, a negative value in any column but t, fewer than 3 rows,
-or times that repeat or go back, a simulation whose schedule keeps fewer
-than 3 snapshots, a grid, of a run or of the kernel, above
-:data:`mslab.field.MAX_POINTS`, and an ``--out`` that cannot be written),
+Exit codes: 0 ok, 2 config or input error (including a config or triad
+CSV that is not UTF-8, a config nested too deeply for the JSON parser, a
+triad CSV with a non-finite value, a negative value in any column but t,
+fewer than 3 rows, or times that repeat or go back, a simulation whose
+schedule keeps fewer than 3 snapshots, a grid, of a run or of the kernel,
+above :data:`mslab.field.MAX_POINTS`, and an ``--out`` that cannot be
+written),
 3 slope blow-up, 4 solver failure (the exterior solve of a state failed:
 GMRES did not converge or missed its residual gate, or the grid does not
 resolve the state; only the nonlinear engine solves, so only a nonlinear
 run exits 4), 5 verification failure.  :func:`main` alone maps an
 error to its exit code, and prints the error's message.
-``verify`` takes the triad's rows at any increasing t: with gaps a before
+``verify`` runs every check of :data:`mslab.diagnostics.CSV_CHECKS` at its
+threshold there; a report's ``empirical_sup`` can be judged against any
+other.  It takes the triad's rows at any increasing t: with gaps a before
 and b after a row, d/dt has the weights -b/(a(a+b)), (b-a)/(ab), a/(b(a+b))
 and Simpson's rule integrates D with (a+b)/6 [2-b/a, (a+b)^2/(ab), 2-a/b].
-All numbers are printed with 17 significant digits so CSV output
-round-trips doubles losslessly, and output files are written atomically
+All numbers in CSV output are printed with 17 significant digits so they
+round-trip doubles losslessly, and output files are written atomically
 (temp file plus rename) with the mode ``open()`` would give them.
 """
 
@@ -35,7 +39,7 @@ import numpy as np
 
 from . import diagnostics
 from .config import _parse_grid, build_initial_profile, load_config
-from .diagnostics import TRIAD_FIELDS, TriadSample, run_named_checks, triad_series
+from .diagnostics import TRIAD_FIELDS, TriadSample, triad_series
 from .errors import ConfigError, InsufficientSamples, SlopeBlowup, SolverDivergence
 from .evolution import kernel_mask, run, snapshot_steps
 from .field import MAX_POINTS, SolveRecord
@@ -125,10 +129,12 @@ def cmd_simulate(args):
 
 def _parse_triad_csv(path):
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             rows = [line.strip() for line in handle if line.strip()]
     except OSError as exc:
         raise ConfigError("<traj>", f"cannot read triad CSV: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError("<traj>", f"triad CSV is not UTF-8: {exc}") from exc
     if not rows or rows[0].split(",") != list(TRIAD_FIELDS):
         raise ConfigError("<traj>", "triad CSV header does not match the schema")
     samples = []
@@ -183,17 +189,18 @@ def _require_schedule(samples, cfg):
     tolerance = 1e-12 * steps[-1] * cfg.dt
     for i, step in enumerate(steps):
         if i >= len(times) or abs(times[i] - step * cfg.dt) > tolerance:
-            raise ConfigError("<traj>", f"no row at t = {_fmt(step * cfg.dt)} (step {step}) of the configured run")
+            raise ConfigError("<traj>", f"no row at t = {step * cfg.dt!r} (step {step}) of the configured run")
     if len(times) > len(steps):
-        raise ConfigError("<traj>", f"row at t = {_fmt(times[len(steps)])} lies past the configured run")
+        raise ConfigError("<traj>", f"row at t = {times[len(steps)]!r} lies past the configured run")
 
 
 def cmd_verify(args):
-    """Check the triad CSV against the configured checks; the file's own
-    faults are named before a mismatch with the configured schedule."""
+    """Run every check of :data:`~mslab.diagnostics.CSV_CHECKS` on the triad
+    CSV; the file's own faults are named before a mismatch with the
+    configured schedule."""
     config = load_config(args.config)
     samples = _parse_triad_csv(args.traj)
-    reports = run_named_checks(samples, config.checks)
+    reports = diagnostics.run_checks(samples)
     _require_schedule(samples, config.evolution)
     passed = _write_report(args.out, reports)
     for r in reports:

@@ -11,15 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import CSV_CHECKS
 from .errors import ConfigError
 from .evolution import EvolutionConfig
 from .field import MAX_POINTS, default_strip_config
 from .geometry import build_state, sup_slope
 from .spectral import Grid, SpectralProfile
-
-#: (name, threshold) of every check computable from the triad CSV, at its default
-DEFAULT_CHECKS = tuple((name, threshold) for name, (_, threshold) in CSV_CHECKS.items())
 
 PRESETS = ("gaussian_bump", "mode", "wavelet")
 
@@ -28,7 +24,6 @@ PRESETS = ("gaussian_bump", "mode", "wavelet")
 class RunConfig:
     initial_data: dict
     evolution: EvolutionConfig
-    checks: tuple = DEFAULT_CHECKS
 
 
 def _want(obj, path, typ, name):
@@ -102,28 +97,6 @@ def _parse_evolution(raw, path):
         raise ConfigError(path, str(exc)) from exc
 
 
-def _parse_checks(raw, path):
-    if raw is None:
-        return DEFAULT_CHECKS
-    if not isinstance(raw, list):
-        raise ConfigError(path, "expected a list of {name, threshold} objects")
-    if not raw:
-        raise ConfigError(path, "the check list is empty; omit it to run every check")
-    out = {}
-    for i, item in enumerate(raw):
-        ipath = f"{path}[{i}]"
-        item = _want(item, ipath, dict, "an object")
-        _check_keys(item, ipath, {"name", "threshold"}, {"name"})
-        name = _want(item["name"], f"{ipath}.name", str, "a string")
-        if name not in CSV_CHECKS:
-            raise ConfigError(f"{ipath}.name", f"unknown check '{name}'")
-        if name in out:
-            raise ConfigError(f"{ipath}.name", f"check '{name}' is listed twice")
-        threshold = item.get("threshold", CSV_CHECKS[name][1])
-        out[name] = _want(threshold, f"{ipath}.threshold", float, "a number")
-    return tuple(out.items())
-
-
 def _parse_initial(raw, path):
     _check_keys(
         raw,
@@ -174,16 +147,13 @@ def build_initial_profile(grid, initial_data):
 def parse_config(raw):
     """Validate a decoded JSON document and build a :class:`RunConfig`."""
     raw = _want(raw, "<root>", dict, "a JSON object")
-    _check_keys(
-        raw, "", {"initial_data", "evolution", "checks", "seed"}, {"initial_data", "evolution"}
-    )
+    _check_keys(raw, "", {"initial_data", "evolution", "seed"}, {"initial_data", "evolution"})
     initial = _parse_initial(
         _want(raw["initial_data"], "initial_data", dict, "an object"), "initial_data"
     )
     evolution = _parse_evolution(
         _want(raw["evolution"], "evolution", dict, "an object"), "evolution"
     )
-    checks = _parse_checks(raw.get("checks"), "checks")
     # validated, then dropped: every preset is deterministic
     _want(raw.get("seed", 0), "seed", int, "an integer")
 
@@ -196,15 +166,19 @@ def parse_config(raw):
         )
     if not math.isfinite(profile.max_abs()):
         raise ConfigError("initial_data", "preset produced non-finite samples")
-    return RunConfig(initial, evolution, checks)
+    return RunConfig(initial, evolution)
 
 
 def load_config(path):
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             raw = json.load(handle)
     except OSError as exc:
         raise ConfigError("<file>", f"cannot read config: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError("<file>", f"config is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError("<file>", f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError("<file>", "invalid JSON: nested too deeply") from exc
     return parse_config(raw)

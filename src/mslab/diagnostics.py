@@ -33,25 +33,24 @@ EXACT_THRESHOLD = 1.0 + 1e-9
 _pow = np.float_power
 
 #: every check computable from the triad CSV, in report order: name ->
-#: (family, default threshold).  A run configuration selects from these
-#: names only; the families are :func:`check_differential`,
-#: :func:`check_algebraic` and :func:`check_lyapunov`, which between them
-#: emit exactly these names.
+#: threshold.  :func:`run_checks` runs them all; the families
+#: :func:`check_differential`, :func:`check_algebraic` and
+#: :func:`check_lyapunov` between them emit exactly these names.
 CSV_CHECKS = {
-    "energy_dissipation": ("differential", 2e-2),
-    "dissipation_rate": ("differential", DEFAULT_THRESHOLD),
-    "distance_rate": ("differential", DEFAULT_THRESHOLD),
-    "lyapunov_e2d": ("lyapunov", 1e-3),
-    "curvature_l2": ("algebraic", DEFAULT_THRESHOLD),
-    "slope_e2d": ("algebraic", DEFAULT_THRESHOLD),
-    "hhalf_h": ("algebraic", DEFAULT_THRESHOLD),
-    "energy_hd": ("algebraic", DEFAULT_THRESHOLD),
-    "height_interp": ("algebraic", DEFAULT_THRESHOLD),
-    "kappa_half_d": ("algebraic", DEFAULT_THRESHOLD),
-    "kappa_neg1_e": ("algebraic", DEFAULT_THRESHOLD),
-    "slope_energy_hi": ("algebraic", EXACT_THRESHOLD),
-    "slope_energy_lo": ("algebraic", EXACT_THRESHOLD),
-    "height_l3": ("algebraic", DEFAULT_THRESHOLD),
+    "energy_dissipation": 2e-2,
+    "dissipation_rate": DEFAULT_THRESHOLD,
+    "distance_rate": DEFAULT_THRESHOLD,
+    "lyapunov_e2d": 1e-3,
+    "curvature_l2": DEFAULT_THRESHOLD,
+    "slope_e2d": DEFAULT_THRESHOLD,
+    "hhalf_h": DEFAULT_THRESHOLD,
+    "energy_hd": DEFAULT_THRESHOLD,
+    "height_interp": DEFAULT_THRESHOLD,
+    "kappa_half_d": DEFAULT_THRESHOLD,
+    "kappa_neg1_e": DEFAULT_THRESHOLD,
+    "slope_energy_hi": EXACT_THRESHOLD,
+    "slope_energy_lo": EXACT_THRESHOLD,
+    "height_l3": DEFAULT_THRESHOLD,
 }
 
 
@@ -303,22 +302,21 @@ def _check_usable(samples, minimum):
         raise InsufficientSamples(f"need at least {minimum} samples, got {len(samples)}")
 
 
-def _reports(sides, times, thresholds=None):
+def _reports(sides, times):
     """One report per named ``(lhs, rhs)`` pair sampled at ``times``, at
-    the given threshold, else the default of :data:`CSV_CHECKS`."""
-    thresholds = {name: threshold for name, (_, threshold) in CSV_CHECKS.items()} | (thresholds or {})
-    return [RatioReport.from_sides(name, lhs, rhs, thresholds[name], times)
+    its threshold of :data:`CSV_CHECKS`."""
+    return [RatioReport.from_sides(name, lhs, rhs, CSV_CHECKS[name], times)
             for name, (lhs, rhs) in sides.items()]
 
 
 @np.errstate(all="ignore")
-def check_algebraic(samples, thresholds=None):
+def check_algebraic(samples):
     """Lemma-level algebraic inequality checks, one report per inequality.
 
     The bracket between the energy and the squared slope norm
     (``slope_energy_hi``/``slope_energy_lo``) is exact algebra, so its
-    default threshold is :data:`EXACT_THRESHOLD` rather than the
-    universal-constant default.
+    threshold is :data:`EXACT_THRESHOLD` rather than the universal-constant
+    default.
     """
     _check_usable(samples, 3)
     c = triad_columns(samples)
@@ -336,7 +334,7 @@ def check_algebraic(samples, thresholds=None):
             c.h_l3, _pow(c.Hhalf, 1.0 / 3.0) * _pow(c.hx_l2, 1.0 / 6.0) * _pow(c.hxx_l2, 1.0 / 6.0)
         ),
     }
-    return _reports(sides, c.t, thresholds)
+    return _reports(sides, c.t)
 
 
 def _three_point_stencils(times):
@@ -368,7 +366,7 @@ def _three_point_stencils(times):
 
 
 @np.errstate(all="ignore")
-def check_differential(samples, thresholds=None):
+def check_differential(samples):
     """Verification of the differential relations on three-point stencils,
     which :func:`_three_point_stencils` builds for any increasing times.
 
@@ -389,10 +387,10 @@ def check_differential(samples, thresholds=None):
         "dissipation_rate": (derivative(c.D) + c.intVs2[mid], _pow(D, 2.5) + E * _pow(D, 3)),
         "distance_rate": (derivative(c.H), np.sqrt(c.H[mid]) * _pow(E, 1.0 / 6.0) * _pow(D, 7.0 / 12.0)),
     }
-    return _reports(sides, c.t[mid], thresholds)
+    return _reports(sides, c.t[mid])
 
 
-def check_lyapunov(samples, step_tol=CSV_CHECKS["lyapunov_e2d"][1]):
+def check_lyapunov(samples):
     """E^2 D must be nonincreasing once it has entered the smallness regime.
 
     Reports the largest relative step increase after the first sample with
@@ -408,32 +406,23 @@ def check_lyapunov(samples, step_tol=CSV_CHECKS["lyapunov_e2d"][1]):
     # a decrease counts as no increase; a step up from an exact zero is measured
     # against RHS_FLOOR times the largest E^2 D, and a flat state has no usable step
     increase = np.maximum(np.diff(tail), 0.0)
+    floor = np.maximum(tail[:-1], RHS_FLOOR * tail.max())
     return RatioReport.from_sides(
-        "lyapunov_e2d", increase, np.maximum(tail[:-1], RHS_FLOOR * tail.max()), step_tol,
-        c.t[inside[0] + 1:],
+        "lyapunov_e2d", increase, floor, CSV_CHECKS["lyapunov_e2d"], c.t[inside[0] + 1:]
     )
 
 
-def run_named_checks(samples, checks):
-    """Evaluate the configured ``(name, threshold)`` checks of
-    :data:`CSV_CHECKS`, each family once, and return the reports in the
-    order of ``checks``; a Lyapunov check whose regime is never entered is
-    reported with ``passed`` None."""
-    thresholds = dict(checks)
-    families = {CSV_CHECKS[name][0] for name in thresholds}
-    reports = []
-    if "differential" in families:
-        reports += check_differential(samples, thresholds)
-    if "algebraic" in families:
-        reports += check_algebraic(samples, thresholds)
-    if "lyapunov" in families:
-        step_tol = thresholds["lyapunov_e2d"]
-        try:
-            reports.append(check_lyapunov(samples, step_tol=step_tol))
-        except RegimeNeverEntered:
-            reports.append(RatioReport("lyapunov_e2d", 0.0, step_tol, None, 0, None, 0))
+def run_checks(samples):
+    """Every check of :data:`CSV_CHECKS` at its threshold, in that order; a
+    Lyapunov check whose regime is never entered is reported with
+    ``passed`` None."""
+    reports = check_differential(samples) + check_algebraic(samples)
+    try:
+        reports.append(check_lyapunov(samples))
+    except RegimeNeverEntered:
+        reports.append(RatioReport("lyapunov_e2d", 0.0, CSV_CHECKS["lyapunov_e2d"], None, 0, None, 0))
     by_name = {r.name: r for r in reports}
-    return [by_name[name] for name, _ in checks]
+    return [by_name[name] for name in CSV_CHECKS]
 
 
 @np.errstate(all="ignore")

@@ -1,4 +1,3 @@
-import inspect
 import json
 import math
 import os
@@ -51,13 +50,17 @@ def small_config(tmp_path, **overrides):
 
 
 class TestConfigValidation:
-    def test_unknown_key_rejected(self, tmp_path):
-        path, raw = small_config(tmp_path)
-        raw["surprise"] = 1
-        path.write_text(json.dumps(raw))
-        with pytest.raises(ConfigError) as err:
-            load_config(path)
-        assert "surprise" in str(err.value)
+    def test_unknown_key_rejected(self, tmp_path, capsys):
+        # verify runs every check of the registry: a check list is a key like any other
+        for key in ("surprise", "checks"):
+            path, raw = small_config(tmp_path)
+            raw[key] = [{"name": "energy_dissipation", "threshold": 0.02}]
+            path.write_text(json.dumps(raw))
+            with pytest.raises(ConfigError) as err:
+                load_config(path)
+            assert err.value.path == key and err.value.message == "unknown key"
+            assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+            assert f"config error at {key}: unknown key" in capsys.readouterr().err
 
     def test_nested_path_in_diagnostic(self, tmp_path):
         path, raw = small_config(tmp_path)
@@ -86,26 +89,9 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             load_config(path)
 
-    def test_default_checks_are_the_registry(self, tmp_path):
-        path, _ = small_config(tmp_path)
-        defaults = tuple((name, thr) for name, (_, thr) in CSV_CHECKS.items())
-        assert load_config(path).checks == defaults
-
     def test_cli_holds_no_check_dispatch(self):
-        # the families of CSV_CHECKS are resolved in mslab.diagnostics only
+        # the check families are run in mslab.diagnostics only
         assert not [name for name in vars(cli) if name.startswith("check_")]
-        source = inspect.getsource(cli)
-        assert not [family for family, _ in CSV_CHECKS.values() if f'"{family}"' in source]
-
-    def test_duplicate_check_name_rejected(self, tmp_path):
-        # a repeated name would otherwise keep only its last threshold
-        path, raw = small_config(tmp_path)
-        raw["checks"] = [{"name": "hhalf_h", "threshold": 0.5}, {"name": "hhalf_h", "threshold": 100}]
-        path.write_text(json.dumps(raw))
-        with pytest.raises(ConfigError) as err:
-            load_config(path)
-        assert "checks[1].name" in str(err.value)
-        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
 
     def test_readme_config_parses(self):
         readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -114,14 +100,6 @@ class TestConfigValidation:
         config = parse_config(json.loads(block))
         assert config.evolution.engine == "nonlinear"
         assert config.evolution.strip == default_strip_config(config.evolution.grid)
-        assert config.checks == (("energy_dissipation", 0.02),)
-
-    def test_omitted_threshold_takes_registry_default(self, tmp_path):
-        path, raw = small_config(tmp_path)
-        raw["checks"] = [{"name": "lyapunov_e2d"}, {"name": "hhalf_h", "threshold": 3}]
-        path.write_text(json.dumps(raw))
-        checks = load_config(path).checks
-        assert checks == (("lyapunov_e2d", CSV_CHECKS["lyapunov_e2d"][1]), ("hhalf_h", 3.0))
 
     @pytest.mark.parametrize(
         "section, key, value",
@@ -129,20 +107,15 @@ class TestConfigValidation:
             ("evolution", "dt", math.nan),
             ("evolution", "t_end", math.inf),
             ("evolution", "mobility", math.nan),
-            ("checks", "threshold", math.nan),
             ("evolution", "dt", 10**400),
         ],
-        ids=["dt-nan", "t_end-inf", "mobility-nan", "threshold-nan", "dt-huge-int"],
+        ids=["dt-nan", "t_end-inf", "mobility-nan", "dt-huge-int"],
     )
     def test_non_finite_number_exit_2(self, tmp_path, capsys, section, key, value):
         # json.load accepts NaN and Infinity; the config must not
         path, raw = small_config(tmp_path)
-        if section == "checks":
-            raw["checks"] = [{"name": "hhalf_h", key: value}]
-            where = "checks[0].threshold"
-        else:
-            raw[section][key] = value
-            where = f"{section}.{key}"
+        raw[section][key] = value
+        where = f"{section}.{key}"
         path.write_text(json.dumps(raw))
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
@@ -228,19 +201,6 @@ class TestConfigValidation:
         assert "no mobility" in err.value.message
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         assert "config error at evolution" in capsys.readouterr().err
-
-    def test_empty_check_list_exit_2(self, tmp_path, capsys):
-        # an empty list would verify nothing and report a pass
-        path, _ = small_config(tmp_path, checks=[])
-        with pytest.raises(ConfigError) as err:
-            load_config(path)
-        assert err.value.path == "checks"
-        assert main([
-            "verify", "--traj", str(tmp_path / "triad.csv"), "--config", str(path),
-            "--out", str(tmp_path / "report.json"),
-        ]) == 2
-        assert "config error at checks" in capsys.readouterr().err
-        assert not (tmp_path / "report.json").exists()
 
     def test_cli_exit_code_on_bad_config(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -411,9 +371,7 @@ class TestVerify:
         assert code == 0
         payload = json.loads(report_path.read_text())
         assert payload["overall_pass"] is True
-        names = {c["name"] for c in payload["checks"]}
-        expected = {name for name, _ in load_config(config_path).checks}
-        assert names == expected
+        assert [c["name"] for c in payload["checks"]] == list(CSV_CHECKS)
         times = {float(row.split(",")[0]) for row in csv_path.read_text().splitlines()[1:]}
         for check in payload["checks"]:
             assert check["t_sup"] in times and check["num_excluded"] == 0, check
@@ -470,7 +428,7 @@ class TestVerify:
             ]) == 2
 
     def test_lemma_check_runs_from_the_file(self, tmp_path):
-        path, raw = small_config(tmp_path, checks=[{"name": "kappa_half_d"}])
+        path, raw = small_config(tmp_path)
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
         report_path = tmp_path / "report.json"
@@ -478,7 +436,7 @@ class TestVerify:
             "verify", "--traj", str(out / "triad.csv"), "--config", str(path),
             "--out", str(report_path),
         ]) == 0
-        (check,) = json.loads(report_path.read_text())["checks"]
+        (check,) = [c for c in json.loads(report_path.read_text())["checks"] if c["name"] == "kappa_half_d"]
         config = load_config(path)
         h0 = build_initial_profile(config.evolution.grid, config.initial_data)
         samples = triad_series(run(h0, config.evolution), config.evolution.strip)
@@ -625,7 +583,7 @@ class TestVerify:
         assert code == 2
         # the checks take uneven times; the schedule guard refuses the file
         err = capsys.readouterr().err
-        assert "no row at t = 0.004" in err and "(step 2) of the configured run" in err
+        assert "config error at <traj>: no row at t = 0.004 (step 2) of the configured run\n" in err
 
     def test_shared_time_exit_2(self, tmp_path, triad_csv, capsys):
         # rows that all carry one t leave no time step to difference over
@@ -801,6 +759,42 @@ def test_unwritable_out_exit_2(tmp_path, capsys, monkeypatch, command):
     assert main([command, *args, "--out", bad]) == 2
     assert f"config error at <out>: cannot write {bad}" in capsys.readouterr().err
     assert blocker.read_text() == "" and not (tmp_path / "missing").exists()
+
+
+NOT_UTF8 = b"\xff\xfe{}"
+TOO_DEEP = b"[" * 200000 + b"]" * 200000
+
+
+@pytest.mark.parametrize(
+    "command, bad, content, message",
+    [
+        *[(command, "config", NOT_UTF8, "<file>: config is not UTF-8")
+          for command in ("simulate", "verify", "rates")],
+        *[(command, "config", TOO_DEEP, "<file>: invalid JSON: nested too deeply")
+          for command in ("simulate", "verify", "rates")],
+        ("verify", "traj", NOT_UTF8, "<traj>: triad CSV is not UTF-8"),
+    ],
+    ids=[f"{c}-{i}" for i in ("not-utf8", "too-deep") for c in ("simulate", "verify", "rates")]
+    + ["verify-traj-not-utf8"],
+)
+def test_unreadable_input_exit_2(tmp_path, capsys, command, bad, content, message):
+    path, _ = small_config(tmp_path)
+    triad = tmp_path / "run" / "triad.csv"
+    assert main(["simulate", "--config", str(path), "--out", str(triad.parent)]) == 0
+    if bad == "config":
+        path.write_bytes(content)
+    else:
+        triad.write_bytes(content)
+    out = tmp_path / "out"
+    args = {
+        "simulate": ["--config", str(path)],
+        "verify": ["--traj", str(triad), "--config", str(path)],
+        "rates": ["--config", str(path)],
+    }[command]
+    capsys.readouterr()
+    assert main([command, *args, "--out", str(out)]) == 2
+    assert f"config error at {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestKernelCommand:

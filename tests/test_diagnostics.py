@@ -16,7 +16,7 @@ from mslab.diagnostics import (
     check_differential,
     check_lyapunov,
     compute_H,
-    run_named_checks,
+    run_checks,
     triad_series,
 )
 from mslab import diagnostics, field
@@ -416,10 +416,19 @@ class TestRegistry:
         reports = check_differential(samples) + check_algebraic(samples) + [check_lyapunov(samples)]
         assert {r.name for r in reports} == set(CSV_CHECKS)
         assert all(r.passed for r in reports)
-        # the named runner returns the same reports, in the configured order
-        checks = tuple((name, thr) for name, (_, thr) in reversed(CSV_CHECKS.items()))
+        assert [r.threshold for r in reports] == [CSV_CHECKS[r.name] for r in reports]
+        # run_checks returns the same reports, in registry order
         by_name = {r.name: r for r in reports}
-        assert run_named_checks(samples, checks) == [by_name[name] for name, _ in checks]
+        assert run_checks(samples) == [by_name[name] for name in CSV_CHECKS]
+
+    def test_regime_never_entered_is_a_skip(self):
+        # E^2 D = 1 stays above LYAPUNOV_EPSILON at every sample
+        samples = proxy_samples([0.0, 1.0, 2.0], lambda t: 1.0, lambda t: 1.0)
+        reports = run_checks(samples)
+        assert [r.name for r in reports] == list(CSV_CHECKS)
+        (lyapunov,) = [r for r in reports if r.name == "lyapunov_e2d"]
+        assert lyapunov == RatioReport("lyapunov_e2d", 0.0, CSV_CHECKS["lyapunov_e2d"], None, 0, None, 0)
+        assert all(r.passed is not None for r in reports if r is not lyapunov)
 
     def test_csv_columns_are_the_sample_fields(self):
         assert TRIAD_FIELDS == tuple(TriadSample.__dataclass_fields__)
