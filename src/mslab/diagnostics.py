@@ -207,7 +207,7 @@ def _stacked_H(stack):
         chi[s, : len(w)] = -np.sign(centers)  # chi on a panel's active columns; no centre is 0
         # (h - z) chi < 0 is h chi < z chi = -|z| exactly, as chi is 1 or -1
         bounds[s, : len(w)] = -np.abs(centers)
-    k_pos = 2.0 * np.pi * np.arange(1, n // 2 + 1) / grid.length
+    k = grid.wavenumbers[1:]
 
     step = max(1, _H_BLOCK_ENTRIES // (count * n))
     # summed over the rows of a block once the sweep ends
@@ -221,7 +221,7 @@ def _stacked_H(stack):
         chat = np.fft.rfft(active, axis=2)  # the panel transform times n chi
         chi0[:, block] = chat[..., 0].real * (chi[:, block] / n)
         c = chat[..., 1:]
-        kw = widths[:, block, None] * k_pos
+        kw = widths[:, block, None] * k
         decay = np.exp(-kw)
         one_minus = 1.0 - decay
         weight = one_minus * chi[:, block, None]
@@ -236,10 +236,8 @@ def _stacked_H(stack):
         same = (c.real**2 + c.imag**2) * (kw - one_minus)
         modal[:, : term.shape[1]] += same + (c * carries).real * weight
 
-    per_mode = modal.sum(axis=1) / (n * n * k_pos**3)
-    pair_weight = np.full(n // 2, 2.0)
-    pair_weight[-1] = 1.0  # the unpaired -N/2 mode counts once
-    total = np.sum(pair_weight * per_mode, axis=1)
+    per_mode = modal.sum(axis=1) / (n * n * np.float_power(k, 3))
+    total = np.sum(grid.multiplicity[1:] * per_mode, axis=1)
 
     # zero mode: Phi' is piecewise linear with slope -chi_0 per panel
     phi_prime = np.zeros((count, rows + 1))
@@ -292,7 +290,9 @@ def triad_series(traj, strip=None):
             kappa_neg1_sq=seminorm(kappa_arc, -1.0) ** 2,
             hx_l2=state.slope.l2_norm(),
             hxx_l2=derivative(state.h, 2).l2_norm(),
-            h_l3=float((state.grid.spacing * np.sum(np.abs(state.h.samples) ** 3)) ** (1.0 / 3.0)),
+            h_l3=float(np.float_power(
+                state.grid.spacing * np.sum(np.float_power(np.abs(state.h.samples), 3)), 1.0 / 3.0
+            )),
         ))
     return out
 

@@ -119,8 +119,8 @@ def linear_solve_exact(h0, t, mobility):
     The multiplier is defined for every mode and keeps the zero mode, so
     data with mass keep their mass (the self-similar kernel comparison).
     """
-    k = np.abs(h0.grid.wavenumbers)
-    return SpectralProfile.from_coeffs(h0.grid, h0.coeffs * np.exp(-mobility * k**3 * t))
+    k3 = np.float_power(h0.grid.wavenumbers, 3)
+    return SpectralProfile.from_coeffs(h0.grid, h0.coeffs * np.exp(-mobility * k3 * t))
 
 
 def linear_response(state, mobility):
@@ -152,9 +152,9 @@ def nonlinear_step(state, cfg):
     response = exterior_response(state)
     stiff = fractional_operator(state.h, 3.0)
     remainder = -state.line_element * response.velocity.samples + LINEAR_RATE * stiff.samples
-    nhat = np.where(grid.dealiased, np.fft.fft(remainder) / grid.num_points, 0.0)
-    k = np.abs(grid.wavenumbers)
-    new_coeffs = (state.h.coeffs + cfg.dt * nhat) / (1.0 + cfg.dt * LINEAR_RATE * k**3)
+    nhat = np.where(grid.dealiased, SpectralProfile.from_samples(grid, remainder).coeffs, 0.0)
+    k3 = np.float_power(grid.wavenumbers, 3)
+    new_coeffs = (state.h.coeffs + cfg.dt * nhat) / (1.0 + cfg.dt * LINEAR_RATE * k3)
     new_coeffs[0] = 0.0
     return response, build_state(SpectralProfile.from_coeffs(grid, new_coeffs))
 
@@ -226,6 +226,5 @@ def kernel_mask(grid):
     the returned profile is even with G(0) approaching Gamma(4/3)/pi as the
     cell grows.
     """
-    k = np.abs(grid.wavenumbers)
-    coeffs = np.exp(-(k**3)) / grid.length
-    return SpectralProfile.from_coeffs(grid, coeffs.astype(complex))
+    coeffs = np.exp(-np.float_power(grid.wavenumbers, 3)) / grid.length
+    return SpectralProfile.from_coeffs(grid, coeffs)

@@ -20,8 +20,8 @@ The share of the spectral energy of psi above the 2/3 cut is the
 resolution signal: past :data:`RESOLUTION_TAIL_MAX` the solve raises
 :class:`~mslab.errors.SolverDivergence`, as on a GMRES or residual
 failure, so every state the flow solves is resolved.  The solve runs on
-the :func:`~mslab.spectral.resolved_grid` of the curvature, its data, and
-V returns to the state's grid by zero-padding.  The solve keeps nothing:
+the smallest grid that resolves the curvature, its data, and V returns to
+the state's grid by zero-padding.  The solve keeps nothing:
 a run keeps each state's response beside the state, in its trajectory.
 
 A second-order straightened strip, which no command runs, is the
@@ -48,7 +48,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import SlopeGateViolation, SolverDivergence
 from .geometry import build_state, sup_slope
-from .spectral import SpectralProfile, derivative, resample, resolved_grid
+from .spectral import Grid, SpectralProfile, derivative, is_resolved, resample, resolved_grid
 
 #: GMRES stops once the 2-norm residual falls to this fraction of |b|, and a
 #: solve raises on a max-norm residual above ten times that
@@ -174,8 +174,7 @@ def _flat_inverse(grid, strip):
     lam, q = np.linalg.eigh(np.diag(2.0 * a / deta**2) + np.diag(off, 1) + np.diag(off, -1))
     to_modes = q.T / d[None, :]
     from_modes = d[:, None] * q
-    k = 2.0 * np.pi * np.fft.rfftfreq(n, d=dx)
-    inv_symbol = 1.0 / (lam[:, None] + (2.0 - 2.0 * np.cos(k * dx))[None, :] / dx**2)
+    inv_symbol = 1.0 / (lam[:, None] + (2.0 - 2.0 * np.cos(grid.wavenumbers * dx))[None, :] / dx**2)
     for factor in (to_modes, from_modes, inv_symbol):
         factor.setflags(write=False)
 
@@ -497,7 +496,7 @@ def _solve(state):
     n = grid.num_points
     log_kernel = _log_kernel(state)
     scale = -grid.spacing / (4.0 * np.pi)
-    two_dtn = (4.0 * np.pi / grid.length) * np.arange(n // 2 + 1)  # 2|k| on the rfft modes
+    two_dtn = 2.0 * grid.wavenumbers
 
     def density(psi):
         return np.fft.irfft(two_dtn * np.fft.rfft(psi), n)
@@ -508,11 +507,10 @@ def _solve(state):
     kappa = state.curvature.samples
     psi, iterations = _gmres(operator, lambda r: r, kappa)
     residual = _checked_residual(operator, psi, kappa, iterations)
-    power = np.abs(np.fft.rfft(psi)) ** 2
+    power = grid.multiplicity * np.abs(np.fft.rfft(psi)) ** 2
     power[0] = 0.0  # the mean of psi is the constant c, not a shape
-    power[1:-1] *= 2.0  # every mode but the mean and the Nyquist has a conjugate pair
     total = power.sum()
-    tail = float(power[~grid.dealiased[: n // 2 + 1]].sum() / total) if total > 0.0 else 0.0
+    tail = float(power[~grid.dealiased].sum() / total) if total > 0.0 else 0.0
     if not tail <= RESOLUTION_TAIL_MAX:
         raise SolverDivergence(
             f"{tail:.3e} of the boundary density's spectral energy lies above "
@@ -527,15 +525,20 @@ def exterior_response(state):
     """V, D and the :class:`SolveRecord` of a state, from one
     boundary-integral solve; nothing is kept.
 
-    The solve's data is the curvature, so it runs on the curvature's
-    :func:`~mslab.spectral.resolved_grid`: the state is rebuilt from h
-    truncated to that grid, V is zero-padded back to the state's grid, and
-    D is the boundary pairing there, as for :func:`prescribed_response`.
-    A curvature that its own grid does not resolve is solved there, and
-    the resolution check decides.  A failed solve, the resolution check
-    included, raises :class:`~mslab.errors.SolverDivergence`.
+    The solve's data is the curvature.  It runs on the first grid, from the
+    :func:`~mslab.spectral.resolved_grid` of h up by doubling, where the
+    curvature of h truncated there :func:`~mslab.spectral.is_resolved` (the
+    state's own curvature carries a round-off floor that grows like k^2),
+    or else on the state's grid, where the resolution check decides.  V is
+    zero-padded back to the state's grid and D paired there, as for
+    :func:`prescribed_response`.  A failed solve raises SolverDivergence.
     """
-    grid = resolved_grid(state.curvature)
-    velocity, record = _solve(state if grid == state.grid else build_state(resample(state.h, grid)))
+    grid = resolved_grid(state.h)
+    while True:
+        solved = state if grid == state.grid else build_state(resample(state.h, grid))
+        if solved is state or is_resolved(solved.curvature):
+            break
+        grid = Grid(grid.length, 2 * grid.num_points)
+    velocity, record = _solve(solved)
     velocity = resample(velocity, state.grid)
     return ExteriorResponse(velocity, _boundary_pairing(state, velocity.samples), record)

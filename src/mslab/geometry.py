@@ -53,7 +53,7 @@ def build_state(h):
     slope = derivative(h, 1)
     hxx = derivative(h, 2)
     line_element = np.sqrt(1.0 + slope.samples**2)
-    curvature = SpectralProfile.from_samples(h.grid, hxx.samples / line_element**3)
+    curvature = SpectralProfile.from_samples(h.grid, hxx.samples / np.float_power(line_element, 3))
     return InterfaceState(h, slope, curvature, line_element)
 
 
@@ -103,11 +103,8 @@ def to_arclength(state, q):
     grid = state.grid
     arc = Grid(total_arclength(state), grid.num_points)
     le = SpectralProfile.from_samples(grid, state.line_element)
-    k = grid.wavenumbers
     anti = np.zeros_like(le.coeffs)
-    nz = k != 0.0
-    anti[nz] = le.coeffs[nz] / (1j * k[nz])
-    anti[grid.num_points // 2] = 0.0
+    anti[1:] = le.coeffs[1:] / (1j * grid.wavenumbers[1:])
     osc = SpectralProfile.from_coeffs(grid, anti).samples
     s = le.mean * grid.nodes + osc - osc[0]
     weights = (grid.spacing / arc.length) * q.samples * state.line_element
@@ -116,11 +113,12 @@ def to_arclength(state, q):
 
 
 def _type1_nufft(theta, weights, n):
-    """Sums c_m = sum_l w_l e^{-i m theta_l} over the n modes in fftfreq order.
+    """Sums c_m = sum_l w_l e^{-i m theta_l} over the half-spectrum modes
+    m = 0 .. n/2.
 
     Gaussian gridding (Greengard & Lee 2004): spread the real weights onto
     a periodic grid of R n points with the kernel e^{-d^2/(4 tau)}, take one
-    FFT, and divide by the kernel's Fourier coefficients
+    real FFT, and divide by the kernel's Fourier coefficients
     sqrt(tau/pi) e^{-m^2 tau}.  The temporaries are 2 M_sp x n.
     """
     size = _OVERSAMPLING * n
@@ -130,6 +128,5 @@ def _type1_nufft(theta, weights, n):
     cells = offsets + np.floor(theta / spacing).astype(np.int64)
     spread = weights * np.exp(-((theta - spacing * cells) ** 2) / (4.0 * tau))
     gridded = np.bincount((cells % size).ravel(), spread.ravel(), size)
-    modes = np.fft.fftfreq(n, 1.0 / n)
-    transform = np.fft.fft(gridded)[modes.astype(np.int64) % size]
-    return (np.sqrt(np.pi / tau) / size) * np.exp(tau * modes**2) * transform
+    transform = np.fft.rfft(gridded)[: n // 2 + 1]
+    return (np.sqrt(np.pi / tau) / size) * np.exp(tau * np.arange(n // 2 + 1) ** 2) * transform

@@ -4,12 +4,14 @@ The real line is truncated to a periodic cell of length ``L`` sampled at
 ``N`` equispaced nodes.  Profiles are held jointly as samples and Fourier
 coefficients.  Conventions used everywhere in this package:
 
-* angular wavenumbers ``k_m = 2*pi*m/L`` for ``m = -N/2 .. N/2-1``, so the
-  second derivative has multiplier ``-k**2`` and ``|d/dx|**2`` composes
-  exactly with ``-d2/dx2``;
-* coefficients ``c_m = (1/N) * sum_j f(x_j) exp(-i k_m x_j)``, i.e.
-  ``numpy.fft.fft(samples)/N``, so Parseval reads
-  ``integral f**2 dx = L * sum_m |c_m|**2``.
+* a real profile is held by its half spectrum: the modes ``m = 0 .. N/2``,
+  angular wavenumbers ``k_m = 2*pi*m/L`` (so ``-k**2`` is the multiplier of
+  ``d2/dx2`` and ``|d/dx|**2`` composes exactly with it) and coefficients
+  ``c_m = (1/N) * sum_j f(x_j) exp(-i k_m x_j)``, i.e.
+  ``numpy.fft.rfft(samples)/N``, with ``c_0`` and ``c_{N/2}`` real;
+* mode m stands for the pair ``+-m``, the mean and the Nyquist mode for
+  themselves (:attr:`Grid.multiplicity`), so Parseval reads
+  ``integral f**2 dx = L * sum_m multiplicity_m |c_m|**2``.
 
 The zero mode of every fractional operator ``|d/dx|**sigma`` is mapped to
 zero; negative orders additionally require a mean-zero profile.  Every
@@ -64,29 +66,30 @@ class Grid:
 
     @cached_property
     def wavenumbers(self):
-        k = 2.0 * np.pi * np.fft.fftfreq(self.num_points, d=self.spacing)
+        """k_m = 2 pi m / L of the half-spectrum modes m = 0 .. N/2."""
+        k = 2.0 * np.pi * (np.arange(self.num_points // 2 + 1) * (1.0 / self.length))
         k.setflags(write=False)
         return k
 
     @cached_property
+    def multiplicity(self):
+        """Full-spectrum modes per mode: 2 for the pair +-m, 1 for the mean and the Nyquist mode."""
+        count = np.full(self.num_points // 2 + 1, 2.0)
+        count[[0, -1]] = 1.0
+        count.setflags(write=False)
+        return count
+
+    @cached_property
     def dealiased(self):
-        """The 2/3 cut |m| <= N//3 in :attr:`wavenumbers` order: the modes the
+        """The 2/3 cut m <= N//3 on the half-spectrum modes: the modes the
         nonlinear step keeps and the exterior solve's resolution tail leaves out."""
-        n = self.num_points
-        kept = np.abs(np.fft.fftfreq(n, d=1.0 / n)) <= n // 3
+        kept = np.arange(self.num_points // 2 + 1) <= self.num_points // 3
         kept.setflags(write=False)
         return kept
 
-    @cached_property
-    def conjugate(self):
-        """Index of the mode -m for each mode m, in :attr:`wavenumbers` order."""
-        index = np.r_[0, self.num_points - 1 : 0 : -1]
-        index.setflags(write=False)
-        return index
-
 
 class SpectralProfile:
-    """A real periodic function held as grid samples plus Fourier coefficients.
+    """A real periodic function held as grid samples plus its half spectrum.
 
     Instances are immutable; the sample and coefficient arrays are read-only
     views.  Construct with :meth:`from_samples` or :meth:`from_coeffs`.
@@ -111,18 +114,18 @@ class SpectralProfile:
         samples = np.asarray(samples, dtype=float)
         if samples.shape != (grid.num_points,):
             raise ValueError("sample array does not match the grid")
-        coeffs = np.fft.fft(samples) / grid.num_points
+        coeffs = np.fft.rfft(samples) / grid.num_points
         return cls(grid, samples, coeffs)
 
     @classmethod
     def from_coeffs(cls, grid, coeffs):
-        coeffs = np.asarray(coeffs, dtype=complex)
-        if coeffs.shape != (grid.num_points,):
+        coeffs = np.array(coeffs, dtype=complex)
+        if coeffs.shape != (grid.num_points // 2 + 1,):
             raise ValueError("coefficient array does not match the grid")
-        # enforce Hermitian symmetry so the samples are exactly real
-        sym = 0.5 * (coeffs + np.conj(coeffs[grid.conjugate]))
-        samples = np.fft.ifft(sym * grid.num_points).real
-        return cls(grid, samples, sym)
+        # the mean and the Nyquist mode of a real profile are real
+        coeffs[[0, -1]] = coeffs[[0, -1]].real
+        samples = np.fft.irfft(coeffs * grid.num_points, grid.num_points)
+        return cls(grid, samples, coeffs)
 
     @property
     def mean(self):
@@ -156,7 +159,7 @@ class SpectralProfile:
         """Trigonometric interpolation of the profile at arbitrary points."""
         points = np.atleast_1d(np.asarray(points, dtype=float))
         phases = np.exp(1j * np.outer(points, self.grid.wavenumbers))
-        return (phases @ self.coeffs).real
+        return (phases @ (self.grid.multiplicity * self.coeffs)).real
 
 
 def fractional_operator(p, sigma):
@@ -170,61 +173,49 @@ def fractional_operator(p, sigma):
         p.require_mean_zero("fractional operator of negative order")
     k = p.grid.wavenumbers
     mult = np.zeros_like(k)
-    nz = k != 0.0
-    mult[nz] = np.abs(k[nz]) ** sigma
+    mult[1:] = np.float_power(k[1:], sigma)
     return SpectralProfile.from_coeffs(p.grid, p.coeffs * mult)
 
 
 def derivative(p, order=1):
-    """Exact spectral derivative ``(d/dx)**order``.
-
-    The unpaired -N/2 mode is zeroed for odd orders so the result stays
-    real-valued.
-    """
-    k = p.grid.wavenumbers
-    mult = (1j * k) ** order
-    if order % 2 == 1:
-        mult[p.grid.num_points // 2] = 0.0
+    """Exact spectral derivative ``(d/dx)**order``; an odd order leaves an
+    imaginary Nyquist coefficient, which :meth:`SpectralProfile.from_coeffs` drops."""
+    mult = (1j * p.grid.wavenumbers) ** order
     return SpectralProfile.from_coeffs(p.grid, p.coeffs * mult)
 
 
 def seminorm(p, sigma):
     """Homogeneous Sobolev seminorm ``|| |d/dx|**sigma p ||_2``.
 
-    Discrete Parseval evaluation ``sqrt(L * sum |k_m|**(2 sigma) |c_m|**2)``
-    with the zero mode excluded.
+    Discrete Parseval evaluation ``sqrt(L * sum multiplicity_m k_m**(2 sigma)
+    |c_m|**2)`` with the zero mode excluded.
     """
     if sigma < 0:
         p.require_mean_zero("seminorm of negative order")
-    k = p.grid.wavenumbers
-    nz = k != 0.0
-    weights = np.abs(k[nz]) ** (2.0 * sigma)
-    return float(np.sqrt(p.grid.length * np.sum(weights * np.abs(p.coeffs[nz]) ** 2)))
+    grid = p.grid
+    weights = grid.multiplicity[1:] * np.float_power(grid.wavenumbers[1:], 2.0 * sigma)
+    return float(np.sqrt(grid.length * np.sum(weights * np.abs(p.coeffs[1:]) ** 2)))
 
 
 def resample(p, grid):
     """The profile on ``grid``, a grid of the same cell, by exact truncation
     or zero-padding of its Fourier coefficients.
 
-    On the smaller of the two grids the Nyquist mode -M/2 stands for the
-    pair +-M/2: truncation folds the pair into it and padding splits it in
-    halves, so padding then truncating gives back the coefficients bit for
-    bit.  Every other mode is copied, c_0 included, so a mean-zero profile
-    stays exactly mean-zero.  A profile already on ``grid`` is returned as it is.
+    The smaller grid's Nyquist mode M/2 is scaled by the ratio of its two
+    multiplicities: truncation folds the pair +-M/2 into it and padding
+    splits it in halves, so padding then truncating gives back the
+    coefficients bit for bit.  Every other mode is copied, c_0 included, so
+    a mean-zero profile stays exactly mean-zero.  A profile already on
+    ``grid`` is returned as it is.
     """
     if grid == p.grid:
         return p
     if grid.length != p.grid.length:
         raise ValueError("resampling keeps the cell length")
-    n, m = p.grid.num_points, grid.num_points
-    half = min(n, m) // 2
-    out = np.zeros(m, dtype=complex)
+    half = min(p.grid.num_points, grid.num_points) // 2
+    out = np.zeros(grid.num_points // 2 + 1, dtype=complex)
     out[:half] = p.coeffs[:half]
-    out[m - half + 1 :] = p.coeffs[n - half + 1 :]
-    if m < n:
-        out[half] = p.coeffs[half] + p.coeffs[n - half]
-    else:
-        out[half] = out[m - half] = 0.5 * p.coeffs[half]
+    out[half] = p.coeffs[half] * (p.grid.multiplicity[half] / grid.multiplicity[half])
     return SpectralProfile.from_coeffs(grid, out)
 
 
@@ -236,12 +227,20 @@ def resolved_grid(p):
     The test is relative, so h -> lambda h(x/lambda) keeps the grid, and a
     profile that is zero throughout gets the smallest grid, 8 points.
     """
-    grid = p.grid
-    magnitude = np.abs(p.coeffs)
-    modes = np.abs(np.fft.fftfreq(grid.num_points, d=1.0 / grid.num_points))
-    # a NaN coefficient is never below the bound, so it keeps the profile's grid
-    top = modes[~(magnitude <= RESOLUTION_RTOL * magnitude.max())].max(initial=0.0)
+    top = _top_mode(p)
     n = 8
-    while n // 3 < top and n < grid.num_points:
+    while n // 3 < top and n < p.grid.num_points:
         n *= 2
-    return Grid(grid.length, n)
+    return Grid(p.grid.length, n)
+
+
+def is_resolved(p):
+    """Whether the 2/3 cut of the profile's own grid holds every coefficient
+    above :data:`RESOLUTION_RTOL` max|c_m|, the test of :func:`resolved_grid`."""
+    return _top_mode(p) <= p.grid.num_points // 3
+
+
+def _top_mode(p):
+    magnitude = np.abs(p.coeffs)
+    # a NaN coefficient is never below the bound, so it makes the Nyquist mode the top
+    return np.flatnonzero(~(magnitude <= RESOLUTION_RTOL * magnitude.max())).max(initial=0)

@@ -10,15 +10,14 @@ CURVATURE_EVOLUTION_THRESHOLD = 0.05
 
 
 def band_limited_profile(grid, rng, max_mode=None, decay=2.0, mean_zero=True):
-    """Random smooth profile with exponentially decaying random coefficients."""
+    """Random smooth profile with exponentially decaying random coefficients
+    on the half-spectrum modes 1 .. max_mode."""
     n = grid.num_points
     if max_mode is None:
         max_mode = n // 4
-    coeffs = np.zeros(n, dtype=complex)
+    coeffs = np.zeros(n // 2 + 1, dtype=complex)
     for m in range(1, max_mode + 1):
-        c = (rng.standard_normal() + 1j * rng.standard_normal()) * np.exp(-decay * m / max_mode)
-        coeffs[m] = c
-        coeffs[n - m] = np.conj(c)
+        coeffs[m] = (rng.standard_normal() + 1j * rng.standard_normal()) * np.exp(-decay * m / max_mode)
     if not mean_zero:
         coeffs[0] = rng.standard_normal()
     return SpectralProfile.from_coeffs(grid, coeffs)
@@ -41,12 +40,19 @@ def wavelet_state(n, length=16.0, slope=0.9):
     return build_state(SpectralProfile.from_samples(grid, scale * h))
 
 
+def full_wavenumbers(grid):
+    """k_m of the full spectrum, m = -N/2 .. N/2-1 in numpy's fftfreq order,
+    built apart from the package's half-spectrum ``Grid.wavenumbers``."""
+    return 2.0 * np.pi * np.fft.fftfreq(grid.num_points, d=grid.spacing)
+
+
 def dft_oracle(samples, grid):
-    """Direct-summation discrete transform, independent of numpy.fft."""
+    """Direct-summation discrete transform, independent of numpy.fft's
+    transforms: the full spectrum, in the order of :func:`full_wavenumbers`."""
     n = grid.num_points
     x = grid.nodes
     out = np.empty(n, dtype=complex)
-    for m_idx, k in enumerate(grid.wavenumbers):
+    for m_idx, k in enumerate(full_wavenumbers(grid)):
         out[m_idx] = np.sum(samples * np.exp(-1j * k * x)) / n
     return out
 
@@ -62,10 +68,9 @@ def harmonic_extension(g, depths):
     depths = np.atleast_1d(np.asarray(depths, dtype=float))
     if np.any(depths < 0):
         raise ValueError("depths must be nonnegative")
-    k = np.abs(g.grid.wavenumbers)
+    k = np.abs(full_wavenumbers(g.grid))
     damp = np.exp(-np.outer(depths, k))
-    n = g.grid.num_points
-    return np.fft.ifft(damp * g.coeffs[None, :] * n, axis=1).real
+    return np.fft.ifft(damp * np.fft.fft(g.samples)[None, :], axis=1).real
 
 
 def strip_levels(strip):
@@ -141,9 +146,9 @@ def exact_linear_observables(h0, t, mobility):
     (and exponent 6 for ``t^2 D``), the oracle for the decay-rate checks.
     """
     h0.require_mean_zero("the linear observables")
-    k = np.abs(h0.grid.wavenumbers)
+    k = np.abs(full_wavenumbers(h0.grid))
     nz = k != 0.0
-    weight = h0.grid.length * np.abs(h0.coeffs[nz]) ** 2
+    weight = h0.grid.length * np.abs(np.fft.fft(h0.samples)[nz] / h0.grid.num_points) ** 2
     decay = np.exp(-2.0 * mobility * k[nz] ** 3 * t)
     e_lin = float(np.sum(k[nz] ** 2 * decay * weight))
     d_lin = float(np.sum(k[nz] ** 5 * decay * weight))
@@ -197,21 +202,22 @@ def dense_arclength(state, q):
 
     s(x) is the antiderivative of the line element summed mode by mode, and
     c_m = (dx/S) sum_l q(x_l) sqrt(1+h_x^2)(x_l) e^{-i k_m s(x_l)} runs over
-    every mode and node.  The coefficients get the Hermitian projection of
-    ``SpectralProfile.from_coeffs``, the unpaired -N/2 mode included.
+    every mode and node of the full spectrum; ``SpectralProfile.from_coeffs``
+    keeps the modes 0 .. N/2 and the real part of the Nyquist mode.
     """
     grid = state.grid
     n = grid.num_points
     x = grid.nodes
     le = state.line_element
-    k = grid.wavenumbers
+    k = full_wavenumbers(grid)
     c = np.exp(-1j * np.outer(k, x)) @ le / n
     paired = (k != 0.0) & (np.arange(n) != n // 2)
     anti = c[paired] / (1j * k[paired])
     s = c[0].real * x + ((np.exp(1j * np.outer(x, k[paired])) - 1.0) @ anti).real
     arc = Grid(grid.spacing * np.sum(le), n)
     weights = (grid.spacing / arc.length) * q.samples * le
-    return SpectralProfile.from_coeffs(arc, np.exp(-1j * np.outer(arc.wavenumbers, s)) @ weights)
+    half = np.abs(full_wavenumbers(arc)[: n // 2 + 1])
+    return SpectralProfile.from_coeffs(arc, np.exp(-1j * np.outer(half, s)) @ weights)
 
 
 def panel_sweep_H(state):

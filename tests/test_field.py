@@ -17,7 +17,7 @@ from mslab.field import (
     solve_strip,
 )
 from mslab.geometry import InterfaceState, build_state, to_arclength
-from mslab.spectral import Grid, SpectralProfile, derivative, fractional_operator, seminorm
+from mslab.spectral import Grid, SpectralProfile, derivative, fractional_operator, is_resolved, seminorm
 from conftest import bump_state, strip_levels, wavelet_state
 
 
@@ -483,8 +483,8 @@ class TestBoundaryIntegral:
         # ||kappa||_{1/2}^2 / D -> 1/2 at small slope: measured 0.50000009;
         # the strip read 0.49912
         grid = Grid(16.0, 256)
-        coeffs = np.zeros(256, dtype=complex)
-        coeffs[3] = coeffs[-3] = 0.5e-3
+        coeffs = np.zeros(129, dtype=complex)
+        coeffs[3] = 0.5e-3
         state = build_state(SpectralProfile.from_coeffs(grid, coeffs))
         d = exterior_response(state).dissipation
         kappa_arc = to_arclength(state, state.curvature).without_mean()
@@ -505,7 +505,8 @@ class TestBoundaryIntegral:
 
 
 class TestResolvedSolve:
-    """exterior_response solves on the resolved grid of the curvature."""
+    """exterior_response solves on the smallest grid that resolves the
+    curvature of h truncated to it."""
 
     def test_bump_is_solved_on_half_its_grid(self):
         # the N = 512 bump against its own-grid solve: D measured to 2.2e-16.
@@ -520,17 +521,26 @@ class TestResolvedSolve:
         assert response.velocity.grid == state.grid
         v = response.velocity.samples
         scale = np.abs(own.velocity.samples).max()
-        held = np.abs(np.fft.fftfreq(512, d=1.0 / 512)) < 128
-        assert np.abs(response.velocity.coeffs - own.velocity.coeffs)[held].max() <= 1e-13 * scale
+        # the modes below 128, which both grids hold
+        assert np.abs(response.velocity.coeffs - own.velocity.coeffs)[:128].max() <= 1e-13 * scale
         assert np.abs(v - own.velocity.samples).max() <= 1e-10 * scale
         assert response.dissipation == pytest.approx(own.dissipation, rel=1e-13, abs=0.0)
         assert response.dissipation == -state.grid.spacing * np.sum(state.curvature.samples * v * state.line_element)
         # V is zero-padded: nothing above the solve grid's Nyquist mode
-        assert np.all(response.velocity.coeffs[129:-128] == 0.0)
+        assert np.all(response.velocity.coeffs[129:] == 0.0)
 
     def test_steep_wavelet_keeps_its_grid(self):
         # at sup|h_x| = 0.9 the curvature's content reaches past 256/3
         assert exterior_response(wavelet_state(256)).solve.points == 256
+
+    @pytest.mark.parametrize("n", [1024, 2048])
+    def test_fine_bump_is_solved_on_256_points(self, n):
+        # the state's own curvature carries a round-off floor that grows like
+        # k^2 eps and reaches past 1e-12 of its largest coefficient at N = 1024;
+        # the curvature of h truncated to 256 points holds nothing above the cut
+        state = bump_state(n)
+        assert not is_resolved(state.curvature)
+        assert exterior_response(state).solve.points == 256
 
     def test_flat_state_is_solved_on_eight_points(self):
         grid = Grid(16.0, 256)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from mslab.spectral import (
     resolved_grid,
     seminorm,
 )
-from conftest import band_limited_profile, dft_oracle, harmonic_extension, strip_levels
+from conftest import band_limited_profile, dft_oracle, full_wavenumbers, harmonic_extension, strip_levels
 
 
 @pytest.fixture
@@ -25,10 +27,11 @@ class TestGrid:
         assert grid.spacing * grid.num_points == pytest.approx(grid.length, rel=1e-15)
         k = grid.wavenumbers
         n = grid.num_points
-        # antisymmetric about zero except the unpaired -N/2 mode
-        for m in range(1, n // 2):
-            assert k[m] == -k[n - m]
-        assert k[n // 2] == -np.pi * n / grid.length
+        # the nonnegative half of numpy's full spectrum, Nyquist mode included
+        assert np.array_equal(k, np.abs(full_wavenumbers(grid)[: n // 2 + 1]))
+        assert k[-1] == np.pi * n / grid.length
+        assert np.array_equal(grid.multiplicity, np.r_[1.0, np.full(n // 2 - 1, 2.0), 1.0])
+        assert grid.multiplicity.sum() == n
 
     @pytest.mark.parametrize("n", [4, 12, 100])
     def test_rejects_bad_sizes(self, n):
@@ -47,11 +50,18 @@ class TestProfile:
         back = SpectralProfile.from_coeffs(grid, p.coeffs)
         assert np.abs(back.samples - samples).max() <= 1e-12 * np.abs(samples).max()
 
-    def test_hermitian_symmetry(self, grid, rng):
-        p = SpectralProfile.from_samples(grid, rng.standard_normal(grid.num_points))
-        n = grid.num_points
-        mirrored = np.conj(p.coeffs[np.r_[0, n - 1:0:-1]])
-        assert np.abs(p.coeffs - mirrored).max() <= 1e-13 * np.abs(p.coeffs).max()
+    def test_from_coeffs_keeps_the_real_mean_and_nyquist(self, grid, rng):
+        half = grid.num_points // 2 + 1
+        coeffs = rng.standard_normal(half) + 1j * rng.standard_normal(half)
+        p = SpectralProfile.from_coeffs(grid, coeffs)
+        assert p.coeffs.shape == (half,)
+        assert p.coeffs[0] == coeffs[0].real and p.coeffs[-1] == coeffs[-1].real
+        assert np.array_equal(p.coeffs[1:-1], coeffs[1:-1])
+        # coeffs stay the transform of the samples: the direct sum, and a round trip
+        scale = np.abs(p.coeffs).max()
+        assert np.abs(dft_oracle(p.samples, grid)[:half] - p.coeffs).max() <= 1e-13 * scale
+        back = SpectralProfile.from_samples(grid, p.samples)
+        assert np.abs(back.coeffs - p.coeffs).max() <= 1e-13 * scale
 
     def test_mean_zero_flag(self, grid):
         p = SpectralProfile.from_samples(grid, np.sin(grid.nodes))
@@ -82,7 +92,7 @@ class TestProfile:
         for _ in range(100):
             p = band_limited_profile(grid, rng, mean_zero=False)
             quad = grid.spacing * np.sum(p.samples**2)
-            spec = grid.length * np.sum(np.abs(p.coeffs) ** 2)
+            spec = grid.length * np.sum(grid.multiplicity * np.abs(p.coeffs) ** 2)
             assert quad == pytest.approx(spec, rel=1e-10)
 
     def test_immutability(self, grid):
@@ -120,8 +130,8 @@ class TestResampling:
 
     @staticmethod
     def mode(n, m, amplitude=1.0, length=2.0 * np.pi):
-        coeffs = np.zeros(n, dtype=complex)
-        coeffs[m] = coeffs[-m] = 0.5 * amplitude
+        coeffs = np.zeros(n // 2 + 1, dtype=complex)
+        coeffs[m] = 0.5 * amplitude
         return SpectralProfile.from_coeffs(Grid(length, n), coeffs)
 
     @pytest.mark.parametrize("n", [8, 64, 512])
@@ -142,10 +152,11 @@ class TestResampling:
 
     def test_rounding_noise_below_the_tolerance_is_not_content(self, grid):
         p = self.mode(256, 5)
-        coeffs = p.coeffs + 1e-13 * np.exp(1j * np.arange(256))
+        modes = np.arange(p.coeffs.size)
+        coeffs = p.coeffs + 1e-13 * np.exp(1j * modes)
         noisy = SpectralProfile.from_coeffs(p.grid, coeffs)
         assert resolved_grid(noisy).num_points == 16
-        nan = SpectralProfile.from_coeffs(p.grid, np.where(np.arange(256) == 3, np.nan, p.coeffs))
+        nan = SpectralProfile.from_coeffs(p.grid, np.where(modes == 3, np.nan, p.coeffs))
         assert resolved_grid(nan).num_points == 256
 
 
@@ -165,13 +176,19 @@ class TestFractionalOperator:
         # oracle: direct-summation transform of cos(3x), multiplier sqrt(3)
         samples = np.cos(3.0 * grid.nodes)
         coeffs = dft_oracle(samples, grid)
-        k = grid.wavenumbers
+        k = full_wavenumbers(grid)
         mult = np.where(k != 0.0, np.abs(k) ** 0.5, 0.0)
         expected = np.fft.ifft(coeffs * mult * grid.num_points).real
         p = SpectralProfile.from_samples(grid, samples)
         q = fractional_operator(p, 0.5)
         assert np.abs(q.samples - expected).max() <= 1e-12
         assert np.abs(q.samples - np.sqrt(3.0) * samples).max() <= 1e-12
+
+    def test_order_three_multiplier_is_the_c_library_pow(self):
+        # np.power may run a vector kernel that differs from pow in the last bit
+        grid = Grid(16.0, 512)
+        q = fractional_operator(SpectralProfile.from_coeffs(grid, np.ones(257)), 3.0)
+        assert np.array_equal(q.coeffs.real, [math.pow(k, 3) for k in grid.wavenumbers])
 
     def test_negative_order_needs_mean_zero(self, grid):
         p = SpectralProfile.from_samples(grid, 1.0 + np.cos(grid.nodes))
@@ -284,7 +301,7 @@ class TestHarmonicExtension:
         )
         depths = strip_levels(StripConfig(6.0, 400))
         field = harmonic_extension(g, depths)
-        k = grid.wavenumbers
+        k = full_wavenumbers(grid)
         fx = np.fft.ifft(np.fft.fft(field, axis=1) * (1j * k)[None, :], axis=1).real
         fz = np.gradient(field, depths, axis=0)
         density = (fx**2 + fz**2).sum(axis=1) * grid.spacing
